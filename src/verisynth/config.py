@@ -30,6 +30,7 @@ from .errors import ConfigError
 from .gaussian1d import FILTER_DIRECT
 from .linreg import FILTER_MODES
 from .schedules import KIND_FIXED, SCHEDULE_KINDS, SCHEDULE_UNITS, UNIT_TOTAL, Schedule
+from .seeding import MAX_INDEX
 from .verifier import default_slack
 
 KIND_LANDSCAPE = "landscape"
@@ -78,7 +79,8 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         _check(self.replications >= 1, "replications must be >= 1")
-        _check(self.master_seed >= 0, "master_seed must be >= 0")
+        _check(0 <= self.master_seed <= MAX_INDEX,
+               f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")
         _check(math.isfinite(self.sigma) and self.sigma > 0.0, "problem.sigma must be > 0")
         _check(self.n0 >= 1, "problem.n0 must be >= 1")
         _check(

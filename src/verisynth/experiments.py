@@ -1,11 +1,15 @@
 """Experiment drivers: deterministic Monte Carlo over the three study designs.
 
 Each driver maps an ExperimentConfig to a list of row dicts matching the CSV
-schemas in :mod:`verisynth.output`. All randomness flows through
-:func:`verisynth.seeding.derive_stream`, keyed by (master_seed, replication,
-round, direction), so results are byte-identical for any worker count:
-replications write into disjoint slots of preallocated arrays and every
-reduction happens after the pool drains, in index order.
+schemas in :mod:`verisynth.output`. All randomness flows through the streams
+of :func:`verisynth.seeding.derive_stream`, keyed by (master_seed,
+replication, round, direction). The replications are split into contiguous
+blocks; each block keeps its estimates as one array, advances them with the
+retraining kernel one round at a time, derives its streams' keys in bulk
+(:class:`verisynth.seeding.KeyedStreams`) and writes its own slots of
+preallocated arrays. Every reduction happens after all blocks finish, in
+index order, so results are byte-identical for any block split and worker
+count.
 
 Arms of an iterative experiment (e.g. verified vs unfiltered) reuse the same
 stream keys — common random numbers — which makes between-arm comparisons
@@ -35,19 +39,20 @@ from .gaussian1d import (
     initial_mean,
     long_term_bound_1d,
     one_step_mse_prediction_1d,
-    retrain_step,
+    step_block,
 )
 from .linreg import (
     FILTER_NONE,
+    BlockRound,
+    Dataset,
     LinRegConfig,
-    RetrainState,
     baseline_mse,
     long_term_bound,
+    ols_fit,
     one_step_prediction,
-    retrain_round,
     spectral_design,
 )
-from .seeding import derive_stream
+from .seeding import KeyedStreams, derive_stream
 from .truncnorm import Bounds, std_moments
 from .verifier import Interval1D, KnowledgeBall, contraction_rate, interval_bounds_1d
 
@@ -56,6 +61,13 @@ STATUS_DEGENERATE = "degenerate"
 
 #: rounds dropped from the front of a trajectory before fitting the decay rate
 CONTRACTION_BURN_IN = 10
+
+#: most noise values a block of replications draws in one round; blocks are
+#: cut so that (replications x directions x per-direction count) stays below
+BLOCK_ELEMENTS = 2 ** 18
+
+#: most stream keys derived in one call
+KEY_CHUNK = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +97,64 @@ def resolve_ball(config: ExperimentConfig) -> KnowledgeBall:
     return KnowledgeBall(center, config.ball_radius, config.slack)
 
 
-def _real_theta_hat(
-    covariates: np.ndarray, theta: np.ndarray, sigma: float, seed: int, rep: int
-) -> np.ndarray:
-    rng = derive_stream(seed, rep, 0, 0)
-    responses = covariates @ theta + sigma * rng.standard_normal(covariates.shape[0])
-    theta_hat, *_ = np.linalg.lstsq(covariates, responses, rcond=None)
-    return theta_hat
+# ---------------------------------------------------------------------------
+# replication blocks
 
 
-def _round_streams(seed: int, rep: int, round_index: int, p: int):
-    return [derive_stream(seed, rep, round_index, j) for j in range(1, p + 1)]
+def _blocks(replications: int, threads: int, elements_per_rep: int) -> list[range]:
+    """Contiguous 1-based replication ranges: one per thread, cut to BLOCK_ELEMENTS."""
+    size = min(math.ceil(replications / threads), max(1, BLOCK_ELEMENTS // elements_per_rep))
+    return [range(start, min(start + size, replications + 1))
+            for start in range(1, replications + 1, size)]
 
 
-def _run_pool(worker: Callable[[int], None], replications: int, threads: int) -> None:
+def _run_blocks(simulate: Callable[[range], None], blocks: list[range], threads: int) -> None:
     if threads <= 1:
-        for rep in range(1, replications + 1):
-            worker(rep)
+        for block in blocks:
+            simulate(block)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(worker, rep) for rep in range(1, replications + 1)]:
+        for future in [pool.submit(simulate, block) for block in blocks]:
             future.result()
+
+
+def _keys(block: range, rounds: range, directions: range) -> np.ndarray:
+    """(replication, round, direction) keys: one row of keys per round,
+    replication-major within it."""
+    k, rep, j = np.meshgrid(rounds, block, directions, indexing="ij")
+    return np.stack([rep, k, j], axis=-1).reshape(len(rounds), -1, 3)
+
+
+def _round_rows(streams: KeyedStreams, block: range, rounds: int, p: int):
+    """Yield (k, streams of round k's rows) for k = 1..rounds.
+
+    Keys are derived for up to KEY_CHUNK rows at once, spanning many rounds
+    when the block is small.
+    """
+    per_call = max(1, KEY_CHUNK // (len(block) * p))
+    for first in range(1, rounds + 1, per_call):
+        chunk = range(first, min(first + per_call, rounds + 1))
+        chunk_streams = streams.derive(_keys(block, chunk, range(1, p + 1)))
+        for i, k in enumerate(chunk):
+            yield k, chunk_streams[i]
+
+
+def _real_estimates(
+    config: ExperimentConfig, covariates: np.ndarray, streams: KeyedStreams, block: range
+) -> np.ndarray:
+    """OLS fits of each replication's real data, drawn from its (rep, 0, 0) stream."""
+    signal = covariates @ np.asarray(config.true_theta, dtype=float)
+    real = streams.derive(_keys(block, range(1), range(1)))[0]
+    estimates = np.empty((len(block), config.dimension))
+    for row in range(len(block)):
+        noise = real.stream(row).standard_normal(covariates.shape[0])
+        estimates[row] = ols_fit(Dataset(covariates, signal + config.sigma * noise))
+    return estimates
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms; each row's dot product is bit for bit ``np.linalg.norm(row)``."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _mean_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -153,32 +202,39 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             degenerate[i] = True
             theory.append(math.nan)
 
-    cell_configs = [
-        None if degenerate[i] else LinRegConfig(
+    cell_rounds = [
+        None if degenerate[i] else BlockRound(design, LinRegConfig(
             dimension=p, true_theta=theta, ball=balls[i], sigma=config.sigma,
             n0=config.n0, schedule=np.array([config.n1]),
-        )
+        ))
         for i in range(len(cells))
     ]
     norm0 = np.empty(reps)
     norm1 = np.full((len(cells), reps), math.nan)
 
-    def worker(rep: int) -> None:
-        theta_hat = _real_theta_hat(covariates, theta, config.sigma, config.master_seed, rep)
-        norm0[rep - 1] = np.linalg.norm(theta_hat - theta)
-        state0 = RetrainState(theta_hat, 0)
-        for i, cell_config in enumerate(cell_configs):
-            if cell_config is None:
+    def simulate(block: range) -> None:
+        slots = slice(block.start - 1, block.stop - 1)
+        streams = KeyedStreams(config.master_seed)
+        theta_hat = _real_estimates(config, covariates, streams, block)
+        norm0[slots] = _norms(theta_hat - theta)
+        # every cell's round draws from the same (rep, 1, j) streams, so the
+        # inverse-CDF branch of every cell reads the same uniforms
+        round1 = streams.derive(_keys(block, range(1, 2), range(1, p + 1)))[0]
+        uniforms = np.empty((len(block) * p, config.n1))
+        for row in range(uniforms.shape[0]):
+            round1.stream(row).random(out=uniforms[row])
+        for i, cell_round in enumerate(cell_rounds):
+            if cell_round is None:
                 continue
-            streams = _round_streams(config.master_seed, rep, 1, p)
             try:
-                state1 = retrain_round(state0, design, cell_config, config.n1, streams)
+                theta1 = cell_round(theta_hat, config.n1, round1.stream, round1.label,
+                                    uniforms)
             except DegenerateIntervalError:
                 degenerate[i] = True
                 continue
-            norm1[i, rep - 1] = np.linalg.norm(state1.theta_hat - theta)
+            norm1[i, slots] = _norms(theta1 - theta)
 
-    _run_pool(worker, reps, threads)
+    _run_blocks(simulate, _blocks(reps, threads, p * config.n1), threads)
 
     rows = []
     for i, (delta, radius) in enumerate(cells):
@@ -219,29 +275,34 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
     per_dir = config.schedule.per_direction_counts(p)
     k_rounds = per_dir.size
 
-    arm_configs = {
-        arm: LinRegConfig(
+    arm_rounds = {
+        arm: BlockRound(design, LinRegConfig(
             dimension=p, true_theta=theta, ball=ball, sigma=config.sigma,
             n0=config.n0, schedule=per_dir, filter_mode=arm,
-        )
+        ))
         for arm in config.arms
     }
     sq_star = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
     sq_center = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
 
-    def worker(rep: int) -> None:
-        theta_hat = _real_theta_hat(covariates, theta, config.sigma, config.master_seed, rep)
-        for arm, arm_config in arm_configs.items():
-            state = RetrainState(theta_hat, 0)
-            sq_star[arm][rep - 1, 0] = np.sum((theta_hat - theta) ** 2)
-            sq_center[arm][rep - 1, 0] = np.sum((theta_hat - ball.center) ** 2)
-            for k in range(1, k_rounds + 1):
-                streams = _round_streams(config.master_seed, rep, k, p)
-                state = retrain_round(state, design, arm_config, int(per_dir[k - 1]), streams)
-                sq_star[arm][rep - 1, k] = np.sum((state.theta_hat - theta) ** 2)
-                sq_center[arm][rep - 1, k] = np.sum((state.theta_hat - ball.center) ** 2)
+    def record(arm: str, slots: slice, k: int, estimates: np.ndarray) -> None:
+        sq_star[arm][slots, k] = np.sum((estimates - theta) ** 2, axis=1)
+        sq_center[arm][slots, k] = np.sum((estimates - ball.center) ** 2, axis=1)
 
-    _run_pool(worker, reps, threads)
+    def simulate(block: range) -> None:
+        slots = slice(block.start - 1, block.stop - 1)
+        streams = KeyedStreams(config.master_seed)
+        theta_hat = _real_estimates(config, covariates, streams, block)
+        estimates = dict.fromkeys(config.arms, theta_hat)
+        for arm in config.arms:
+            record(arm, slots, 0, theta_hat)
+        for k, round_k in _round_rows(streams, block, k_rounds, p):
+            for arm, arm_round in arm_rounds.items():
+                estimates[arm] = arm_round(estimates[arm], int(per_dir[k - 1]),
+                                           round_k.stream, round_k.label)
+                record(arm, slots, k, estimates[arm])
+
+    _run_blocks(simulate, _blocks(reps, threads, p * int(per_dir.max(initial=1))), threads)
 
     delta_sq = float(np.sum((ball.center - theta) ** 2))
     init_expected = baseline_mse(design, config.sigma) + delta_sq
@@ -297,15 +358,17 @@ def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
     )
     estimates = np.empty((reps, k_rounds + 1))
 
-    def worker(rep: int) -> None:
-        mean = initial_mean(cfg1d, derive_stream(config.master_seed, rep, 0, 0))
-        estimates[rep - 1, 0] = mean
-        for k in range(1, k_rounds + 1):
-            stream = derive_stream(config.master_seed, rep, k, 1)
-            mean = retrain_step(mean, cfg1d, int(per_dir[k - 1]), stream)
-            estimates[rep - 1, k] = mean
+    def simulate(block: range) -> None:
+        slots = slice(block.start - 1, block.stop - 1)
+        streams = KeyedStreams(config.master_seed)
+        real = streams.derive(_keys(block, range(1), range(1)))[0]
+        means = np.array([initial_mean(cfg1d, real.stream(row)) for row in range(len(block))])
+        estimates[slots, 0] = means
+        for k, round_k in _round_rows(streams, block, k_rounds, 1):
+            means = step_block(means, cfg1d, int(per_dir[k - 1]), round_k.stream, round_k.label)
+            estimates[slots, k] = means
 
-    _run_pool(worker, reps, threads)
+    _run_blocks(simulate, _blocks(reps, threads, int(per_dir.max(initial=1))), threads)
 
     midpoint = interval.midpoint
     rho = _interval_contraction(interval, config.sigma)

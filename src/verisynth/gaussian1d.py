@@ -22,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBoundsError, MaxAttemptsError, VerisynthError
-from .truncnorm import Bounds, sample_truncated, std_moments
-from .verifier import Interval1D, interval_bounds_1d
-
-#: REJECT-mode attempt budget per needed sample
-MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
-
-FILTER_DIRECT = "direct"
-FILTER_REJECT = "reject"
+from .errors import InvalidBoundsError
+from .kernel import FILTER_DIRECT, FILTER_REJECT, generate_and_verify, retrain_coords
+from .truncnorm import Bounds, std_moments
+from .verifier import Interval1D, interval_bounds
 
 
 class RegimeWarning(UserWarning):
@@ -99,25 +94,18 @@ def _reject_draws(
     current_mean: float, config: Gaussian1DConfig, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Generate-and-filter loop: keep the first ``count`` raw draws inside the interval."""
-    lo, hi = config.interval.lower, config.interval.upper
-    kept = np.empty(count)
-    filled = 0
-    attempts = 0
-    budget = MAX_REJECT_ATTEMPTS_PER_SAMPLE * count
-    while filled < count:
-        k = min(max(2 * (count - filled), 64), budget - attempts)
-        if k <= 0:
-            raise MaxAttemptsError(
-                f"REJECT filter exhausted {budget} attempts for {count} samples"
-            )
-        x = current_mean + config.sigma * rng.standard_normal(k)
-        attempts += k
-        got = x[(x > lo) & (x < hi)]
-        take = min(got.size, count - filled)
-        kept[filled : filled + take] = got[:take]
-        filled += take
-    # return standardized residuals so both filter modes share one update rule
-    return (kept - current_mean) / config.sigma
+    return generate_and_verify(current_mean, config.sigma, config.interval.accepts, count, rng)
+
+
+def step_block(means: np.ndarray, config: Gaussian1DConfig, n_k: int, streams, label=None):
+    """One retraining round for a block of mean estimates: the kernel at p = 1, v = 1."""
+    bounds = accept = None
+    if config.filter_mode == FILTER_DIRECT:
+        bounds = interval_bounds(config.interval, means, config.sigma)
+    else:
+        accept = [config.interval.accepts]
+    return retrain_coords(means[:, None], config.sigma, config.filter_mode, n_k, streams,
+                          label, bounds=bounds, accept=accept)[:, 0]
 
 
 def retrain_step(
@@ -126,12 +114,8 @@ def retrain_step(
     """One retraining round from ``current_mean`` using ``n_k`` verified samples."""
     if n_k < 1:
         raise InvalidBoundsError(f"n_k must be >= 1, got {n_k}")
-    if config.filter_mode == FILTER_DIRECT:
-        bounds = interval_bounds_1d(config.interval, current_mean, config.sigma)
-        xi = sample_truncated(bounds, n_k, rng)
-    else:
-        xi = _reject_draws(current_mean, config, n_k, rng)
-    return current_mean + config.sigma * float(xi.mean())
+    means = np.array([current_mean], dtype=float)
+    return float(step_block(means, config, n_k, lambda row: rng)[0])
 
 
 def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajectory1D:
@@ -142,10 +126,8 @@ def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajec
     means[0] = initial_mean(config, rng)
     counts[0] = config.n0
     for k, n_k in enumerate(config.schedule, start=1):
-        try:
-            means[k] = retrain_step(means[k - 1], config, int(n_k), rng)
-        except VerisynthError as exc:
-            raise type(exc)(f"retraining round {k}: {exc}") from exc
+        means[k] = step_block(means[k - 1 : k], config, int(n_k), lambda row: rng,
+                              lambda row: f"retraining round {k}")[0]
         counts[k] = n_k
     rounds = np.arange(config.rounds + 1)
     eps = (means - config.true_mean) / config.sigma

@@ -21,23 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidBoundsError,
-    MaxAttemptsError,
-    RankDeficientError,
-    VerisynthError,
+from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
+from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT, retrain_coords
+from .truncnorm import std_moments
+from .verifier import (
+    KnowledgeBall,
+    ball_acceptance,
+    ball_bounds,
+    contraction_rate,
+    direction_bounds,
+    unit_directions,
 )
-from .truncnorm import sample_truncated, std_moments
-from .verifier import KnowledgeBall, contraction_rate, direction_bounds
-
-FILTER_DIRECT = "direct"
-FILTER_REJECT = "reject"
-FILTER_NONE = "none"
-FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
-
-#: REJECT-mode attempt budget per needed sample
-MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
 
 COVARIATE_GAUSSIAN = "gaussian"
 
@@ -227,35 +221,34 @@ def _direction_rngs(
     return rngs
 
 
-def _reject_direction_draws(
-    proj_mean: float,
-    direction: np.ndarray,
-    config: LinRegConfig,
-    n_k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Generate-and-verify loop for one direction; returns standardized residuals.
+class BlockRound:
+    """Retraining rounds of one problem for blocks of estimates, one per row.
 
-    Applies the verifier's acceptance rule vectorized at covariate x = direction.
+    Calling it with a (rows x p) block of estimates, a per-direction count
+    and the row streams of :func:`verisynth.kernel.retrain_coords` returns the
+    next block, reassembled from its spectral coordinates direction by
+    direction in the same order as a single estimate's round.
     """
-    ball = config.ball
-    halfwidth = ball.radius * float(np.linalg.norm(direction)) + ball.slack
-    center_proj = float(direction @ ball.center)
-    kept = np.empty(n_k)
-    filled = 0
-    attempts = 0
-    budget = MAX_REJECT_ATTEMPTS_PER_SAMPLE * n_k
-    while filled < n_k:
-        k = min(max(2 * (n_k - filled), 64), budget - attempts)
-        if k <= 0:
-            raise MaxAttemptsError(f"REJECT filter exhausted {budget} attempts")
-        y = proj_mean + config.sigma * rng.standard_normal(k)
-        attempts += k
-        got = y[np.abs(y - center_proj) <= halfwidth]
-        take = min(got.size, n_k - filled)
-        kept[filled : filled + take] = got[:take]
-        filled += take
-    return (kept - proj_mean) / config.sigma
+
+    def __init__(self, design: SpectralDesign, config: LinRegConfig):
+        self.directions = design.directions
+        self.config = config
+        mode = config.filter_mode
+        self.units = unit_directions(design.directions) if mode == FILTER_DIRECT else None
+        self.accept = ([ball_acceptance(config.ball, v) for v in design.directions]
+                       if mode == FILTER_REJECT else None)
+
+    def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
+        config = self.config
+        proj = np.vecdot(theta[:, None, :], self.directions)
+        bounds = (None if self.units is None
+                  else ball_bounds(config.ball, self.units, theta, config.sigma))
+        coords = retrain_coords(proj, config.sigma, config.filter_mode, n_k, streams, label,
+                                bounds=bounds, accept=self.accept, uniforms=uniforms)
+        new_theta = np.zeros_like(theta)
+        for j, v in enumerate(self.directions):
+            new_theta += v * coords[:, j, None]
+        return new_theta
 
 
 def retrain_round(
@@ -278,22 +271,10 @@ def retrain_round(
             f"state dimension {state.theta_hat.shape} vs design dimension {p}"
         )
     streams = _direction_rngs(rngs, p)
-    new_theta = np.zeros(p)
-    for j in range(p):
-        v = design.directions[j]
-        proj = float(v @ state.theta_hat)
-        try:
-            if config.filter_mode == FILTER_NONE:
-                noise = streams[j].standard_normal(n_k)
-            elif config.filter_mode == FILTER_DIRECT:
-                bounds = direction_bounds(config.ball, v, state.theta_hat, config.sigma)
-                noise = sample_truncated(bounds, n_k, streams[j])
-            else:
-                noise = _reject_direction_draws(proj, v, config, n_k, streams[j])
-        except VerisynthError as exc:
-            raise type(exc)(f"direction {j}: {exc}") from exc
-        new_theta += v * (proj + config.sigma * float(noise.mean()))
-    return RetrainState(new_theta, state.round_index + 1)
+    new_theta = BlockRound(design, config)(
+        state.theta_hat[None, :], n_k, streams.__getitem__, lambda j: f"direction {j}"
+    )
+    return RetrainState(new_theta[0], state.round_index + 1)
 
 
 def baseline_mse(design: SpectralDesign, sigma: float) -> float:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import (
@@ -99,6 +98,38 @@ def _mills(z: float) -> float:
     return _SQRT_HALF_PI * erfcx(z / _SQRT2)
 
 
+class Truncations:
+    """A block of truncation intervals (lower[i], upper[i]) of a standard normal.
+
+    Intervals with lower >= 0 are handled reflected to (-upper, -lower), so
+    that deep right-tail masses keep their relative accuracy and inverse-CDF
+    uniforms live near 0, where ndtri keeps it too. ``mass`` is each
+    interval's acceptance probability, not checked for degeneracy; an
+    invalid interval (lower >= upper) has mass <= 0.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        self.flip = lower >= 0.0
+        self.any_flip = bool(self.flip.any())
+        self.lo = np.where(self.flip, -upper, lower)
+        self.hi = np.where(self.flip, -lower, upper)
+        self.cdf_lo = ndtr(self.lo)
+        self.mass = ndtr(self.hi) - self.cdf_lo
+
+    def inverse_cdf(self, uniforms: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Draws for the intervals ``rows`` from their uniforms (one row each).
+
+        Assumes healthy acceptance mass (at least INVERSE_CDF_MIN_PROB); the
+        draws are clamped into their interval.
+        """
+        lo = self.lo[rows, None]
+        hi = self.hi[rows, None]
+        x = ndtri(self.cdf_lo[rows, None] + self.mass[rows, None] * uniforms).clip(lo, hi)
+        if not self.any_flip:
+            return x
+        return np.where(self.flip[rows, None], -x, x)
+
+
 def acceptance_probability(bounds: Bounds) -> float:
     """P(lower < Z < upper) for standard normal Z, computed cancellation-safely.
 
@@ -106,20 +137,12 @@ def acceptance_probability(bounds: Bounds) -> float:
     MIN_ACCEPTANCE; never returns 0 or NaN.
     """
     a, b = bounds.lower, bounds.upper
-    if a == -math.inf and b == math.inf:
-        return 1.0
-    if a >= 0.0:
-        # both bounds in the right tail: difference of survival functions
-        p = float(ndtr(-a)) - (float(ndtr(-b)) if b != math.inf else 0.0)
-    elif b <= 0.0:
-        p = float(ndtr(b)) - (float(ndtr(a)) if a != -math.inf else 0.0)
-    else:
-        p = float(ndtr(b)) - float(ndtr(a))
+    p = float(Truncations(np.array([a]), np.array([b])).mass[0])
     if p < MIN_ACCEPTANCE:
         raise DegenerateIntervalError(
             f"acceptance probability underflows ({p!r}) for bounds ({a}, {b})"
         )
-    return min(p, 1.0)
+    return p
 
 
 def _oriented_moments(a: float, b: float) -> tuple[float, float, float]:
@@ -183,18 +206,6 @@ def shifted_moments(mu: float, sigma: float, lower: float, upper: float) -> tupl
     return mu + sigma * std.m1, sigma * sigma * std.m2
 
 
-def _inverse_cdf_draws(a: float, b: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling on a clamped uniform; assumes healthy acceptance mass."""
-    if a >= 0.0:
-        # reflect so the uniform lives near 0, where ndtri keeps relative accuracy
-        return -_inverse_cdf_draws(-b, -a, count, rng)
-    pa = float(ndtr(a)) if a != -math.inf else 0.0
-    pb = float(ndtr(b)) if b != math.inf else 1.0
-    u = pa + (pb - pa) * rng.random(count)
-    x = ndtri(u)
-    return np.clip(x, a, b)
-
-
 def _rejection_draws(a: float, b: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Rejection sampling for low-acceptance intervals, oriented so b > 0.
 
@@ -232,6 +243,13 @@ def _rejection_draws(a: float, b: float, count: int, rng: np.random.Generator) -
     return out
 
 
+def rejection_branch(lower: float, upper: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Rejection sampling of Z | Z in (lower, upper), reflected so that upper > 0."""
+    if upper <= 0.0:
+        return -_rejection_draws(-upper, -lower, count, rng)
+    return _rejection_draws(lower, upper, count, rng)
+
+
 def sample_truncated(bounds: Bounds, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. samples of Z | Z in bounds.
 
@@ -246,13 +264,14 @@ def sample_truncated(bounds: Bounds, count: int, rng: np.random.Generator) -> np
         return np.empty(0)
     a, b = bounds.lower, bounds.upper
     if p >= INVERSE_CDF_MIN_PROB:
-        return _inverse_cdf_draws(a, b, count, rng)
-    if b <= 0.0:
-        return -_rejection_draws(-b, -a, count, rng)
-    return _rejection_draws(a, b, count, rng)
+        return Truncations(np.array([a]), np.array([b])).inverse_cdf(rng.random((1, count)))[0]
+    return rejection_branch(a, b, count, rng)
 
 
 def _quad_checked(fn, lo: float, hi: float) -> float:
+    # imported here: only this oracle needs scipy.integrate, which is slow to import
+    from scipy.integrate import quad
+
     val, abserr, info, *tail = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=300, full_output=1)
     if tail:  # quadpack flagged a problem; accept only if the error is truly small
         if abserr > max(1e-13, 1e-9 * abs(val)):

@@ -87,6 +87,10 @@ class Interval1D:
             return 0.5 * (self.lower + self.upper)
         return math.nan
 
+    def accepts(self, x: np.ndarray) -> np.ndarray:
+        """Acceptance decisions for candidate values; the endpoints are rejected."""
+        return (x > self.lower) & (x < self.upper)
+
 
 @dataclass(frozen=True)
 class VerifierBias:
@@ -127,6 +131,25 @@ def _as_unit(direction: np.ndarray) -> np.ndarray:
     raise NonUnitDirectionError(f"direction norm {nrm!r} deviates from 1 beyond tolerance")
 
 
+def unit_directions(directions: np.ndarray) -> np.ndarray:
+    """Rows of ``directions`` checked for unit norm (renormalized within tolerance)."""
+    return np.array([_as_unit(v) for v in directions])
+
+
+def ball_bounds(
+    ball: KnowledgeBall, units: np.ndarray, generator_means: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized acceptance intervals for a block: estimates (rows) x directions.
+
+    Entry (r, j) is :func:`direction_bounds` of unit direction ``units[j]``
+    at generator mean ``generator_means[r]``. ``np.vecdot`` takes each offset
+    as its own dot product, bit for bit the ``v @ x`` of a single direction.
+    """
+    offset = np.vecdot((ball.center - generator_means)[:, None, :], units)
+    halfwidth = ball.radius + ball.slack
+    return (-halfwidth + offset) / sigma, (halfwidth + offset) / sigma
+
+
 def direction_bounds(
     ball: KnowledgeBall, direction: np.ndarray, generator_mean: np.ndarray, sigma: float
 ) -> Bounds:
@@ -147,20 +170,29 @@ def direction_bounds(
         raise DimensionMismatchError(
             f"direction {direction.shape} / mean {generator_mean.shape} vs dimension {ball.dimension}"
         )
-    v = _as_unit(direction)
-    offset = float(v @ (ball.center - generator_mean))
-    halfwidth = ball.radius + ball.slack
-    return Bounds((-halfwidth + offset) / sigma, (halfwidth + offset) / sigma)
+    lower, upper = ball_bounds(ball, _as_unit(direction)[None], generator_mean[None], sigma)
+    return Bounds(lower[0, 0], upper[0, 0])
+
+
+def ball_acceptance(ball: KnowledgeBall, direction: np.ndarray):
+    """The ball's acceptance test, vectorized over responses at covariate x = direction."""
+    halfwidth = ball.radius * float(np.linalg.norm(direction)) + ball.slack
+    center_proj = float(direction @ ball.center)
+    return lambda y: np.abs(y - center_proj) <= halfwidth
+
+
+def interval_bounds(
+    interval: Interval1D, generator_means: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized truncation bounds (lower, upper) for each mean of a block."""
+    return (interval.lower - generator_means) / sigma, (interval.upper - generator_means) / sigma
 
 
 def interval_bounds_1d(interval: Interval1D, generator_mean: float, sigma: float) -> Bounds:
     """Standardized truncation bounds for scalar noise under an interval verifier."""
     if not sigma > 0.0:
         raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
-    return Bounds(
-        (interval.lower - generator_mean) / sigma,
-        (interval.upper - generator_mean) / sigma,
-    )
+    return Bounds(*interval_bounds(interval, generator_mean, sigma))
 
 
 def contraction_rate(ball: KnowledgeBall, sigma: float) -> float:

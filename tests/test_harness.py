@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -461,6 +462,23 @@ class TestCli:
         path.write_text("experiment: landscape\nbogus: 1\n")
         assert main(["validate", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_seed_outside_key_space_fails_validate(self, tmp_path, capsys):
+        path = tmp_path / "seed.yaml"
+        path.write_text(yaml.safe_dump(oned_mapping(master_seed=2 ** 63)))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "master_seed must lie in" in capsys.readouterr().err
+        path = self.write(tmp_path, oned_mapping())
+        assert main(["validate", "--config", path, "--seed", str(2 ** 63)]) == 2
+        assert "master_seed must lie in" in capsys.readouterr().err
+        assert main(["validate", "--config", path, "--seed", str(2 ** 63 - 1)]) == 0
+
+    def test_runtime_failure_names_stream_key(self, tmp_path, capsys):
+        # the verifier's interval carries no mass around the first estimate
+        path = self.write(tmp_path, oned_mapping(interval={"lower": 100.0, "upper": 101.0}))
+        assert main(["gaussian1d", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: replication 1, round 1, direction 1: acceptance probability" in err
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, landscape_mapping())
