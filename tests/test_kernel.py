@@ -6,6 +6,7 @@ definitions: ``derive_stream`` for the streams, a loop over directions with
 replications and rounds for the experiment runners.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from verisynth import (
     KnowledgeBall,
     LinRegConfig,
     RetrainState,
+    SeedSpaceError,
     config_from_mapping,
     derive_stream,
     design_matrix,
@@ -70,9 +72,9 @@ def test_positioned_generator_draws_like_derive_stream():
 
 def test_bulk_keys_reject_out_of_range_indices():
     streams = KeyedStreams(5)
-    with pytest.raises(Exception, match="stream indices"):
+    with pytest.raises(SeedSpaceError, match="stream indices"):
         streams.derive(np.array([[0, -1, 0]]))
-    with pytest.raises(Exception, match="master_seed"):
+    with pytest.raises(SeedSpaceError, match="master_seed"):
         KeyedStreams(MAX_INDEX + 1)
 
 
@@ -249,8 +251,19 @@ def same(a, b):
 PROBLEM = {"dimension": 3, "true_theta": [1.0, -0.5, 2.0], "sigma": 1.0, "n0": 20}
 
 
+@pytest.fixture
+def fast_switching():
+    """Switch threads as often as possible, so that lost updates would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
-def test_landscape_equals_replication_loop(threads):
+def test_landscape_equals_replication_loop(threads, fast_switching):
     config = config_from_mapping({
         "experiment": "landscape", "replications": 7, "master_seed": 31,
         "problem": PROBLEM,
@@ -276,7 +289,7 @@ def test_landscape_equals_replication_loop(threads):
      {"kind": "fixed", "start": 2, "rounds": 3, "unit": "per_direction"},
      ["direct"]),
 ])
-def test_trajectory_equals_replication_loop(threads, ball, schedule, arms):
+def test_trajectory_equals_replication_loop(threads, ball, schedule, arms, fast_switching):
     config = config_from_mapping({
         "experiment": "iterate_linreg", "replications": 7, "master_seed": 32,
         "problem": PROBLEM, "ball": ball, "schedule": schedule, "arms": arms,
@@ -294,7 +307,7 @@ def test_trajectory_equals_replication_loop(threads, ball, schedule, arms):
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("arm", ["direct", "reject"])
-def test_one_dimensional_equals_replication_loop(threads, arm):
+def test_one_dimensional_equals_replication_loop(threads, arm, fast_switching):
     config = config_from_mapping({
         "experiment": "iterate_1d", "replications": 7, "master_seed": 33,
         "problem": {"true_mean": 0.0, "sigma": 1.0, "n0": 30},
