@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBoundsError
-from .kernel import FILTER_DIRECT, FILTER_REJECT, generate_and_verify, retrain_coords
+from .errors import InvalidBoundsError, VerisynthError
+from .kernel import FILTER_DIRECT, FILTER_REJECT, retrain_coords
 from .truncnorm import Bounds, std_moments
 from .verifier import Interval1D, interval_bounds
 
@@ -90,13 +90,6 @@ def initial_mean(config: Gaussian1DConfig, rng: np.random.Generator) -> float:
     return float(draws.mean())
 
 
-def _reject_draws(
-    current_mean: float, config: Gaussian1DConfig, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Generate-and-filter loop: keep the first ``count`` raw draws inside the interval."""
-    return generate_and_verify(current_mean, config.sigma, config.interval.accepts, count, rng)
-
-
 def step_block(means: np.ndarray, config: Gaussian1DConfig, n_k: int, streams, label=None):
     """One retraining round for a block of mean estimates: the kernel at p = 1, v = 1."""
     bounds = accept = None
@@ -115,7 +108,7 @@ def retrain_step(
     if n_k < 1:
         raise InvalidBoundsError(f"n_k must be >= 1, got {n_k}")
     means = np.array([current_mean], dtype=float)
-    return float(step_block(means, config, n_k, lambda row: rng)[0])
+    return float(step_block(means, config, n_k, [rng].__getitem__)[0])
 
 
 def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajectory1D:
@@ -125,9 +118,12 @@ def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajec
     counts = np.empty(config.rounds + 1, dtype=int)
     means[0] = initial_mean(config, rng)
     counts[0] = config.n0
+    streams = [rng].__getitem__
     for k, n_k in enumerate(config.schedule, start=1):
-        means[k] = step_block(means[k - 1 : k], config, int(n_k), lambda row: rng,
-                              lambda row: f"retraining round {k}")[0]
+        try:
+            means[k] = step_block(means[k - 1 : k], config, int(n_k), streams)[0]
+        except VerisynthError as exc:
+            raise type(exc)(f"retraining round {k}: {exc}") from exc
         counts[k] = n_k
     rounds = np.arange(config.rounds + 1)
     eps = (means - config.true_mean) / config.sigma

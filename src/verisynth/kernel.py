@@ -81,15 +81,15 @@ def retrain_coords(
     streams: Streams,
     label: Callable[[int], str] | None = None,
     *,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
+    bounds: np.ndarray | None = None,
     accept: Sequence[Acceptance] | None = None,
     uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """New spectral coordinates ``proj + sigma * mean(noise)`` of a block.
 
     ``proj`` has one row per estimate and one column per direction. Mode
-    ``direct`` needs ``bounds``, the standardized (lower, upper) arrays of the
-    truncation, shaped like ``proj``; mode ``reject`` needs ``accept``, one
+    ``direct`` needs ``bounds``, the standardized lower and upper bounds of
+    the truncation stacked on a leading axis, each shaped like ``proj``; mode ``reject`` needs ``accept``, one
     raw acceptance test per direction; mode ``none`` draws unfiltered noise.
     ``uniforms`` (rows x n_k), when given, holds the first n_k uniforms of
     every row's stream, for rows whose streams are their own. A
@@ -108,20 +108,23 @@ def retrain_coords(
             p = proj.shape[1]
             for row, mean in enumerate(proj.reshape(-1)):
                 noise = generate_and_verify(mean, sigma, accept[row % p], n_k, streams(row))
-                means[row] = noise.mean()
+                means[row] = _row_means(noise)
         else:
-            lower, upper = bounds[0].reshape(-1), bounds[1].reshape(-1)
-            block = Truncations(lower, upper)
+            limits = bounds.reshape(2, -1)
+            block = Truncations(limits)
 
             def rejection_mean(row: int) -> float:
-                draws = rejection_branch(float(lower[row]), float(upper[row]), n_k, streams(row))
-                return draws.mean()
+                lower, upper = limits[:, row]
+                return _row_means(rejection_branch(float(lower), float(upper), n_k, streams(row)))
 
-            if not block.mass.min() >= MIN_ACCEPTANCE:
-                row = int(np.argmax(~(block.mass >= MIN_ACCEPTANCE)))
-                # the scalar definitions raise this row's error (invalid or degenerate)
-                acceptance_probability(Bounds(lower[row], upper[row]))
             inverse = block.mass >= INVERSE_CDF_MIN_PROB
+            every = np.count_nonzero(inverse) == rows
+            if not every:
+                healthy = block.mass >= MIN_ACCEPTANCE
+                if np.count_nonzero(healthy) < rows:
+                    row = int(np.argmax(~healthy))
+                    # the scalar definitions raise this row's error (invalid or degenerate)
+                    acceptance_probability(Bounds(*limits[:, row]))
             if uniforms is None:
                 uniforms = np.empty((rows, n_k))
                 for row in range(rows):
@@ -132,9 +135,9 @@ def retrain_coords(
             else:
                 for row in np.flatnonzero(~inverse):
                     means[row] = rejection_mean(row)
-            if inverse.all():
+            if every:
                 means = _row_means(block.inverse_cdf(uniforms))
-            elif inverse.any():
+            elif np.count_nonzero(inverse):
                 means[inverse] = _row_means(block.inverse_cdf(uniforms[inverse], inverse))
     except VerisynthError as exc:
         if label is None:

@@ -99,22 +99,25 @@ def _mills(z: float) -> float:
 
 
 class Truncations:
-    """A block of truncation intervals (lower[i], upper[i]) of a standard normal.
+    """A block of truncation intervals of a standard normal.
 
-    Intervals with lower >= 0 are handled reflected to (-upper, -lower), so
-    that deep right-tail masses keep their relative accuracy and inverse-CDF
-    uniforms live near 0, where ndtri keeps it too. ``mass`` is each
-    interval's acceptance probability, not checked for degeneracy; an
+    ``limits`` has shape (2, n): row 0 holds the lower bounds, row 1 the
+    upper. Intervals with lower >= 0 are handled reflected to (-upper,
+    -lower), so that deep right-tail masses keep their relative accuracy and
+    inverse-CDF uniforms live near 0, where ndtri keeps it too. ``mass`` is
+    each interval's acceptance probability, not checked for degeneracy; an
     invalid interval (lower >= upper) has mass <= 0.
     """
 
-    def __init__(self, lower: np.ndarray, upper: np.ndarray):
-        self.flip = lower >= 0.0
-        self.any_flip = bool(self.flip.any())
-        self.lo = np.where(self.flip, -upper, lower)
-        self.hi = np.where(self.flip, -lower, upper)
-        self.cdf_lo = ndtr(self.lo)
-        self.mass = ndtr(self.hi) - self.cdf_lo
+    def __init__(self, limits: np.ndarray):
+        self.flip = limits[0] >= 0.0
+        self.any_flip = np.count_nonzero(self.flip) > 0
+        if self.any_flip:
+            limits = np.where(self.flip, -limits[::-1], limits)
+        self.limits = limits
+        cdf = ndtr(limits)
+        self.cdf_lo = cdf[0]
+        self.mass = cdf[1] - cdf[0]
 
     def inverse_cdf(self, uniforms: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Draws for the intervals ``rows`` from their uniforms (one row each).
@@ -122,8 +125,7 @@ class Truncations:
         Assumes healthy acceptance mass (at least INVERSE_CDF_MIN_PROB); the
         draws are clamped into their interval.
         """
-        lo = self.lo[rows, None]
-        hi = self.hi[rows, None]
+        lo, hi = self.limits[:, rows, None]
         x = ndtri(self.cdf_lo[rows, None] + self.mass[rows, None] * uniforms).clip(lo, hi)
         if not self.any_flip:
             return x
@@ -137,7 +139,7 @@ def acceptance_probability(bounds: Bounds) -> float:
     MIN_ACCEPTANCE; never returns 0 or NaN.
     """
     a, b = bounds.lower, bounds.upper
-    p = float(Truncations(np.array([a]), np.array([b])).mass[0])
+    p = float(Truncations(np.array([[a], [b]])).mass[0])
     if p < MIN_ACCEPTANCE:
         raise DegenerateIntervalError(
             f"acceptance probability underflows ({p!r}) for bounds ({a}, {b})"
@@ -264,7 +266,7 @@ def sample_truncated(bounds: Bounds, count: int, rng: np.random.Generator) -> np
         return np.empty(0)
     a, b = bounds.lower, bounds.upper
     if p >= INVERSE_CDF_MIN_PROB:
-        return Truncations(np.array([a]), np.array([b])).inverse_cdf(rng.random((1, count)))[0]
+        return Truncations(np.array([[a], [b]])).inverse_cdf(rng.random((1, count)))[0]
     return rejection_branch(a, b, count, rng)
 
 

@@ -138,16 +138,17 @@ def unit_directions(directions: np.ndarray) -> np.ndarray:
 
 def ball_bounds(
     ball: KnowledgeBall, units: np.ndarray, generator_means: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Standardized acceptance intervals for a block: estimates (rows) x directions.
 
-    Entry (r, j) is :func:`direction_bounds` of unit direction ``units[j]``
-    at generator mean ``generator_means[r]``. ``np.vecdot`` takes each offset
-    as its own dot product, bit for bit the ``v @ x`` of a single direction.
+    Lower and upper bounds are stacked on a leading axis of length 2: entry
+    (:, r, j) is :func:`direction_bounds` of unit direction ``units[j]`` at
+    generator mean ``generator_means[r]``. ``np.vecdot`` takes each offset as
+    its own dot product, bit for bit the ``v @ x`` of a single direction.
     """
     offset = np.vecdot((ball.center - generator_means)[:, None, :], units)
     halfwidth = ball.radius + ball.slack
-    return (-halfwidth + offset) / sigma, (halfwidth + offset) / sigma
+    return np.add.outer([-halfwidth, halfwidth], offset) / sigma
 
 
 def direction_bounds(
@@ -181,11 +182,9 @@ def ball_acceptance(ball: KnowledgeBall, direction: np.ndarray):
     return lambda y: np.abs(y - center_proj) <= halfwidth
 
 
-def interval_bounds(
-    interval: Interval1D, generator_means: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized truncation bounds (lower, upper) for each mean of a block."""
-    return (interval.lower - generator_means) / sigma, (interval.upper - generator_means) / sigma
+def interval_bounds(interval: Interval1D, generator_means: np.ndarray, sigma: float) -> np.ndarray:
+    """Standardized truncation bounds of each mean of a block, lower and upper stacked."""
+    return np.subtract.outer([interval.lower, interval.upper], generator_means) / sigma
 
 
 def interval_bounds_1d(interval: Interval1D, generator_mean: float, sigma: float) -> Bounds:

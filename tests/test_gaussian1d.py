@@ -29,7 +29,7 @@ from verisynth import (
     sample_truncated,
     std_moments,
 )
-from verisynth.gaussian1d import _reject_draws
+from verisynth.kernel import generate_and_verify
 
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
@@ -105,7 +105,9 @@ class TestRetrainStep:
         n = 100_000
         bounds = interval_bounds_1d(config.interval, current, config.sigma)
         direct = sample_truncated(bounds, n, np.random.default_rng(11))
-        rejected = _reject_draws(current, config, n, np.random.default_rng(12))
+        rejected = generate_and_verify(
+            current, config.sigma, config.interval.accepts, n, np.random.default_rng(12)
+        )
         stat = ks_2samp(direct, rejected).statistic
         assert stat < 1.628 * math.sqrt(2.0 / n)  # two-sample KS, alpha = 0.01
 
