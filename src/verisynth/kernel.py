@@ -89,8 +89,9 @@ def retrain_coords(
 
     ``proj`` has one row per estimate and one column per direction. Mode
     ``direct`` needs ``bounds``, the standardized lower and upper bounds of
-    the truncation stacked on a leading axis, each shaped like ``proj``; mode ``reject`` needs ``accept``, one
-    raw acceptance test per direction; mode ``none`` draws unfiltered noise.
+    the truncation stacked on a leading axis, each shaped like ``proj``;
+    mode ``reject`` needs ``accept``, one raw acceptance test per direction;
+    mode ``none`` draws unfiltered noise.
     ``uniforms`` (rows x n_k), when given, holds the first n_k uniforms of
     every row's stream, for rows whose streams are their own. A
     VerisynthError is re-raised with ``label(row)`` of the failing row.
@@ -114,8 +115,8 @@ def retrain_coords(
             block = Truncations(limits)
 
             def rejection_mean(row: int) -> float:
-                lower, upper = limits[:, row]
-                return _row_means(rejection_branch(float(lower), float(upper), n_k, streams(row)))
+                lower, upper = limits[:, row].tolist()
+                return _row_means(rejection_branch(lower, upper, n_k, streams(row)))
 
             inverse = block.mass >= INVERSE_CDF_MIN_PROB
             every = np.count_nonzero(inverse) == rows
