@@ -13,13 +13,12 @@ import math
 import numpy as np
 
 from verisynth import (
-    Bounds,
     Gaussian1DConfig,
     Interval1D,
+    contraction_rate,
     derive_stream,
     hitting_time,
     run_iterations,
-    std_moments,
 )
 
 
@@ -33,8 +32,7 @@ def main() -> None:
     config = Gaussian1DConfig(true_mean=0.0, sigma=1.0, interval=interval,
                               n0=100, schedule=np.full(40, 200))
     traj = run_iterations(config, derive_stream(args.seed, 1, 0, 0))
-    width = (interval.upper - interval.lower) / 2.0
-    rho = std_moments(Bounds(-width, width)).m2
+    rho = contraction_rate(interval, config.sigma)
     print(f"true mean 0, acceptance interval [2, 4], contraction rate "
           f"rho = {rho:.4f}")
     print("round   estimate   |estimate - midpoint|")

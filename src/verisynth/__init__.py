@@ -16,7 +16,6 @@ from .config import (
     ExperimentConfig,
     config_from_mapping,
     load_config,
-    validate_config,
     write_config,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .gaussian1d import (
     Trajectory1D,
     hitting_time,
     initial_mean,
-    long_term_bound_1d,
     one_step_mse_prediction_1d,
     retrain_step,
     retraining_map,
@@ -65,8 +63,6 @@ from .linreg import (
     RetrainTrajectory,
     SpectralDesign,
     baseline_mse,
-    generate_real_data,
-    long_term_bound,
     ols_fit,
     one_step_prediction,
     retrain_round,
@@ -101,6 +97,7 @@ from .verifier import (
     default_slack,
     direction_bounds,
     interval_bounds_1d,
+    long_term_bound,
     verify_point,
 )
 
@@ -116,20 +113,20 @@ __all__ = [
     "sample_truncated", "acceptance_probability",
     # verifier geometry
     "KnowledgeBall", "Interval1D", "VerifierBias", "verify_point",
-    "direction_bounds", "interval_bounds_1d", "contraction_rate", "default_slack",
+    "direction_bounds", "interval_bounds_1d", "contraction_rate", "long_term_bound",
+    "default_slack",
     # 1-D dynamics
     "Gaussian1DConfig", "Trajectory1D", "RegimeWarning", "initial_mean",
     "retrain_step", "run_iterations", "one_step_mse_prediction_1d",
-    "long_term_bound_1d", "retraining_map", "retraining_map_slope", "hitting_time",
+    "retraining_map", "retraining_map_slope", "hitting_time",
     # linear regression dynamics
     "FILTER_DIRECT", "FILTER_REJECT", "FILTER_NONE", "FILTER_MODES",
     "Dataset", "SpectralDesign", "RetrainState", "LinRegConfig",
-    "RetrainTrajectory", "generate_real_data", "ols_fit", "spectral_design",
+    "RetrainTrajectory", "ols_fit", "spectral_design",
     "retrain_round", "run_retraining", "one_step_prediction", "baseline_mse",
-    "long_term_bound",
     # harness
     "Schedule", "derive_stream", "ExperimentConfig", "load_config",
-    "write_config", "config_from_mapping", "validate_config",
+    "write_config", "config_from_mapping",
     "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D",
     "run_landscape", "run_iterative", "estimate_contraction", "theory_summary",
     "design_matrix", "bias_direction", "resolve_ball",

@@ -88,7 +88,8 @@ class ExperimentConfig:
             f"problem.filter_mode must be one of {FILTER_MODES}",
         )
         if self.kind == KIND_ITERATE_1D:
-            _check(self.true_mean is not None, "problem.true_mean is required")
+            _check(self.true_mean is not None and math.isfinite(self.true_mean),
+                   "problem.true_mean must be finite")
             _check(
                 self.interval_lower is not None and self.interval_upper is not None,
                 "interval.lower and interval.upper are required",
@@ -106,23 +107,27 @@ class ExperimentConfig:
                 self.true_theta is not None and len(self.true_theta) == self.dimension,
                 "problem.true_theta must have length problem.dimension",
             )
+            _check(_finite(self.true_theta), "problem.true_theta must be finite")
+            _check(self.n0 >= self.dimension, "problem.n0 must be >= problem.dimension")
         if self.kind == KIND_ITERATE_LINREG:
             _check(
-                self.ball_radius is not None and self.ball_radius >= 0.0,
-                "ball.radius must be >= 0",
+                self.ball_radius is not None and 0.0 <= self.ball_radius < math.inf,
+                "ball.radius must be finite and >= 0",
             )
             has_delta = self.ball_delta is not None
             has_center = self.ball_center is not None
             _check(has_delta != has_center, "ball needs exactly one of delta / center")
             if has_delta:
-                _check(self.ball_delta >= 0.0, "ball.delta must be >= 0")
+                _check(0.0 <= self.ball_delta < math.inf, "ball.delta must be finite and >= 0")
             else:
                 _check(
                     len(self.ball_center) == self.dimension,
                     "ball.center must have length problem.dimension",
                 )
-        if self.kind == KIND_ITERATE_LINREG:
-            _check(self.slack is not None and self.slack >= 0.0, "ball.slack must be >= 0")
+                _check(_finite(self.ball_center), "ball.center must be finite")
+            _check(self.slack is not None and 0.0 <= self.slack < math.inf,
+                   "ball.slack must be finite and >= 0")
+            _check(self.ball_radius + self.slack > 0.0, "ball.radius + ball.slack must be > 0")
         if self.kind in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
             _check(self.schedule is not None, "schedule section is required")
             _check(self.arms is not None and len(self.arms) >= 1, "arms must be nonempty")
@@ -150,8 +155,8 @@ class ExperimentConfig:
                 "landscape.r_values must be nonempty",
             )
             _check(
-                all(d >= 0.0 for d in self.delta_values),
-                "landscape.delta_values must be >= 0",
+                all(0.0 <= d < math.inf for d in self.delta_values),
+                "landscape.delta_values must be finite and >= 0",
             )
             _check(all(r > 0.0 for r in self.r_values), "landscape.r_values must be > 0")
             _check(self.sigma_c is not None and self.sigma_c >= 0.0, "sigma_c must be >= 0")
@@ -216,6 +221,10 @@ class ExperimentConfig:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _finite(values: tuple[float, ...]) -> bool:
+    return all(math.isfinite(v) for v in values)
 
 
 def _section(raw: Mapping[str, Any], path: str, allowed: set[str], required: set[str]):
@@ -409,7 +418,3 @@ def write_config(config: ExperimentConfig, path: str) -> None:
         yaml.safe_dump(config.to_mapping(), handle, sort_keys=False,
                        default_flow_style=None)
 
-
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Re-run all invariant checks (a no-op for configs built by this module)."""
-    return config_from_mapping(config.to_mapping())

@@ -37,7 +37,6 @@ from .errors import (
 from .gaussian1d import (
     Gaussian1DConfig,
     initial_mean,
-    long_term_bound_1d,
     one_step_mse_prediction_1d,
     step_block,
 )
@@ -46,15 +45,20 @@ from .linreg import (
     BlockRound,
     Dataset,
     LinRegConfig,
+    SpectralDesign,
     baseline_mse,
-    long_term_bound,
     ols_fit,
     one_step_prediction,
     spectral_design,
 )
-from .seeding import KeyedStreams, derive_stream
-from .truncnorm import Bounds, std_moments
-from .verifier import Interval1D, KnowledgeBall, contraction_rate, interval_bounds_1d
+from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
+from .verifier import (
+    Interval1D,
+    KnowledgeBall,
+    contraction_rate,
+    interval_bounds_1d,
+    long_term_bound,
+)
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -76,13 +80,13 @@ KEY_CHUNK = 2 ** 14
 
 def design_matrix(config: ExperimentConfig) -> np.ndarray:
     """The real covariate matrix X0, fixed per experiment from a reserved stream."""
-    rng = derive_stream(config.master_seed, 0, 0, 0)
+    rng = derive_stream(config.master_seed, *DESIGN_KEY)
     return rng.standard_normal((config.n0, config.dimension))
 
 
 def bias_direction(config: ExperimentConfig) -> np.ndarray:
     """Unit vector along which verifier centers are displaced from truth."""
-    rng = derive_stream(config.master_seed, 0, 0, 1)
+    rng = derive_stream(config.master_seed, *BIAS_DIRECTION_KEY)
     raw = rng.standard_normal(config.dimension)
     return raw / np.linalg.norm(raw)
 
@@ -171,6 +175,32 @@ def _mean_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray
 # one-step landscape
 
 
+def _landscape_theory(
+    config: ExperimentConfig, design: SpectralDesign
+) -> tuple[float, list[tuple[KnowledgeBall | None, dict]]]:
+    """The OLS baseline MSE and, per (delta, r) grid cell, the cell's verifier
+    ball with its closed-form one-step MSE and predicted log ratio.
+
+    A cell whose acceptance region carries no mass at the true parameter has
+    no ball (None) and NaN predictions.
+    """
+    theta = np.asarray(config.true_theta, dtype=float)
+    direction = bias_direction(config)
+    base = baseline_mse(design, config.sigma)
+    cells = []
+    for delta in config.delta_values:
+        for radius in config.r_values:
+            ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
+            try:
+                one_step = one_step_prediction(design, theta, ball, config.sigma, config.n1)
+                ratio = 0.5 * math.log(base / one_step)
+            except DegenerateIntervalError:
+                ball, one_step, ratio = None, math.nan, math.nan
+            cells.append((ball, {"delta": delta, "r": radius,
+                                 "one_step_mse": one_step, "theory_log_ratio": ratio}))
+    return base, cells
+
+
 def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Mean log error-reduction ratio over a (delta, r) verifier grid.
 
@@ -184,30 +214,16 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     theta = np.asarray(config.true_theta, dtype=float)
     covariates = design_matrix(config)
     design = spectral_design(covariates)
-    direction = bias_direction(config)
+    _, cells = _landscape_theory(config, design)
     reps, p = config.replications, config.dimension
-    base = baseline_mse(design, config.sigma)
 
-    cells = [(d, r) for d in config.delta_values for r in config.r_values]
-    balls: list[KnowledgeBall | None] = []
-    theory: list[float] = []
-    degenerate = np.zeros(len(cells), dtype=bool)
-    for i, (delta, radius) in enumerate(cells):
-        ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
-        balls.append(ball)
-        try:
-            one_step = one_step_prediction(design, theta, ball, config.sigma, config.n1)
-            theory.append(0.5 * math.log(base / one_step))
-        except DegenerateIntervalError:
-            degenerate[i] = True
-            theory.append(math.nan)
-
+    degenerate = np.array([ball is None for ball, _ in cells])
     cell_rounds = [
-        None if degenerate[i] else BlockRound(design, LinRegConfig(
-            dimension=p, true_theta=theta, ball=balls[i], sigma=config.sigma,
+        None if ball is None else BlockRound(design, LinRegConfig(
+            dimension=p, true_theta=theta, ball=ball, sigma=config.sigma,
             n0=config.n0, schedule=np.array([config.n1]),
         ))
-        for i in range(len(cells))
+        for ball, _ in cells
     ]
     norm0 = np.empty(reps)
     norm1 = np.full((len(cells), reps), math.nan)
@@ -237,7 +253,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     _run_blocks(simulate, _blocks(reps, threads, p * config.n1), threads)
 
     rows = []
-    for i, (delta, radius) in enumerate(cells):
+    for i, (_, cell) in enumerate(cells):
         if degenerate[i] or np.any(~np.isfinite(norm1[i])):
             mean = se = math.nan
             status = STATUS_DEGENERATE
@@ -254,9 +270,9 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
                 logs = np.log(norm0 / norm1[i])
                 mean, se = (float(v) for v in _mean_se(logs))
         rows.append({
-            "delta": delta, "r": radius, "sigma_c": config.sigma_c,
+            "delta": cell["delta"], "r": cell["r"], "sigma_c": config.sigma_c,
             "log_ratio_mean": mean, "log_ratio_se": se,
-            "theory_log_ratio": theory[i] if not degenerate[i] else math.nan,
+            "theory_log_ratio": math.nan if degenerate[i] else cell["theory_log_ratio"],
             "n_reps": reps, "status": status,
         })
     return rows
@@ -264,6 +280,20 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # iterative retraining (linear regression)
+
+
+def _linreg_theory(
+    config: ExperimentConfig, design: SpectralDesign, ball: KnowledgeBall, per_dir: np.ndarray
+) -> dict:
+    """Closed forms of an iterate_linreg config: the contraction rate, the OLS
+    baseline MSE, E||theta_0 - center||^2 and the k-round bound for k = 0..K."""
+    base = baseline_mse(design, config.sigma)
+    init = base + float(np.sum((ball.center - np.asarray(config.true_theta, dtype=float)) ** 2))
+    rho = contraction_rate(ball, config.sigma)
+    scale = config.dimension * config.sigma * config.sigma
+    bounds = [long_term_bound(rho, init, per_dir, k, scale) for k in range(per_dir.size + 1)]
+    return {"rho": rho, "baseline_mse": base, "initial_expected_sq_center": init,
+            "bounds": bounds}
 
 
 def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
@@ -274,6 +304,7 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
     reps, p = config.replications, config.dimension
     per_dir = config.schedule.per_direction_counts(p)
     k_rounds = per_dir.size
+    theory = _linreg_theory(config, design, ball, per_dir)
 
     arm_rounds = {
         arm: BlockRound(design, LinRegConfig(
@@ -304,19 +335,12 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
 
     _run_blocks(simulate, _blocks(reps, threads, p * int(per_dir.max(initial=1))), threads)
 
-    delta_sq = float(np.sum((ball.center - theta) ** 2))
-    init_expected = baseline_mse(design, config.sigma) + delta_sq
     rows = []
     for arm in config.arms:
         if arm == FILTER_NONE:
-            rho = math.nan
-            bounds = [math.nan] * (k_rounds + 1)
+            rho, bounds = math.nan, [math.nan] * (k_rounds + 1)
         else:
-            rho = contraction_rate(ball, config.sigma)
-            bounds = [
-                long_term_bound(ball, config.sigma, p, init_expected, per_dir, k)
-                for k in range(k_rounds + 1)
-            ]
+            rho, bounds = theory["rho"], theory["bounds"]
         star_mean, star_se = _mean_se(sq_star[arm])
         center_mean, center_se = _mean_se(sq_center[arm])
         for k in range(k_rounds + 1):
@@ -336,19 +360,28 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
 # iterative retraining (1-D Gaussian mean)
 
 
-def _interval_contraction(interval: Interval1D, sigma: float) -> float:
-    """Contraction rate of the 1-D retraining map: truncated variance at the
-    fixed point (the interval midpoint). NaN for semi-infinite intervals,
-    whose dynamics do not contract."""
-    if not (math.isfinite(interval.lower) and math.isfinite(interval.upper)):
-        return math.nan
-    half_width = 0.5 * (interval.upper - interval.lower) / sigma
-    return std_moments(Bounds(-half_width, half_width)).m2
+def _gaussian1d_theory(
+    config: ExperimentConfig, interval: Interval1D, per_dir: np.ndarray
+) -> dict:
+    """Closed forms of an iterate_1d config: the contraction rate, the fixed
+    point (the interval midpoint) and the k-round bound on the squared
+    distance to it for k = 0..K. A half-line has no fixed point and does not
+    contract, so all three are NaN there."""
+    midpoint = interval.midpoint
+    if not math.isfinite(midpoint):
+        return {"rho": math.nan, "fixed_point": midpoint,
+                "bounds": [math.nan] * (per_dir.size + 1)}
+    rho = contraction_rate(interval, config.sigma)
+    init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
+    bounds = [config.sigma ** 2 * long_term_bound(rho, init_std, per_dir, k)
+              for k in range(per_dir.size + 1)]
+    return {"rho": rho, "fixed_point": midpoint, "bounds": bounds}
 
 
 def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
     interval = Interval1D(config.interval_lower, config.interval_upper)
     per_dir = config.schedule.per_direction_counts(1)
+    bounds = _gaussian1d_theory(config, interval, per_dir)["bounds"]
     k_rounds = per_dir.size
     reps = config.replications
     arm = config.arms[0]
@@ -370,20 +403,11 @@ def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
 
     _run_blocks(simulate, _blocks(reps, threads, int(per_dir.max(initial=1))), threads)
 
-    midpoint = interval.midpoint
-    rho = _interval_contraction(interval, config.sigma)
     est_mean, est_se = _mean_se(estimates)
-    if math.isfinite(midpoint):
-        sq = (estimates - midpoint) ** 2
-        sq_mean, sq_se = _mean_se(sq)
-        init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
-        bounds = [
-            config.sigma ** 2 * long_term_bound_1d(rho, init_std, per_dir, k)
-            for k in range(k_rounds + 1)
-        ]
+    if math.isfinite(interval.midpoint):
+        sq_mean, sq_se = _mean_se((estimates - interval.midpoint) ** 2)
     else:
         sq_mean = sq_se = np.full(k_rounds + 1, math.nan)
-        bounds = [math.nan] * (k_rounds + 1)
 
     rows = []
     for k in range(k_rounds + 1):
@@ -442,63 +466,30 @@ def estimate_contraction(
 def theory_summary(config: ExperimentConfig) -> dict:
     """Closed-form predictions for a config, computed without simulation."""
     if config.kind == KIND_LANDSCAPE:
-        design = spectral_design(design_matrix(config))
-        theta = np.asarray(config.true_theta, dtype=float)
-        direction = bias_direction(config)
-        base = baseline_mse(design, config.sigma)
-        cells = []
-        for delta in config.delta_values:
-            for radius in config.r_values:
-                ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
-                try:
-                    one_step = one_step_prediction(
-                        design, theta, ball, config.sigma, config.n1
-                    )
-                    ratio = 0.5 * math.log(base / one_step)
-                except DegenerateIntervalError:
-                    one_step = math.nan
-                    ratio = math.nan
-                cells.append({"delta": delta, "r": radius,
-                              "one_step_mse": one_step, "theory_log_ratio": ratio})
-        return {"experiment": config.kind, "baseline_mse": base, "cells": cells}
+        base, cells = _landscape_theory(config, spectral_design(design_matrix(config)))
+        return {"experiment": config.kind, "baseline_mse": base,
+                "cells": [cell for _, cell in cells]}
     if config.kind == KIND_ITERATE_LINREG:
         design = spectral_design(design_matrix(config))
-        theta = np.asarray(config.true_theta, dtype=float)
         ball = resolve_ball(config)
         per_dir = config.schedule.per_direction_counts(config.dimension)
-        base = baseline_mse(design, config.sigma)
-        init = base + float(np.sum((ball.center - theta) ** 2))
-        rho = contraction_rate(ball, config.sigma)
-        return {
-            "experiment": config.kind,
-            "rho": rho,
-            "baseline_mse": base,
-            "initial_expected_sq_center": init,
-            "one_step_mse": one_step_prediction(
-                design, theta, ball, config.sigma, int(per_dir[0])
-            ),
-            "final_round_bound": long_term_bound(
-                ball, config.sigma, config.dimension, init, per_dir, per_dir.size
-            ),
-        }
+        theory = _linreg_theory(config, design, ball, per_dir)
+        bounds = theory.pop("bounds")
+        theta = np.asarray(config.true_theta, dtype=float)
+        return {"experiment": config.kind, **theory,
+                "one_step_mse": one_step_prediction(design, theta, ball, config.sigma,
+                                                    int(per_dir[0])),
+                "final_round_bound": bounds[-1]}
     if config.kind == KIND_ITERATE_1D:
         interval = Interval1D(config.interval_lower, config.interval_upper)
         per_dir = config.schedule.per_direction_counts(1)
-        rho = _interval_contraction(interval, config.sigma)
-        bounds = interval_bounds_1d(interval, config.true_mean, config.sigma)
-        out = {
-            "experiment": config.kind,
-            "rho": rho,
-            "fixed_point": interval.midpoint,
-            "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
-                bounds, config.n0, int(per_dir[0])
-            ),
-        }
+        theory = _gaussian1d_theory(config, interval, per_dir)
+        bounds = theory.pop("bounds")
+        at_truth = interval_bounds_1d(interval, config.true_mean, config.sigma)
+        out = {"experiment": config.kind, **theory,
+               "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
+                   at_truth, config.n0, int(per_dir[0]))}
         if math.isfinite(interval.midpoint):
-            init_std = (1.0 / config.n0
-                        + ((config.true_mean - interval.midpoint) / config.sigma) ** 2)
-            out["final_round_bound"] = config.sigma ** 2 * long_term_bound_1d(
-                rho, init_std, per_dir, per_dir.size
-            )
+            out["final_round_bound"] = bounds[-1]
         return out
     raise ConfigError(f"unknown experiment kind {config.kind}")

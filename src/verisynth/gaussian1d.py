@@ -11,8 +11,8 @@ In standardized coordinates the conditional-expectation map is
 T(x) = x + m1(alpha - x, beta - x); its slope is the shifted variance factor
 v(x) = m2(alpha - x, beta - x), so for a finite interval the dynamics contract
 toward the interval midpoint at rate rho = m2 of the centered interval. The
-closed-form one-step risk and the k-round contraction bound implemented here
-quantify that picture.
+closed-form one-step risk implemented here and the k-round contraction bound
+(:func:`verisynth.verifier.long_term_bound`) quantify that picture.
 """
 from __future__ import annotations
 
@@ -148,26 +148,6 @@ def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:
         )
     m = std_moments(bounds)
     return float(m.m2 / n1 + m.m1 ** 2 + (m.m2 ** 2 + m.m3 * m.m1) / n0)
-
-
-def long_term_bound_1d(rho: float, initial_sq_error: float, schedule: np.ndarray, k: int) -> float:
-    """k-round contraction bound on the squared distance to the interval midpoint.
-
-    Evaluates rho^(2k) * initial_sq_error + sum_{j<k} rho^(2(k-j)-1) / n_j in
-    standardized (unit-sigma) units; multiply by sigma^2 for raw units.
-    """
-    if not 0.0 < rho < 1.0:
-        raise InvalidBoundsError(f"rho must lie in (0, 1), got {rho}")
-    if initial_sq_error < 0.0:
-        raise InvalidBoundsError("initial squared error must be >= 0")
-    schedule = np.asarray(schedule, dtype=float)
-    if k < 0 or k > schedule.size:
-        raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
-    if k == 0:
-        return float(initial_sq_error)
-    j = np.arange(k)
-    noise = np.sum(rho ** (2 * (k - j) - 1) / schedule[:k])
-    return float(rho ** (2 * k) * initial_sq_error + noise)
 
 
 def retraining_map(bounds: Bounds, x: float) -> float:

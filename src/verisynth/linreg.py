@@ -10,8 +10,9 @@ a per-direction coordinate, and reassembles
 
 Because the directions are orthonormal, each coordinate evolves exactly like
 the scalar mean-retraining process with bounds given by the verifier geometry,
-which is what makes the closed-form one-step risk and the k-round contraction
-bound below exact statements about this simulator.
+which is what makes the closed-form one-step risk below and the k-round
+contraction bound (:func:`verisynth.verifier.long_term_bound`) exact
+statements about this simulator.
 """
 from __future__ import annotations
 
@@ -30,10 +31,9 @@ from .verifier import (
     ball_bounds,
     contraction_rate,
     direction_bounds,
+    long_term_bound,
     unit_directions,
 )
-
-COVARIATE_GAUSSIAN = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,6 @@ class LinRegConfig:
     n0: int
     schedule: np.ndarray
     filter_mode: str = FILTER_DIRECT
-    covariate_law: str = COVARIATE_GAUSSIAN
 
     def __post_init__(self):
         theta = np.asarray(self.true_theta, dtype=float)
@@ -154,8 +153,6 @@ class LinRegConfig:
             raise InvalidBoundsError("schedule entries must be >= 1")
         if np.any(np.diff(schedule) < 0):
             raise InvalidBoundsError("schedule must be non-decreasing")
-        if self.covariate_law != COVARIATE_GAUSSIAN:
-            raise InvalidBoundsError(f"unknown covariate law {self.covariate_law!r}")
         object.__setattr__(self, "true_theta", theta)
         object.__setattr__(self, "schedule", schedule)
 
@@ -175,13 +172,6 @@ class RetrainTrajectory:
     verified_counts: np.ndarray  # per-direction count producing round k (n0 at k=0)
     bound: np.ndarray            # contraction bound on E||theta_k - center||^2
     rho: float
-
-
-def generate_real_data(config: LinRegConfig, rng: np.random.Generator) -> Dataset:
-    """Draw the real dataset: i.i.d. standard-normal covariate rows, Gaussian noise."""
-    x = rng.standard_normal((config.n0, config.dimension))
-    y = x @ config.true_theta + config.sigma * rng.standard_normal(config.n0)
-    return Dataset(x, y)
 
 
 def ols_fit(data: Dataset) -> np.ndarray:
@@ -312,39 +302,15 @@ def one_step_prediction(
     return float(sigma * sigma * total)
 
 
-def long_term_bound(
-    ball: KnowledgeBall,
-    sigma: float,
-    dimension: int,
-    initial_sq_error: float,
-    schedule: np.ndarray,
-    k: int,
-) -> float:
-    """k-round bound on E||theta_k - center||^2 under per-direction schedule n_j.
-
-    rho^(2k) * initial + dimension * sigma^2 * sum_{j<k} rho^(2(k-j)-1) / n_j,
-    with rho the verifier's contraction rate.
-    """
-    if initial_sq_error < 0.0:
-        raise InvalidBoundsError("initial squared error must be >= 0")
-    rho = contraction_rate(ball, sigma)
-    schedule = np.asarray(schedule, dtype=float)
-    if k < 0 or k > schedule.size:
-        raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
-    if k == 0:
-        return float(initial_sq_error)
-    j = np.arange(k)
-    noise = np.sum(rho ** (2 * (k - j) - 1) / schedule[:k])
-    return float(rho ** (2 * k) * initial_sq_error + dimension * sigma * sigma * noise)
-
-
 def run_retraining(config: LinRegConfig, rng: np.random.Generator) -> RetrainTrajectory:
     """Full sequential run: real data, OLS, spectral design, scheduled rounds.
 
-    Consumes a single stream; the experiment harness drives the same primitives
-    with per-(replication, round, direction) streams instead.
+    The real data are i.i.d. standard-normal covariate rows with Gaussian
+    noise. Consumes a single stream; the experiment harness drives the same
+    primitives with per-(replication, round, direction) streams instead.
     """
-    data = generate_real_data(config, rng)
+    x = rng.standard_normal((config.n0, config.dimension))
+    data = Dataset(x, x @ config.true_theta + config.sigma * rng.standard_normal(config.n0))
     design = spectral_design(data.covariates)
     state = RetrainState(ols_fit(data), 0)
     p = config.dimension
@@ -365,10 +331,9 @@ def run_retraining(config: LinRegConfig, rng: np.random.Generator) -> RetrainTra
     else:
         rho = contraction_rate(config.ball, config.sigma)
         init = float(dist_center[0] ** 2)
-        bound = np.array(
-            [long_term_bound(config.ball, config.sigma, p, init, config.schedule, k)
-             for k in range(k_rounds + 1)]
-        )
+        scale = p * config.sigma * config.sigma
+        bound = np.array([long_term_bound(rho, init, config.schedule, k, scale)
+                          for k in range(k_rounds + 1)])
     return RetrainTrajectory(
         np.arange(k_rounds + 1), theta, dist_true, dist_center, counts, bound, rho
     )

@@ -22,6 +22,9 @@ UNIT_TOTAL = "total"
 UNIT_PER_DIRECTION = "per_direction"
 SCHEDULE_UNITS = (UNIT_TOTAL, UNIT_PER_DIRECTION)
 
+#: every count must lie below this bound, the int64 limit of the count arrays
+MAX_COUNT = 2 ** 63
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -55,6 +58,16 @@ class Schedule:
         if self.kind == KIND_GEOMETRIC and self.end_or_ratio < 1.0:
             raise InvalidBoundsError(
                 f"geometric ratio must be >= 1, got {self.end_or_ratio}"
+            )
+        if self.kind == KIND_GEOMETRIC:
+            with np.errstate(over="ignore"):
+                last = self.start * np.power(float(self.end_or_ratio), self.rounds - 1)
+        else:
+            last = self.start if self.kind == KIND_FIXED else self.end_or_ratio
+        if not last < MAX_COUNT:
+            raise InvalidBoundsError(
+                f"the last count of a {self.kind} schedule must be finite and below 2^63, "
+                f"got {last}"
             )
 
     def counts(self) -> np.ndarray:

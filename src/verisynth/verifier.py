@@ -1,4 +1,4 @@
-"""Verifier geometry: acceptance rule, induced truncation bounds, contraction rate.
+"""Verifier geometry: acceptance rule, induced truncation bounds, contraction theory.
 
 A verifier holds an approximate parameter vector (the ball center) and accepts
 a candidate pair (x, y) when the residual against its own model is small:
@@ -53,7 +53,7 @@ class KnowledgeBall:
             raise InvalidBoundsError(f"radius must be >= 0, got {self.radius}")
         if math.isnan(self.slack) or self.slack < 0.0:
             raise InvalidBoundsError(f"slack must be >= 0, got {self.slack}")
-        if not self.radius + self.slack > 0.0:
+        if not self.half_width > 0.0:
             raise InvalidBoundsError("radius + slack must be positive")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
@@ -62,6 +62,11 @@ class KnowledgeBall:
     @property
     def dimension(self) -> int:
         return self.center.size
+
+    @property
+    def half_width(self) -> float:
+        """Half-width of the acceptance band of a unit covariate: radius + slack."""
+        return self.radius + self.slack
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ class Interval1D:
             raise InvalidBoundsError(f"interval must satisfy lower < upper: ({lo}, {hi})")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    @property
+    def half_width(self) -> float:
+        """Half the interval's length; inf for a half-line."""
+        return 0.5 * (self.upper - self.lower)
 
     @property
     def midpoint(self) -> float:
@@ -147,8 +157,7 @@ def ball_bounds(
     its own dot product, bit for bit the ``v @ x`` of a single direction.
     """
     offset = np.vecdot((ball.center - generator_means)[:, None, :], units)
-    halfwidth = ball.radius + ball.slack
-    return np.add.outer([-halfwidth, halfwidth], offset) / sigma
+    return np.add.outer([-ball.half_width, ball.half_width], offset) / sigma
 
 
 def direction_bounds(
@@ -194,17 +203,43 @@ def interval_bounds_1d(interval: Interval1D, generator_mean: float, sigma: float
     return Bounds(*interval_bounds(interval, generator_mean, sigma))
 
 
-def contraction_rate(ball: KnowledgeBall, sigma: float) -> float:
+def contraction_rate(verifier: KnowledgeBall | Interval1D, sigma: float) -> float:
     """Per-round contraction factor rho of the verified retraining dynamics.
 
     rho equals the variance of a standard normal truncated to the symmetric
-    interval of standardized half-width (radius + slack)/sigma; it always lies
-    strictly between 0 and 1, approaching 0 for a maximally selective verifier
-    and 1 for a vacuous one.
+    interval of standardized half-width ``verifier.half_width / sigma``; it
+    lies in (0, 1], approaching 0 for a maximally selective verifier and 1
+    for a vacuous one (a wide verifier rounds to exactly 1). A half-line has
+    no contraction rate.
     """
     if not sigma > 0.0:
         raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
-    halfwidth = (ball.radius + ball.slack) / sigma
+    halfwidth = verifier.half_width / sigma
     if not math.isfinite(halfwidth):
-        raise InvalidBoundsError("contraction rate requires finite radius and slack")
+        raise InvalidBoundsError("contraction rate requires a finite half-width")
     return std_moments(Bounds(-halfwidth, halfwidth)).m2
+
+
+def long_term_bound(
+    rho: float, initial_sq_error: float, schedule: np.ndarray, k: int, scale: float = 1.0
+) -> float:
+    """k-round contraction bound on the squared distance to the verifier's center.
+
+    Evaluates rho^(2k) * initial_sq_error + scale * sum_{j<k} rho^(2(k-j)-1) / n_j
+    for a contraction rate rho in (0, 1] and per-direction counts n_j. The 1-D
+    problem uses scale 1 in standardized units (multiply by sigma^2); the
+    regression problem passes scale = p * sigma^2. At rho = 1 (a vacuous
+    verifier) it is the unfiltered random walk, initial + scale * sum 1/n_j.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise InvalidBoundsError(f"rho must lie in (0, 1], got {rho}")
+    if initial_sq_error < 0.0:
+        raise InvalidBoundsError("initial squared error must be >= 0")
+    schedule = np.asarray(schedule, dtype=float)
+    if k < 0 or k > schedule.size:
+        raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
+    if k == 0:
+        return float(initial_sq_error)
+    j = np.arange(k)
+    noise = np.sum(rho ** (2 * (k - j) - 1) / schedule[:k])
+    return float(rho ** (2 * k) * initial_sq_error + scale * noise)

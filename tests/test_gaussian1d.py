@@ -20,7 +20,7 @@ from verisynth import (
     hitting_time,
     initial_mean,
     interval_bounds_1d,
-    long_term_bound_1d,
+    long_term_bound,
     one_step_mse_prediction_1d,
     retrain_step,
     retraining_map,
@@ -192,7 +192,7 @@ class TestLongTermBound:
         expected = rho ** (2 * k) * init
         for j in range(k):
             expected += rho ** (2 * (k - j) - 1) / schedule[j]
-        got = long_term_bound_1d(rho, init, schedule, k)
+        got = long_term_bound(rho, init, schedule, k)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(6.667614e-3, abs=1e-8)
 
@@ -200,19 +200,21 @@ class TestLongTermBound:
         rho, n = 0.5, 100
         schedule = np.full(400, n)
         limit = rho / (n * (1 - rho ** 2))
-        assert long_term_bound_1d(rho, 1.0, schedule, 400) == pytest.approx(
+        assert long_term_bound(rho, 1.0, schedule, 400) == pytest.approx(
             limit, rel=1e-12)
 
     def test_k_zero_returns_initial(self):
-        assert long_term_bound_1d(0.3, 2.5, np.array([10]), 0) == 2.5
+        assert long_term_bound(0.3, 2.5, np.array([10]), 0) == 2.5
 
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
-            long_term_bound_1d(1.0, 1.0, np.array([10]), 1)
+            long_term_bound(1.5, 1.0, np.array([10]), 1)
         with pytest.raises(InvalidBoundsError):
-            long_term_bound_1d(0.5, -1.0, np.array([10]), 1)
+            long_term_bound(0.0, 1.0, np.array([10]), 1)
         with pytest.raises(InvalidBoundsError):
-            long_term_bound_1d(0.5, 1.0, np.array([10]), 2)
+            long_term_bound(0.5, -1.0, np.array([10]), 1)
+        with pytest.raises(InvalidBoundsError):
+            long_term_bound(0.5, 1.0, np.array([10]), 2)
 
 
 class TestTrajectories:

@@ -1,4 +1,5 @@
 """Experiment harness: schedules, stream derivation, configs, files, CLI."""
+import csv
 import json
 import math
 
@@ -12,6 +13,7 @@ from verisynth import (
     ConfigError,
     GAUSSIAN1D_COLUMNS,
     InsufficientRoundsError,
+    InvalidBoundsError,
     KIND_ITERATE_1D,
     KIND_ITERATE_LINREG,
     KIND_LANDSCAPE,
@@ -25,12 +27,11 @@ from verisynth import (
     derive_stream,
     estimate_contraction,
     load_config,
-    long_term_bound_1d,
+    long_term_bound,
     resolve_ball,
     run_iterative,
     run_landscape,
     theory_summary,
-    validate_config,
     write_config,
     write_csv,
     write_json,
@@ -84,6 +85,51 @@ def oned_mapping(**over):
     return raw
 
 
+#: configs that name a bad value, each with the field its error message names
+BAD_VALUES = [
+    pytest.param(oned_mapping(problem={"true_mean": math.nan, "sigma": 1.0, "n0": 50}),
+                 "problem.true_mean", id="true_mean-nan"),
+    pytest.param(oned_mapping(problem={"true_mean": math.inf, "sigma": 1.0, "n0": 50}),
+                 "problem.true_mean", id="true_mean-inf"),
+    pytest.param(linreg_mapping(problem={"dimension": 2, "true_theta": [math.nan, 1.0],
+                                         "sigma": 1.0, "n0": 30}),
+                 "problem.true_theta", id="true_theta-nan"),
+    pytest.param(landscape_mapping(problem={"dimension": 3, "true_theta": [1.0, math.inf, 1.0],
+                                            "sigma": 1.0, "n0": 40}),
+                 "problem.true_theta", id="landscape-true_theta-inf"),
+    pytest.param(linreg_mapping(ball={"radius": 1.0, "center": [math.inf, 0.0]}),
+                 "ball.center", id="center-inf"),
+    pytest.param(linreg_mapping(ball={"radius": 1.0, "center": [0.0, math.nan]}),
+                 "ball.center", id="center-nan"),
+    pytest.param(linreg_mapping(ball={"radius": 1.0, "delta": math.inf}),
+                 "ball.delta", id="delta-inf"),
+    pytest.param(linreg_mapping(ball={"radius": math.inf, "delta": 0.5}),
+                 "ball.radius", id="radius-inf"),
+    pytest.param(linreg_mapping(ball={"radius": 1.0, "delta": 0.5, "slack": math.inf}),
+                 "ball.slack", id="slack-inf"),
+    pytest.param(linreg_mapping(ball={"radius": 0.0, "delta": 0.5, "slack": 0.0}),
+                 "ball.radius + ball.slack", id="ball-no-width"),
+    pytest.param(linreg_mapping(problem={"dimension": 2, "true_theta": [1.0, -1.0],
+                                         "sigma": 1.0, "n0": 1}),
+                 "problem.n0", id="n0-below-dimension"),
+    pytest.param(landscape_mapping(problem={"dimension": 3, "true_theta": [1.0, 1.0, 1.0],
+                                            "sigma": 1.0, "n0": 2}),
+                 "problem.n0", id="landscape-n0-below-dimension"),
+    pytest.param(landscape_mapping(landscape={"delta_values": [0.0, math.inf],
+                                              "r_values": [0.6], "n1": 60}),
+                 "landscape.delta_values", id="landscape-delta-inf"),
+    pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 1,
+                                        "end_or_ratio": 1e300, "rounds": 5}),
+                 "last count", id="geometric-overflow"),
+    pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
+                                          "end_or_ratio": 10.0, "rounds": 20}),
+                 "last count", id="geometric-beyond-int64"),
+]
+
+COMMAND_FOR_KIND = {"landscape": "landscape", "iterate_linreg": "iterate",
+                    "iterate_1d": "gaussian1d"}
+
+
 class TestSchedule:
     def test_fixed(self):
         assert Schedule("fixed", 50, 50, 5).counts().tolist() == [50] * 5
@@ -112,6 +158,15 @@ class TestSchedule:
             Schedule("geometric", 10, 0.5, 5)
         with pytest.raises(Exception):
             Schedule("fixed", 10, 10, 5, unit="per_batch")
+
+    def test_last_count_must_fit_the_count_type(self):
+        with pytest.raises(InvalidBoundsError, match="last count"):
+            Schedule("geometric", 1, 1e300, 5)
+        with pytest.raises(InvalidBoundsError, match="last count"):
+            Schedule("geometric", 1, 10.0, 20)  # 1e19 >= 2^63
+        with pytest.raises(InvalidBoundsError, match="last count"):
+            Schedule("linear", 1, math.nan, 5)
+        assert Schedule("geometric", 1, 10.0, 19).counts()[-1] == 10 ** 18
 
     def test_per_direction_split(self):
         sched = Schedule("linear", 100, 5500, 60, unit="total")
@@ -179,7 +234,6 @@ class TestConfigParsing:
         path = tmp_path / "config.yaml"
         write_config(config, str(path))
         assert load_config(str(path)) == config
-        assert validate_config(config) == config
 
     def test_defaults_are_resolved(self):
         config = config_from_mapping(linreg_mapping())
@@ -402,7 +456,7 @@ class TestEstimateContraction:
     def test_noiseless_bound_sequence(self):
         rho, n, k_max = 0.9, 10 ** 9, 40
         schedule = np.full(k_max, n)
-        sq = np.array([long_term_bound_1d(rho, 1.0, schedule, k)
+        sq = np.array([long_term_bound(rho, 1.0, schedule, k)
                        for k in range(k_max + 1)])
         est = estimate_contraction(np.arange(k_max + 1), sq)
         assert abs(est - rho) / rho < 0.05
@@ -479,6 +533,33 @@ class TestCli:
         assert main(["gaussian1d", "--config", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "error: replication 1, round 1, direction 1: acceptance probability" in err
+
+    @pytest.mark.parametrize("mapping,field", BAD_VALUES)
+    def test_bad_values_fail_validate(self, tmp_path, capsys, mapping, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        command = COMMAND_FOR_KIND[mapping["experiment"]]
+        assert main([command, "--config", str(path), "--seed", "3", "--reps", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_vacuous_interval_bound_is_the_random_walk(self, tmp_path, capsys):
+        # at sigma 1 the contraction rate of (-20, 20) rounds to exactly 1
+        path = self.write(tmp_path, oned_mapping(
+            problem={"true_mean": 0.0, "sigma": 1.0, "n0": 100},
+            interval={"lower": -20.0, "upper": 20.0},
+            schedule={"kind": "fixed", "start": 150, "rounds": 4},
+        ))
+        assert main(["theory", "--config", path]) == 0
+        assert "rho: 1.0\n" in capsys.readouterr().out
+        out = tmp_path / "results"
+        assert main(["gaussian1d", "--config", path, "--out", str(out)]) == 0
+        with open(out / "gaussian1d.csv", newline="") as handle:
+            bounds = [float(row["theory_bound"]) for row in csv.DictReader(handle)]
+        assert bounds == pytest.approx([1 / 100 + k / 150 for k in range(5)], rel=1e-12)
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, landscape_mapping())

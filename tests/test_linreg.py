@@ -314,11 +314,11 @@ class TestOneStepPrediction:
 
 
 class TestLongTermBound:
-    def ball(self):
-        return KnowledgeBall(np.zeros(8), 1.0, 0.0)  # rho = M2_SYM1 at sigma=1
+    def rho(self):
+        return contraction_rate(KnowledgeBall(np.zeros(8), 1.0, 0.0), 1.0)  # M2_SYM1
 
     def test_k_zero(self):
-        assert long_term_bound(self.ball(), 1.0, 8, 5.0, np.array([10]), 0) == 5.0
+        assert long_term_bound(self.rho(), 5.0, np.array([10]), 0, 8.0) == 5.0
 
     def test_matches_explicit_summation(self):
         rho, p, sigma, init, k = M2_SYM1, 8, 1.0, 8.0, 30
@@ -326,21 +326,21 @@ class TestLongTermBound:
         expected = rho ** (2 * k) * init
         for j in range(k):
             expected += p * sigma ** 2 * rho ** (2 * (k - j) - 1) / schedule[j]
-        got = long_term_bound(self.ball(), sigma, p, init, schedule, k)
+        got = long_term_bound(self.rho(), init, schedule, k, p * sigma * sigma)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_constant_schedule_limit(self):
         rho, p, n = M2_SYM1, 8, 100
         schedule = np.full(300, n)
         limit = p * rho / (n * (1 - rho ** 2))
-        assert long_term_bound(self.ball(), 1.0, p, 3.0, schedule, 300) == \
+        assert long_term_bound(self.rho(), 3.0, schedule, 300, float(p)) == \
             pytest.approx(limit, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(self.ball(), 1.0, 8, -1.0, np.array([10]), 1)
+            long_term_bound(self.rho(), -1.0, np.array([10]), 1, 8.0)
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(self.ball(), 1.0, 8, 1.0, np.array([10]), 2)
+            long_term_bound(self.rho(), 1.0, np.array([10]), 2, 8.0)
 
 
 class TestRunRetraining:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from verisynth import (
     Bounds,
@@ -17,6 +19,7 @@ from verisynth import (
     default_slack,
     direction_bounds,
     interval_bounds_1d,
+    long_term_bound,
     std_moments,
     verify_point,
 )
@@ -209,3 +212,36 @@ class TestContractionRate:
         sigma = 0.7
         beta = (1.3 + 0.4) / sigma
         assert contraction_rate(ball, sigma) == std_moments(Bounds(-beta, beta)).m2
+
+    def test_interval_uses_its_half_width(self):
+        assert Interval1D(2.0, 4.0).half_width == 1.0
+        ball = KnowledgeBall(np.zeros(2), 0.6, 0.4)
+        assert contraction_rate(Interval1D(2.0, 4.0), 1.0) == contraction_rate(ball, 1.0)
+        assert contraction_rate(Interval1D(-3.0, 1.0), 2.0) == contraction_rate(ball, 1.0)
+        assert contraction_rate(Interval1D(-20.0, 20.0), 1.0) == 1.0
+
+    def test_half_line_has_no_rate(self):
+        assert Interval1D(-math.inf, 1.0).half_width == math.inf
+        with pytest.raises(InvalidBoundsError):
+            contraction_rate(Interval1D(-math.inf, 1.0), 1.0)
+
+
+class TestLongTermBound:
+    # rho >= 1e-100 keeps rho^2 a normal float; through subnormal values the
+    # direct sum and the recurrence round differently
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(min_value=1e-100, max_value=1.0),
+        init=st.floats(min_value=0.0, max_value=1e6),
+        scale=st.floats(min_value=1e-6, max_value=1e6),
+        schedule=st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=40),
+    )
+    @example(rho=1.0, init=0.5, scale=2.0, schedule=[10, 20, 40])  # the unfiltered walk
+    def test_one_round_recurrence(self, rho, init, scale, schedule):
+        previous = long_term_bound(rho, init, schedule, 0, scale)
+        for k in range(1, len(schedule) + 1):
+            bound = long_term_bound(rho, init, schedule, k, scale)
+            recurrence = rho * rho * previous + scale * rho / schedule[k - 1]
+            assert math.isclose(bound, recurrence, rel_tol=1e-12)
+            previous = bound
+
