@@ -16,14 +16,14 @@ from verisynth import (
     Dataset,
     KnowledgeBall,
     LinRegConfig,
-    RetrainState,
     baseline_mse,
     derive_stream,
     ols_fit,
     one_step_prediction,
-    retrain_round,
     spectral_design,
 )
+from verisynth.linreg import BlockRound
+from verisynth.seeding import KeyedStreams
 
 
 def main() -> None:
@@ -62,14 +62,16 @@ def main() -> None:
     ball = KnowledgeBall(theta + delta * direction, r, 0.0)
     config = LinRegConfig(p, theta, ball, sigma, n0, np.array([n1]))
     pred = one_step_prediction(design, theta, ball, sigma, n1)
-    sq = np.empty(args.reps)
-    for rep in range(1, args.reps + 1):
-        noise = derive_stream(args.seed, rep, 0, 0).standard_normal(n0)
-        state0 = RetrainState(ols_fit(Dataset(covariates, covariates @ theta
-                                              + sigma * noise)), 0)
-        streams = [derive_stream(args.seed, rep, 1, j) for j in range(1, p + 1)]
-        state1 = retrain_round(state0, design, config, n1, streams)
-        sq[rep - 1] = np.sum((state1.theta_hat - theta) ** 2)
+    theta0 = np.array([
+        ols_fit(Dataset(covariates, covariates @ theta
+                        + sigma * derive_stream(args.seed, rep, 0, 0).standard_normal(n0)))
+        for rep in range(1, args.reps + 1)
+    ])
+    # replication rep draws direction j of its round from stream (rep, 1, j)
+    keys = [(rep, 1, j) for rep in range(1, args.reps + 1) for j in range(1, p + 1)]
+    round1 = KeyedStreams(args.seed).derive(np.array(keys))
+    theta1 = BlockRound(design, config)(theta0, n1, round1.stream, round1.label)
+    sq = np.sum((theta1 - theta) ** 2, axis=1)
     se = sq.std(ddof=1) / math.sqrt(args.reps)
     print(f"\nspot check at Delta={delta}, r={r}: predicted one-step MSE "
           f"{pred:.4f}, Monte Carlo {sq.mean():.4f} +/- {se:.4f} "

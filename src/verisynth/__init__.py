@@ -60,13 +60,11 @@ from .linreg import (
     Dataset,
     LinRegConfig,
     RetrainState,
-    RetrainTrajectory,
     SpectralDesign,
     baseline_mse,
     ols_fit,
     one_step_prediction,
     retrain_round,
-    run_retraining,
     spectral_design,
 )
 from .output import (
@@ -86,13 +84,11 @@ from .truncnorm import (
     acceptance_probability,
     quadrature_moments,
     sample_truncated,
-    shifted_moments,
     std_moments,
 )
 from .verifier import (
     Interval1D,
     KnowledgeBall,
-    VerifierBias,
     contraction_rate,
     default_slack,
     direction_bounds,
@@ -109,10 +105,10 @@ __all__ = [
     "RankDeficientError", "MaxAttemptsError", "InsufficientRoundsError",
     "SeedSpaceError", "ConfigError",
     # truncated-normal core
-    "Bounds", "Moments", "std_moments", "shifted_moments", "quadrature_moments",
+    "Bounds", "Moments", "std_moments", "quadrature_moments",
     "sample_truncated", "acceptance_probability",
     # verifier geometry
-    "KnowledgeBall", "Interval1D", "VerifierBias", "verify_point",
+    "KnowledgeBall", "Interval1D", "verify_point",
     "direction_bounds", "interval_bounds_1d", "contraction_rate", "long_term_bound",
     "default_slack",
     # 1-D dynamics
@@ -122,8 +118,8 @@ __all__ = [
     # linear regression dynamics
     "FILTER_DIRECT", "FILTER_REJECT", "FILTER_NONE", "FILTER_MODES",
     "Dataset", "SpectralDesign", "RetrainState", "LinRegConfig",
-    "RetrainTrajectory", "ols_fit", "spectral_design",
-    "retrain_round", "run_retraining", "one_step_prediction", "baseline_mse",
+    "ols_fit", "spectral_design", "retrain_round", "one_step_prediction",
+    "baseline_mse",
     # harness
     "Schedule", "derive_stream", "ExperimentConfig", "load_config",
     "write_config", "config_from_mapping",

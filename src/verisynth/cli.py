@@ -10,7 +10,8 @@ Subcommands::
 
 Global flags: ``--config <path>`` (required), ``--seed <u64>`` and
 ``--reps <n>`` (override the config), ``--out <dir>`` (default '.'),
-``--threads <n>`` (default 1; results are identical for any value),
+``--threads <n>`` (an upper bound on worker threads, default 1; results are
+identical for any value),
 ``--format csv|json`` (default csv).
 
 Exit codes: 0 success, 1 runtime failure (e.g. a degenerate experiment),
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config's replication count")
         sub.add_argument("--out", default=".", help="output directory (default: .)")
         sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads (default 1; output is identical)")
+                         help="most worker threads to use (default 1; output is identical)")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
     return parser

@@ -38,6 +38,11 @@ KIND_ITERATE_LINREG = "iterate_linreg"
 KIND_ITERATE_1D = "iterate_1d"
 EXPERIMENT_KINDS = (KIND_LANDSCAPE, KIND_ITERATE_LINREG, KIND_ITERATE_1D)
 
+#: most noise values one replication may draw in one round
+MAX_ROUND_NOISE = 2 ** 24
+#: most floats the per-replication results of one run may hold
+MAX_RESULT_FLOATS = 2 ** 28
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -161,6 +166,26 @@ class ExperimentConfig:
             _check(all(r > 0.0 for r in self.r_values), "landscape.r_values must be > 0")
             _check(self.sigma_c is not None and self.sigma_c >= 0.0, "sigma_c must be >= 0")
             _check(self.n1 is not None and self.n1 >= 1, "landscape.n1 must be >= 1")
+        self._check_work()
+
+    def _check_work(self) -> None:
+        """Bound the noise one replication draws in one round and the result floats of a run."""
+        if self.kind == KIND_LANDSCAPE:
+            noise = self.dimension * self.n1
+            floats = self.replications * (len(self.delta_values) * len(self.r_values) + 1)
+        else:
+            p = 1 if self.kind == KIND_ITERATE_1D else self.dimension
+            last = math.ceil(self.schedule.last_count)
+            noise = p * (max(1, last // p) if self.schedule.unit == UNIT_TOTAL else last)
+            floats = self.replications * (self.schedule.rounds + 1)
+            if self.kind == KIND_ITERATE_LINREG:
+                floats *= 2 * len(self.arms)
+        _check(noise <= MAX_ROUND_NOISE,
+               f"one replication would draw {noise} noise values in one round, "
+               f"above the limit of 2^24")
+        _check(floats <= MAX_RESULT_FLOATS,
+               f"{self.replications} replications would hold {floats} result floats, "
+               f"above the limit of 2^28")
 
     def to_mapping(self) -> dict[str, Any]:
         """Plain nested mapping mirroring the file schema, fully resolved."""

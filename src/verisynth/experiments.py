@@ -18,6 +18,7 @@ conservative when paired with per-arm standard errors.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -113,11 +114,13 @@ def _blocks(replications: int, threads: int, elements_per_rep: int) -> list[rang
 
 
 def _run_blocks(simulate: Callable[[range], None], blocks: list[range], threads: int) -> None:
-    if threads <= 1:
+    """Simulate every block on at most ``threads`` workers, one per block and CPU at most."""
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         for block in blocks:
             simulate(block)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in [pool.submit(simulate, block) for block in blocks]:
             future.result()
 

@@ -16,7 +16,6 @@ statements about this simulator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,9 +28,7 @@ from .verifier import (
     KnowledgeBall,
     ball_acceptance,
     ball_bounds,
-    contraction_rate,
     direction_bounds,
-    long_term_bound,
     unit_directions,
 )
 
@@ -54,10 +51,6 @@ class Dataset:
             )
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "responses", y)
-
-    @property
-    def n(self) -> int:
-        return self.covariates.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -159,19 +152,6 @@ class LinRegConfig:
     @property
     def rounds(self) -> int:
         return int(self.schedule.size)
-
-
-@dataclass(frozen=True)
-class RetrainTrajectory:
-    """Per-round records of one regression retraining run (index 0 = OLS fit)."""
-
-    rounds: np.ndarray
-    theta: np.ndarray            # (rounds+1, p)
-    dist_true: np.ndarray        # ||theta_k - true_theta||
-    dist_center: np.ndarray      # ||theta_k - ball center||
-    verified_counts: np.ndarray  # per-direction count producing round k (n0 at k=0)
-    bound: np.ndarray            # contraction bound on E||theta_k - center||^2
-    rho: float
 
 
 def ols_fit(data: Dataset) -> np.ndarray:
@@ -300,40 +280,3 @@ def one_step_prediction(
         mu_sq = float(design.singular_values[j]) ** 2
         total += m.m2 / n1 + m.m1 ** 2 + (m.m1 * m.m3 + m.m2 ** 2) / mu_sq
     return float(sigma * sigma * total)
-
-
-def run_retraining(config: LinRegConfig, rng: np.random.Generator) -> RetrainTrajectory:
-    """Full sequential run: real data, OLS, spectral design, scheduled rounds.
-
-    The real data are i.i.d. standard-normal covariate rows with Gaussian
-    noise. Consumes a single stream; the experiment harness drives the same
-    primitives with per-(replication, round, direction) streams instead.
-    """
-    x = rng.standard_normal((config.n0, config.dimension))
-    data = Dataset(x, x @ config.true_theta + config.sigma * rng.standard_normal(config.n0))
-    design = spectral_design(data.covariates)
-    state = RetrainState(ols_fit(data), 0)
-    p = config.dimension
-    k_rounds = config.rounds
-    theta = np.empty((k_rounds + 1, p))
-    theta[0] = state.theta_hat
-    counts = np.empty(k_rounds + 1, dtype=int)
-    counts[0] = config.n0
-    for k, n_k in enumerate(config.schedule, start=1):
-        state = retrain_round(state, design, config, int(n_k), rng)
-        theta[k] = state.theta_hat
-        counts[k] = n_k
-    dist_true = np.linalg.norm(theta - config.true_theta[None, :], axis=1)
-    dist_center = np.linalg.norm(theta - config.ball.center[None, :], axis=1)
-    if config.filter_mode == FILTER_NONE:
-        rho = math.nan
-        bound = np.full(k_rounds + 1, math.nan)
-    else:
-        rho = contraction_rate(config.ball, config.sigma)
-        init = float(dist_center[0] ** 2)
-        scale = p * config.sigma * config.sigma
-        bound = np.array([long_term_bound(rho, init, config.schedule, k, scale)
-                          for k in range(k_rounds + 1)])
-    return RetrainTrajectory(
-        np.arange(k_rounds + 1), theta, dist_true, dist_center, counts, bound, rho
-    )

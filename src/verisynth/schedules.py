@@ -59,16 +59,23 @@ class Schedule:
             raise InvalidBoundsError(
                 f"geometric ratio must be >= 1, got {self.end_or_ratio}"
             )
-        if self.kind == KIND_GEOMETRIC:
-            with np.errstate(over="ignore"):
-                last = self.start * np.power(float(self.end_or_ratio), self.rounds - 1)
-        else:
-            last = self.start if self.kind == KIND_FIXED else self.end_or_ratio
+        last = self.last_count
         if not last < MAX_COUNT:
             raise InvalidBoundsError(
                 f"the last count of a {self.kind} schedule must be finite and below 2^63, "
                 f"got {last}"
             )
+
+    @property
+    def last_count(self) -> float:
+        """The last round's count before rounding, in this schedule's own unit.
+
+        Counts never fall, so no round asks for more, up to that rounding.
+        """
+        if self.kind == KIND_GEOMETRIC:
+            with np.errstate(over="ignore"):
+                return self.start * np.power(float(self.end_or_ratio), self.rounds - 1)
+        return self.start if self.kind == KIND_FIXED else self.end_or_ratio
 
     def counts(self) -> np.ndarray:
         """The raw length-``rounds`` sequence, in this schedule's own unit."""

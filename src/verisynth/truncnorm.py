@@ -67,14 +67,6 @@ class Bounds:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def is_two_sided(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def shifted(self, x: float) -> "Bounds":
         """Bounds of Z - x restricted to this interval, i.e. (lower - x, upper - x)."""
         return Bounds(self.lower - x, self.upper - x)
@@ -198,14 +190,6 @@ def std_moments(bounds: Bounds) -> Moments:
         return Moments(-m1, m2, -m3)
     m1, m2, m3 = _oriented_moments(a, b)
     return Moments(m1, m2, m3)
-
-
-def shifted_moments(mu: float, sigma: float, lower: float, upper: float) -> tuple[float, float]:
-    """Mean and variance of N(mu, sigma^2) truncated to the raw interval (lower, upper)."""
-    if not sigma > 0.0:
-        raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
-    std = std_moments(Bounds((lower - mu) / sigma, (upper - mu) / sigma))
-    return mu + sigma * std.m1, sigma * sigma * std.m2
 
 
 def _rejection_draws(a: float, b: float, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -102,25 +102,6 @@ class Interval1D:
         return (x > self.lower) & (x < self.upper)
 
 
-@dataclass(frozen=True)
-class VerifierBias:
-    """Distance between the data-generating parameter and the verifier center."""
-
-    delta: float
-
-    def __post_init__(self):
-        if math.isnan(self.delta) or self.delta < 0.0:
-            raise InvalidBoundsError(f"bias magnitude must be >= 0, got {self.delta}")
-
-    @classmethod
-    def between(cls, true_theta: np.ndarray, center: np.ndarray) -> "VerifierBias":
-        t = np.asarray(true_theta, dtype=float)
-        c = np.asarray(center, dtype=float)
-        if t.shape != c.shape:
-            raise DimensionMismatchError(f"shape mismatch {t.shape} vs {c.shape}")
-        return cls(float(np.linalg.norm(t - c)))
-
-
 def verify_point(ball: KnowledgeBall, x: np.ndarray, y: float) -> bool:
     """Acceptance decision for one candidate pair; the boundary is accepted."""
     x = np.asarray(x, dtype=float)
@@ -128,8 +109,7 @@ def verify_point(ball: KnowledgeBall, x: np.ndarray, y: float) -> bool:
         raise DimensionMismatchError(
             f"covariate has shape {x.shape}, verifier expects ({ball.dimension},)"
         )
-    residual = abs(float(y) - float(x @ ball.center))
-    return residual <= ball.radius * float(np.linalg.norm(x)) + ball.slack
+    return bool(ball_acceptance(ball, x)(float(y)))
 
 
 def _as_unit(direction: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from verisynth import (
     config_from_mapping,
     derive_stream,
     estimate_contraction,
-    hitting_time,
+    initial_mean,
     ols_fit,
     one_step_prediction,
     output_basename,
@@ -45,6 +45,9 @@ from verisynth import (
     write_config,
 )
 from verisynth.cli import main
+from verisynth.gaussian1d import step_block
+from verisynth.linreg import BlockRound
+from verisynth.seeding import KeyedStreams
 
 from test_truncnorm import random_bounds
 
@@ -118,33 +121,73 @@ def test_criterion_02_derivative_identity(acceptance_report):
     assert elapsed < 2.0
 
 
-def test_criterion_03_one_step_risk_formula(acceptance_report):
-    seed, n1, reps = 1103, 100, 5000
+C3_SEED, C3_N1 = 1103, 100
+
+
+def criterion_03_problem():
+    """Criterion 3's design and its 12 (delta, r) cells, each as a one-round config."""
     theta = np.asarray(THETA_STAR)
-    covariates = derive_stream(seed, 0, 0, 0).standard_normal((N0, P))
+    covariates = derive_stream(C3_SEED, 0, 0, 0).standard_normal((N0, P))
     design = spectral_design(covariates)
-    u = derive_stream(seed, 0, 0, 1).standard_normal(P)
+    u = derive_stream(C3_SEED, 0, 0, 1).standard_normal(P)
     u /= np.linalg.norm(u)
     cells = [(delta, radius) for delta in (0.0, 0.5, 1.0, 2.0)
              for radius in (0.5, 1.0, 2.0)]
     configs = [
         LinRegConfig(P, theta, KnowledgeBall(theta + delta * u, radius, 0.0),
-                     SIGMA, N0, np.array([n1]))
+                     SIGMA, N0, np.array([C3_N1]))
         for delta, radius in cells
     ]
-    predictions = [one_step_prediction(design, theta, c.ball, SIGMA, n1)
+    return theta, covariates, design, cells, configs
+
+
+def criterion_03_squared_errors(theta, covariates, design, configs, reps):
+    """(cells x reps) squared errors after one round; each cell advances all
+    replications as one block. Replication rep fits its real data from stream
+    (rep, 0, 0) and draws direction j of the round from (rep, 1, j), as in
+    ``run_landscape``."""
+    theta0 = np.array([
+        ols_fit(Dataset(covariates, covariates @ theta + SIGMA
+                        * derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)))
+        for rep in range(1, reps + 1)
+    ])
+    keys = [(rep, 1, j) for rep in range(1, reps + 1) for j in range(1, P + 1)]
+    round1 = KeyedStreams(C3_SEED).derive(np.array(keys))
+    # every cell reads the same streams, so its inverse-CDF rows read the same uniforms
+    uniforms = np.empty((len(keys), C3_N1))
+    for row in range(len(keys)):
+        round1.stream(row).random(out=uniforms[row])
+    sq = np.empty((len(configs), reps))
+    for i, config in enumerate(configs):
+        theta1 = BlockRound(design, config)(theta0, C3_N1, round1.stream, round1.label,
+                                            uniforms)
+        sq[i] = np.sum((theta1 - theta) ** 2, axis=1)
+    return sq
+
+
+def test_criterion_03_block_path_equals_replication_loop():
+    theta, covariates, design, _, configs = criterion_03_problem()
+    reps = 200
+    loop = np.empty((len(configs), reps))
+    for rep in range(1, reps + 1):
+        noise = derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)
+        state0 = RetrainState(ols_fit(Dataset(covariates, covariates @ theta + SIGMA * noise)), 0)
+        for i, config in enumerate(configs):
+            streams = [derive_stream(C3_SEED, rep, 1, j) for j in range(1, P + 1)]
+            state1 = retrain_round(state0, design, config, C3_N1, streams)
+            loop[i, rep - 1] = np.sum((state1.theta_hat - theta) ** 2)
+    block = criterion_03_squared_errors(theta, covariates, design, configs, reps)
+    assert np.array_equal(block, loop)
+
+
+def test_criterion_03_one_step_risk_formula(acceptance_report):
+    reps = 5000
+    theta, covariates, design, cells, configs = criterion_03_problem()
+    predictions = [one_step_prediction(design, theta, c.ball, SIGMA, C3_N1)
                    for c in configs]
 
     start = time.perf_counter()
-    sq = np.empty((len(cells), reps))
-    for rep in range(1, reps + 1):
-        noise = derive_stream(seed, rep, 0, 0).standard_normal(N0)
-        y = covariates @ theta + SIGMA * noise
-        state0 = RetrainState(ols_fit(Dataset(covariates, y)), 0)
-        for i, cell_config in enumerate(configs):
-            streams = [derive_stream(seed, rep, 1, j) for j in range(1, P + 1)]
-            state1 = retrain_round(state0, design, cell_config, n1, streams)
-            sq[i, rep - 1] = np.sum((state1.theta_hat - theta) ** 2)
+    sq = criterion_03_squared_errors(theta, covariates, design, configs, reps)
     elapsed = time.perf_counter() - start
 
     worst_z = worst_rel = 0.0
@@ -345,23 +388,46 @@ def first_passage_oracle(checkpoints, *, upper, level, n0, n_per_round,
     return predicted
 
 
-def test_criterion_09_semi_infinite_divergence_speed(acceptance_report):
-    seeds, k_rounds, level, upper, n0, n = 200, 2000, -10.0, 1.0, 100, 50
-    checkpoints = (1000, 1500, 2000)
-    config = Gaussian1DConfig(
+C9_SEED = 1109
+
+
+def escape_config(k_rounds=2000, upper=1.0, n0=100, n=50):
+    """Criterion 9's process: the half-line verifier (-inf, upper], true mean 0, sigma 1."""
+    return Gaussian1DConfig(
         true_mean=0.0, sigma=1.0, interval=Interval1D(-math.inf, upper),
         n0=n0, schedule=np.full(k_rounds, n),
     )
-    times = []
-    for rep in range(1, seeds + 1):
-        traj = run_iterations(config, derive_stream(1109, rep, 0, 0))
-        times.append(hitting_time(traj, level))
+
+
+def escape_means(config, seeds):
+    """(seeds x rounds + 1) means; all seeds advance as one block, seed rep
+    on its own stream (rep, 0, 0), first for its real data, then every round."""
+    rngs = [derive_stream(C9_SEED, rep, 0, 0) for rep in range(1, seeds + 1)]
+    means = [np.array([initial_mean(config, rng) for rng in rngs])]
+    for n_k in config.schedule:
+        means.append(step_block(means[-1], config, int(n_k), rngs.__getitem__))
+    return np.stack(means, axis=1)
+
+
+def test_criterion_09_block_path_equals_seed_loop():
+    config, seeds = escape_config(), 20
+    loop = np.array([run_iterations(config, derive_stream(C9_SEED, rep, 0, 0)).means
+                     for rep in range(1, seeds + 1)])
+    assert np.array_equal(escape_means(config, seeds), loop)
+
+
+def test_criterion_09_semi_infinite_divergence_speed(acceptance_report):
+    seeds, k_rounds, level, upper, n0, n = 200, 2000, -10.0, 1.0, 100, 50
+    checkpoints = (1000, 1500, 2000)
+    config = escape_config(k_rounds, upper, n0, n)
+    # hitting_time's rule per seed: the first round whose mean is <= level
+    hits = escape_means(config, seeds) <= level
+    times = np.where(hits.any(axis=1), hits.argmax(axis=1), k_rounds + 1)
     predicted = first_passage_oracle(checkpoints, upper=upper, level=level,
                                      n0=n0, n_per_round=n)
     observed, z = {}, {}
     for k, q in predicted.items():
-        observed[k] = sum(1 for tau in times
-                          if tau is not None and tau <= k) / seeds
+        observed[k] = np.count_nonzero(times <= k) / seeds
         z[k] = (observed[k] - q) / math.sqrt(q * (1.0 - q) / seeds)
     ok = all(abs(v) <= 3.0 for v in z.values())
     acceptance_report(9, ok, f"semi-infinite escape to {level}, observed vs "

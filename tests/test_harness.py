@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from verisynth import (
     write_csv,
     write_json,
 )
+from verisynth import experiments
 from verisynth.cli import main
 from verisynth.output import format_cell
 
@@ -124,6 +126,12 @@ BAD_VALUES = [
     pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
                                           "end_or_ratio": 10.0, "rounds": 20}),
                  "last count", id="geometric-beyond-int64"),
+    # a last count of 1e18 at p = 2: 5e17 noise values per direction in one round
+    pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
+                                          "end_or_ratio": 10.0, "rounds": 19}),
+                 "1000000000000000000 noise values", id="geometric-noise-per-round"),
+    pytest.param(landscape_mapping(replications=10 ** 12),
+                 "1000000000000 replications", id="landscape-reps-huge"),
 ]
 
 COMMAND_FOR_KIND = {"landscape": "landscape", "iterate_linreg": "iterate",
@@ -446,6 +454,33 @@ class TestRunners:
         threaded = runner(config, threads=4)
         assert serial == threaded  # bit-identical floats, not just approx
 
+    def test_threads_bound_the_workers(self, monkeypatch):
+        # a stand-in pool records its size and runs each block inline: no thread starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        config = config_from_mapping(oned_mapping())  # 3 replications: 3 blocks
+        assert run_iterative(config, threads=10 ** 6) == run_iterative(config)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        run_iterative(config, threads=10 ** 6)
+        assert sizes == [3, 2]
+
 
 class TestEstimateContraction:
     def test_exact_geometric_decay(self):
@@ -540,8 +575,11 @@ class TestCli:
         path.write_text(yaml.safe_dump(mapping))
         assert main(["validate", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+        # the same replication count again, given by --reps over a file that has 1
+        path.write_text(yaml.safe_dump({**mapping, "replications": 1}))
         command = COMMAND_FOR_KIND[mapping["experiment"]]
-        assert main([command, "--config", str(path), "--seed", "3", "--reps", "2",
+        assert main([command, "--config", str(path), "--seed", "3",
+                     "--reps", str(mapping["replications"]),
                      "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from verisynth import (
-    FILTER_NONE,
     FILTER_REJECT,
     Dataset,
     DegenerateIntervalError,
@@ -24,7 +23,6 @@ from verisynth import (
     ols_fit,
     one_step_prediction,
     retrain_round,
-    run_retraining,
     spectral_design,
 )
 from verisynth.gaussian1d import retrain_step
@@ -56,7 +54,7 @@ class TestDataset:
         with pytest.raises(DimensionMismatchError):
             Dataset(np.zeros((3, 2)), np.zeros(4))
         d = Dataset(np.zeros((5, 2)), np.zeros(5))
-        assert (d.n, d.dimension) == (5, 2)
+        assert (d.covariates.shape, d.dimension) == ((5, 2), 2)
 
 
 class TestOlsFit:
@@ -341,35 +339,3 @@ class TestLongTermBound:
             long_term_bound(self.rho(), -1.0, np.array([10]), 1, 8.0)
         with pytest.raises(InvalidBoundsError):
             long_term_bound(self.rho(), 1.0, np.array([10]), 2, 8.0)
-
-
-class TestRunRetraining:
-    def test_zero_rounds_keeps_ols_state(self):
-        config = make_config(dimension=2, n0=40, schedule=())
-        traj = run_retraining(config, np.random.default_rng(30))
-        assert traj.theta.shape == (1, 2)
-        assert traj.verified_counts.tolist() == [40]
-        assert traj.bound[0] == pytest.approx(traj.dist_center[0] ** 2)
-        assert 0.0 < traj.rho < 1.0
-
-    def test_unfiltered_arm_has_no_bound(self):
-        config = make_config(dimension=2, n0=40, schedule=(20, 20),
-                             filter_mode=FILTER_NONE)
-        traj = run_retraining(config, np.random.default_rng(31))
-        assert math.isnan(traj.rho)
-        assert np.all(np.isnan(traj.bound))
-        assert np.all(np.isfinite(traj.theta))
-
-    def test_biased_ball_pulls_estimates_to_center(self):
-        center = np.array([2.0, 2.0, 2.0])
-        config = make_config(dimension=3, center=center, radius=0.5,
-                             n0=300, schedule=np.full(40, 400),
-                             true_theta=np.zeros(3))
-        traj = run_retraining(config, np.random.default_rng(32))
-        assert traj.dist_center[0] > 2.0          # starts near the true zero
-        assert traj.dist_center[-1] < traj.dist_center[0] / 4
-        assert traj.dist_center[-1] ** 2 <= 9.0 * traj.bound[-1]
-        assert traj.bound[-1] < traj.bound[0]
-        assert np.array_equal(traj.verified_counts,
-                              np.concatenate([[300], np.full(40, 400)]))
-        assert traj.rho == contraction_rate(config.ball, 1.0)

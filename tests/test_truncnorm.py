@@ -13,7 +13,6 @@ from verisynth import (
     acceptance_probability,
     quadrature_moments,
     sample_truncated,
-    shifted_moments,
     std_moments,
 )
 
@@ -60,11 +59,6 @@ class TestBounds:
     def test_shifted(self):
         b = Bounds(-1.0, 3.0).shifted(2.0)
         assert (b.lower, b.upper) == (-3.0, 1.0)
-
-    def test_properties(self):
-        assert Bounds(-1.0, 1.0).is_two_sided
-        assert not Bounds(0.0, math.inf).is_two_sided
-        assert Bounds(1.0, 4.0).width == 3.0
 
 
 class TestStdMoments:
@@ -156,33 +150,6 @@ class TestDerivativeIdentities:
                 vm = std_moments(b.shifted(x - h)).m2
                 m3 = std_moments(b.shifted(x)).m3
                 assert (vp - vm) / (2 * h) == pytest.approx(m3, abs=1e-6)
-
-
-class TestShiftedMoments:
-    def test_untruncated(self):
-        assert shifted_moments(0.0, 1.0, -math.inf, math.inf) == (0.0, 1.0)
-
-    def test_symmetric_window_mean_is_mu(self):
-        for t in (0.5, 1.0, 3.0):
-            mean, _ = shifted_moments(5.0, 2.0, 5.0 - 2.0 * t, 5.0 + 2.0 * t)
-            assert mean == pytest.approx(5.0, abs=1e-12)
-
-    def test_shift_of_unit_interval(self):
-        mean, var = shifted_moments(1.0, 1.0, 0.0, 2.0)
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert var == pytest.approx(M2_SYM1, abs=1e-12)
-
-    def test_translation_equivariance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            mu = rng.uniform(-4, 4)
-            sigma = rng.uniform(0.2, 3.0)
-            a = mu + sigma * rng.uniform(-5, 1)
-            b = a + sigma * rng.uniform(0.1, 6)
-            m = std_moments(Bounds((a - mu) / sigma, (b - mu) / sigma))
-            mean, var = shifted_moments(mu, sigma, a, b)
-            assert mean == pytest.approx(mu + sigma * m.m1, abs=1e-12)
-            assert var == pytest.approx(sigma ** 2 * m.m2, abs=1e-12)
 
 
 class TestAcceptanceProbability:

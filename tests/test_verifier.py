@@ -13,7 +13,6 @@ from verisynth import (
     InvalidBoundsError,
     KnowledgeBall,
     NonUnitDirectionError,
-    VerifierBias,
     acceptance_probability,
     contraction_rate,
     default_slack,
@@ -51,14 +50,6 @@ class TestInterval1D:
     def test_midpoint(self):
         assert Interval1D(-1.0, 3.0).midpoint == 1.0
         assert math.isnan(Interval1D(-math.inf, 1.0).midpoint)
-
-
-class TestVerifierBias:
-    def test_between(self):
-        bias = VerifierBias.between(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-        assert bias.delta == pytest.approx(2.0)
-        with pytest.raises(InvalidBoundsError):
-            VerifierBias(-0.1)
 
 
 class TestVerifyPoint:
@@ -118,7 +109,7 @@ class TestDirectionBounds:
                                  rng.uniform(0, 1))
             sigma = rng.uniform(0.3, 2.5)
             b = direction_bounds(ball, v, rng.normal(size=p), sigma)
-            assert b.width == pytest.approx(2 * (ball.radius + ball.slack) / sigma)
+            assert b.upper - b.lower == pytest.approx(2 * (ball.radius + ball.slack) / sigma)
 
     def test_unit_tolerance(self):
         ball = KnowledgeBall(np.zeros(2), 1.0, 0.0)
