@@ -60,7 +60,7 @@ def main() -> None:
 
     delta, r = 0.5, 1.0
     ball = KnowledgeBall(theta + delta * direction, r, 0.0)
-    config = LinRegConfig(p, theta, ball, sigma, n0, np.array([n1]))
+    config = LinRegConfig(ball, sigma)
     pred = one_step_prediction(design, theta, ball, sigma, n1)
     theta0 = np.array([
         ols_fit(Dataset(covariates, covariates @ theta

@@ -13,10 +13,10 @@ One config file describes one experiment. Top-level keys::
     landscape: {...}     # landscape only
 
 Unknown keys anywhere are hard errors naming the full dotted path. The only
-defaulted fields are ``problem.filter_mode`` (direct), the verifier slack
-(``ball.slack`` / ``landscape.sigma_c``, defaulting to sqrt(2/pi)*sigma),
-``schedule.unit`` (total), and ``landscape.log_ratio_of_means`` (false);
-loading resolves them, so a written config always spells every value out.
+defaulted fields are ``arms`` ([direct]), the verifier slack (``ball.slack`` /
+``landscape.sigma_c``, defaulting to sqrt(2/pi)*sigma), ``schedule.unit``
+(total), and ``landscape.log_ratio_of_means`` (false); loading resolves them,
+so a written config always spells every value out.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from typing import Any, Mapping
 import yaml
 
 from .errors import ConfigError
-from .gaussian1d import FILTER_DIRECT
-from .linreg import FILTER_MODES
+from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE
 from .schedules import KIND_FIXED, SCHEDULE_KINDS, SCHEDULE_UNITS, UNIT_TOTAL, Schedule
 from .seeding import MAX_INDEX
 from .verifier import default_slack
@@ -57,7 +56,6 @@ class ExperimentConfig:
     master_seed: int
     sigma: float
     n0: int
-    filter_mode: str
     # linreg / landscape problems
     dimension: int | None = None
     true_theta: tuple[float, ...] | None = None
@@ -88,10 +86,6 @@ class ExperimentConfig:
                f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")
         _check(math.isfinite(self.sigma) and self.sigma > 0.0, "problem.sigma must be > 0")
         _check(self.n0 >= 1, "problem.n0 must be >= 1")
-        _check(
-            self.filter_mode in FILTER_MODES,
-            f"problem.filter_mode must be one of {FILTER_MODES}",
-        )
         if self.kind == KIND_ITERATE_1D:
             _check(self.true_mean is not None and math.isfinite(self.true_mean),
                    "problem.true_mean must be finite")
@@ -143,14 +137,10 @@ class ExperimentConfig:
                 _check(arm in FILTER_MODES, f"unknown arm {arm!r}")
         if self.kind == KIND_ITERATE_1D:
             _check(
-                len(self.arms) == 1 and self.arms[0] != "none" and self.filter_mode != "none",
+                len(self.arms) == 1 and self.arms[0] != FILTER_NONE,
                 "arms: 1-D experiments run a single verified arm (direct or reject)",
             )
         if self.kind == KIND_LANDSCAPE:
-            _check(
-                self.filter_mode == FILTER_DIRECT,
-                "landscape experiments support only filter_mode 'direct'",
-            )
             _check(
                 self.delta_values is not None and len(self.delta_values) > 0,
                 "landscape.delta_values must be nonempty",
@@ -163,8 +153,10 @@ class ExperimentConfig:
                 all(0.0 <= d < math.inf for d in self.delta_values),
                 "landscape.delta_values must be finite and >= 0",
             )
-            _check(all(r > 0.0 for r in self.r_values), "landscape.r_values must be > 0")
-            _check(self.sigma_c is not None and self.sigma_c >= 0.0, "sigma_c must be >= 0")
+            _check(all(0.0 < r < math.inf for r in self.r_values),
+                   "landscape.r_values must be finite and > 0")
+            _check(self.sigma_c is not None and 0.0 <= self.sigma_c < math.inf,
+                   "landscape.sigma_c must be finite and >= 0")
             _check(self.n1 is not None and self.n1 >= 1, "landscape.n1 must be >= 1")
         self._check_work()
 
@@ -189,8 +181,7 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict[str, Any]:
         """Plain nested mapping mirroring the file schema, fully resolved."""
-        problem: dict[str, Any] = {"sigma": self.sigma, "n0": self.n0,
-                                   "filter_mode": self.filter_mode}
+        problem: dict[str, Any] = {"sigma": self.sigma, "n0": self.n0}
         out: dict[str, Any] = {
             "experiment": self.kind,
             "replications": self.replications,
@@ -342,16 +333,12 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
 
     problem = raw["problem"]
     if kind == KIND_ITERATE_1D:
-        _section(problem, "problem", {"true_mean", "sigma", "n0", "filter_mode"},
+        _section(problem, "problem", {"true_mean", "sigma", "n0"},
                  {"true_mean", "sigma", "n0"})
     else:
-        _section(problem, "problem",
-                 {"dimension", "true_theta", "sigma", "n0", "filter_mode"},
+        _section(problem, "problem", {"dimension", "true_theta", "sigma", "n0"},
                  {"dimension", "true_theta", "sigma", "n0"})
     sigma = _number(problem, "problem", "sigma")
-    filter_mode = problem.get("filter_mode", FILTER_DIRECT)
-    if filter_mode not in FILTER_MODES:
-        raise ConfigError(f"problem.filter_mode must be one of {FILTER_MODES}, got {filter_mode!r}")
 
     values: dict[str, Any] = {
         "kind": kind,
@@ -359,7 +346,6 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
         "master_seed": _integer(raw, "", "master_seed"),
         "sigma": sigma,
         "n0": _integer(problem, "problem", "n0"),
-        "filter_mode": filter_mode,
     }
     if kind == KIND_ITERATE_1D:
         values["true_mean"] = _number(problem, "problem", "true_mean")
@@ -394,7 +380,7 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
         if "schedule" not in raw:
             raise ConfigError("missing required config section 'schedule'")
         values["schedule"] = _parse_schedule(raw["schedule"])
-        arms = raw.get("arms", [filter_mode])
+        arms = raw.get("arms", [FILTER_DIRECT])
         if not isinstance(arms, (list, tuple)):
             raise ConfigError("arms must be a list of filter modes")
         values["arms"] = tuple(arms)

@@ -71,6 +71,11 @@ CONTRACTION_BURN_IN = 10
 #: cut so that (replications x directions x per-direction count) stays below
 BLOCK_ELEMENTS = 2 ** 18
 
+#: fewest noise values a block draws in one round to get a worker of its own;
+#: a smaller block costs more in the kernel's per-round Python overhead, paid
+#: under the GIL, than a second worker saves
+MIN_BLOCK_NOISE = 2 ** 13
+
 #: most stream keys derived in one call
 KEY_CHUNK = 2 ** 14
 
@@ -106,9 +111,13 @@ def resolve_ball(config: ExperimentConfig) -> KnowledgeBall:
 # replication blocks
 
 
-def _blocks(replications: int, threads: int, elements_per_rep: int) -> list[range]:
-    """Contiguous 1-based replication ranges: one per thread, cut to BLOCK_ELEMENTS."""
-    size = min(math.ceil(replications / threads), max(1, BLOCK_ELEMENTS // elements_per_rep))
+def _blocks(replications: int, threads: int, noise_per_rep: int) -> list[range]:
+    """Contiguous 1-based replication ranges, cut to BLOCK_ELEMENTS: one per
+    worker that can run (``threads``, at most one per CPU) and that gets at
+    least MIN_BLOCK_NOISE noise values per round."""
+    workers = min(threads, os.cpu_count() or 1,
+                  max(1, replications * noise_per_rep // MIN_BLOCK_NOISE))
+    size = min(math.ceil(replications / workers), max(1, BLOCK_ELEMENTS // noise_per_rep))
     return [range(start, min(start + size, replications + 1))
             for start in range(1, replications + 1, size)]
 
@@ -222,10 +231,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 
     degenerate = np.array([ball is None for ball, _ in cells])
     cell_rounds = [
-        None if ball is None else BlockRound(design, LinRegConfig(
-            dimension=p, true_theta=theta, ball=ball, sigma=config.sigma,
-            n0=config.n0, schedule=np.array([config.n1]),
-        ))
+        None if ball is None else BlockRound(design, LinRegConfig(ball, config.sigma))
         for ball, _ in cells
     ]
     norm0 = np.empty(reps)
@@ -309,13 +315,8 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
     k_rounds = per_dir.size
     theory = _linreg_theory(config, design, ball, per_dir)
 
-    arm_rounds = {
-        arm: BlockRound(design, LinRegConfig(
-            dimension=p, true_theta=theta, ball=ball, sigma=config.sigma,
-            n0=config.n0, schedule=per_dir, filter_mode=arm,
-        ))
-        for arm in config.arms
-    }
+    arm_rounds = {arm: BlockRound(design, LinRegConfig(ball, config.sigma, arm))
+                  for arm in config.arms}
     sq_star = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
     sq_center = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
 

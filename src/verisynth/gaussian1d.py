@@ -69,16 +69,13 @@ class Trajectory1D:
     """Per-round records of one scalar retraining run.
 
     Index k = 0 is the real-data estimate; k >= 1 follows retraining rounds.
-    ``verified_counts[k]`` is the sample count that produced ``means[k]``
-    (n0 at k = 0, schedule[k-1] afterwards). ``dist_midpoint`` is |mean -
-    interval midpoint|, NaN when the interval has no finite midpoint.
+    ``dist_midpoint`` is |mean - interval midpoint|, NaN when the interval has
+    no finite midpoint.
     """
 
     rounds: np.ndarray
     means: np.ndarray
-    std_errors: np.ndarray
     dist_midpoint: np.ndarray
-    verified_counts: np.ndarray
 
     def __len__(self) -> int:
         return int(self.rounds.size)
@@ -115,20 +112,15 @@ def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajec
     """Full trajectory: real-data estimate followed by len(schedule) retraining rounds."""
     mid = config.interval.midpoint
     means = np.empty(config.rounds + 1)
-    counts = np.empty(config.rounds + 1, dtype=int)
     means[0] = initial_mean(config, rng)
-    counts[0] = config.n0
     streams = [rng].__getitem__
     for k, n_k in enumerate(config.schedule, start=1):
         try:
             means[k] = step_block(means[k - 1 : k], config, int(n_k), streams)[0]
         except VerisynthError as exc:
             raise type(exc)(f"retraining round {k}: {exc}") from exc
-        counts[k] = n_k
-    rounds = np.arange(config.rounds + 1)
-    eps = (means - config.true_mean) / config.sigma
     dist = np.abs(means - mid) if math.isfinite(mid) else np.full_like(means, math.nan)
-    return Trajectory1D(rounds, means, eps, dist, counts)
+    return Trajectory1D(np.arange(config.rounds + 1), means, dist)
 
 
 def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:

@@ -109,49 +109,20 @@ class RetrainState:
 
 @dataclass(frozen=True)
 class LinRegConfig:
-    """Regression retraining problem.
-
-    ``schedule`` holds per-direction verified counts for each round. ``sigma``
-    may be zero only in NONE (unfiltered) mode, where the update is exact.
+    """One verified retraining round: the verifier ball, the noise scale and
+    the filter mode. ``sigma`` may be zero only in NONE (unfiltered) mode,
+    where the update is exact.
     """
 
-    dimension: int
-    true_theta: np.ndarray
     ball: KnowledgeBall
     sigma: float
-    n0: int
-    schedule: np.ndarray
     filter_mode: str = FILTER_DIRECT
 
     def __post_init__(self):
-        theta = np.asarray(self.true_theta, dtype=float)
-        if theta.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"true_theta shape {theta.shape} vs dimension {self.dimension}"
-            )
-        if self.ball.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"ball dimension {self.ball.dimension} vs problem dimension {self.dimension}"
-            )
         if self.filter_mode not in FILTER_MODES:
             raise InvalidBoundsError(f"unknown filter mode {self.filter_mode!r}")
         if self.sigma < 0.0 or (self.sigma == 0.0 and self.filter_mode != FILTER_NONE):
             raise InvalidBoundsError("sigma must be > 0 (>= 0 allowed only in NONE mode)")
-        if self.n0 < 1:
-            raise InvalidBoundsError(f"n0 must be >= 1, got {self.n0}")
-        schedule = np.asarray(self.schedule, dtype=int)
-        if schedule.ndim != 1:
-            raise InvalidBoundsError("schedule must be a 1-D integer array (may be empty)")
-        if np.any(schedule < 1):
-            raise InvalidBoundsError("schedule entries must be >= 1")
-        if np.any(np.diff(schedule) < 0):
-            raise InvalidBoundsError("schedule must be non-decreasing")
-        object.__setattr__(self, "true_theta", theta)
-        object.__setattr__(self, "schedule", schedule)
-
-    @property
-    def rounds(self) -> int:
-        return int(self.schedule.size)
 
 
 def ols_fit(data: Dataset) -> np.ndarray:
@@ -201,6 +172,10 @@ class BlockRound:
     """
 
     def __init__(self, design: SpectralDesign, config: LinRegConfig):
+        if config.ball.dimension != design.dimension:
+            raise DimensionMismatchError(
+                f"ball dimension {config.ball.dimension} vs design dimension {design.dimension}"
+            )
         self.directions = design.directions
         self.config = config
         mode = config.filter_mode

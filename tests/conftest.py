@@ -6,6 +6,8 @@ stdout.
 """
 import pytest
 
+from verisynth import experiments
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -19,6 +21,14 @@ def acceptance_report():
         print(line)
 
     return record
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    """Give every thread a block of its own, however little work it holds, on
+    a machine of 8 CPUs: the threaded path runs on any machine."""
+    monkeypatch.setattr(experiments, "MIN_BLOCK_NOISE", 1)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -134,8 +134,7 @@ def criterion_03_problem():
     cells = [(delta, radius) for delta in (0.0, 0.5, 1.0, 2.0)
              for radius in (0.5, 1.0, 2.0)]
     configs = [
-        LinRegConfig(P, theta, KnowledgeBall(theta + delta * u, radius, 0.0),
-                     SIGMA, N0, np.array([C3_N1]))
+        LinRegConfig(KnowledgeBall(theta + delta * u, radius, 0.0), SIGMA)
         for delta, radius in cells
     ]
     return theta, covariates, design, cells, configs
@@ -457,7 +456,7 @@ def test_criterion_10_empirical_contraction_rate(acceptance_report,
     assert rel < 0.15
 
 
-def test_criterion_11_thread_count_determinism(acceptance_report, tmp_path):
+def test_criterion_11_thread_count_determinism(acceptance_report, tmp_path, split_blocks):
     cases = {
         "iterate": iterate_mapping(
             replications=8,

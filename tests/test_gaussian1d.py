@@ -222,16 +222,14 @@ class TestTrajectories:
         config = make_config(schedule=np.array([], dtype=int))
         traj = run_iterations(config, np.random.default_rng(61))
         assert len(traj) == 1
-        assert traj.verified_counts.tolist() == [100]
         assert traj.rounds.tolist() == [0]
 
     def test_shapes_counts_and_distances(self):
         config = make_config(schedule=np.array([50, 60, 70]))
         traj = run_iterations(config, np.random.default_rng(62))
         assert len(traj) == 4
-        assert traj.verified_counts.tolist() == [100, 50, 60, 70]
+        assert traj.rounds.tolist() == [0, 1, 2, 3]
         assert np.allclose(traj.dist_midpoint, np.abs(traj.means - 0.0))
-        assert np.allclose(traj.std_errors, traj.means)  # mu=0, sigma=1
 
     def test_semi_infinite_midpoint_distance_is_nan(self):
         config = make_config(interval=Interval1D(-math.inf, 1.0),
@@ -259,8 +257,7 @@ class TestHittingTime:
     def make_traj(self, means):
         means = np.asarray(means, dtype=float)
         k = means.size
-        return Trajectory1D(np.arange(k), means, means.copy(),
-                            np.abs(means), np.full(k, 10))
+        return Trajectory1D(np.arange(k), means, np.abs(means))
 
     def test_downward_crossing(self):
         assert hitting_time(self.make_traj([0.0, -5.0, -12.0]), -10.0) == 2

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,12 @@ BAD_VALUES = [
     pytest.param(landscape_mapping(landscape={"delta_values": [0.0, math.inf],
                                               "r_values": [0.6], "n1": 60}),
                  "landscape.delta_values", id="landscape-delta-inf"),
+    pytest.param(landscape_mapping(landscape={"delta_values": [0.0], "r_values": [math.inf],
+                                              "n1": 60}),
+                 "landscape.r_values", id="landscape-r-inf"),
+    pytest.param(landscape_mapping(landscape={"delta_values": [0.0], "r_values": [0.6],
+                                              "n1": 60, "sigma_c": math.inf}),
+                 "landscape.sigma_c", id="landscape-sigma_c-inf"),
     pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 1,
                                         "end_or_ratio": 1e300, "rounds": 5}),
                  "last count", id="geometric-overflow"),
@@ -133,6 +140,8 @@ BAD_VALUES = [
     pytest.param(landscape_mapping(replications=10 ** 12),
                  "1000000000000 replications", id="landscape-reps-huge"),
 ]
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 COMMAND_FOR_KIND = {"landscape": "landscape", "iterate_linreg": "iterate",
                     "iterate_1d": "gaussian1d"}
@@ -245,7 +254,6 @@ class TestConfigParsing:
 
     def test_defaults_are_resolved(self):
         config = config_from_mapping(linreg_mapping())
-        assert config.filter_mode == "direct"
         assert config.slack == pytest.approx(math.sqrt(2.0 / math.pi))
         assert config.schedule.unit == "total"
         land = config_from_mapping(landscape_mapping())
@@ -314,11 +322,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="end_or_ratio"):
             config_from_mapping(raw)
 
-    def test_landscape_filter_mode_must_be_direct(self):
-        raw = landscape_mapping()
-        raw["problem"]["filter_mode"] = "reject"
-        with pytest.raises(ConfigError, match="filter_mode"):
-            config_from_mapping(raw)
+    def test_filter_mode_key_is_unknown(self, tmp_path, capsys):
+        # arms is the one filter setting; the old problem-level key is refused
+        for mapping in (landscape_mapping(), linreg_mapping(), oned_mapping()):
+            mapping["problem"]["filter_mode"] = "direct"
+            path = tmp_path / "old.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            assert main(["validate", "--config", str(path)]) == 2
+            assert "unknown config key 'problem.filter_mode'" in capsys.readouterr().err
 
     def test_overrides(self):
         config = config_from_mapping(linreg_mapping())
@@ -448,7 +459,7 @@ class TestRunners:
         (linreg_mapping(), run_iterative),
         (oned_mapping(), run_iterative),
     ])
-    def test_thread_count_does_not_change_results(self, mapping, runner):
+    def test_thread_count_does_not_change_results(self, mapping, runner, split_blocks):
         config = config_from_mapping(mapping)
         serial = runner(config, threads=1)
         threaded = runner(config, threads=4)
@@ -474,12 +485,25 @@ class TestRunners:
                 return future
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments, "MIN_BLOCK_NOISE", 1)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         config = config_from_mapping(oned_mapping())  # 3 replications: 3 blocks
         assert run_iterative(config, threads=10 ** 6) == run_iterative(config)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         run_iterative(config, threads=10 ** 6)
         assert sizes == [3, 2]
+
+    def test_blocks_follow_workers_and_work(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        blocks = experiments._blocks
+        # the bench workloads at 2 threads: (replications, noise values per round)
+        assert blocks(40, 2, 800) == [range(1, 21), range(21, 41)]  # landscape
+        assert blocks(10, 2, 5496) == [range(1, 6), range(6, 11)]  # iterate_linreg
+        assert blocks(5, 2, 50) == [range(1, 6)]  # gaussian1d_long
+        assert blocks(30, 2, 16) == [range(1, 31)]  # selective_reject
+        # never more blocks than CPUs, unless a block would exceed BLOCK_ELEMENTS
+        assert blocks(200, 64, 1000) == [range(1, 101), range(101, 201)]
+        assert len(blocks(8, 1, experiments.BLOCK_ELEMENTS)) == 8
 
 
 class TestEstimateContraction:
@@ -545,6 +569,14 @@ class TestCli:
         assert main(["validate", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "config OK: iterate_1d" in out
+
+    # the divergence config's n1 = 50 lies outside the one-step expansion's regime
+    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_config_validates(self, path, capsys):
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["theory", "--config", str(path)]) == 0
+        assert "experiment:" in capsys.readouterr().out
 
     def test_validate_rejects_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -110,8 +110,7 @@ def test_round_equals_direction_loop(mode, shared):
         # zero radius, tiny slack: low acceptance mass, the sampler's rejection branch
         radius, slack = (0.0, 0.001) if case % 3 == 0 and mode == "direct" else (0.6, 0.3)
         center = theta + 0.5 * rng.standard_normal(p)
-        config = LinRegConfig(p, theta, KnowledgeBall(center, radius, slack), 1.2, 10,
-                              np.array([5]), filter_mode=mode)
+        config = LinRegConfig(KnowledgeBall(center, radius, slack), 1.2, filter_mode=mode)
         n_k = int(rng.integers(1, 40))
 
         def rngs():
@@ -166,7 +165,11 @@ def round_streams(config, rep, k):
 
 
 def reference_landscape(config):
-    """(log_ratio_mean, log_ratio_se, status) per cell, one replication at a time."""
+    """(log_ratio_mean, log_ratio_se, status) per cell, one replication at a time.
+
+    With ``log_ratio_of_means`` the statistic is log(mean ||err0|| / mean ||err1||)
+    and its standard error the delta method's, from the covariance of the norms.
+    """
     theta = np.asarray(config.true_theta)
     covariates = design_matrix(config)
     design = spectral_design(covariates)
@@ -181,8 +184,7 @@ def reference_landscape(config):
         norm0[rep - 1] = np.linalg.norm(theta_hat - theta)
         for i, (delta, radius) in enumerate(cells):
             ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
-            cell = LinRegConfig(config.dimension, theta, ball, config.sigma, config.n0,
-                                np.array([config.n1]))
+            cell = LinRegConfig(ball, config.sigma)
             try:  # a cell degenerate at the truth or for a replication keeps NaN
                 one_step_prediction(design, theta, ball, config.sigma, config.n1)
                 state = retrain_round(RetrainState(theta_hat, 0), design, cell, config.n1,
@@ -194,6 +196,11 @@ def reference_landscape(config):
     for i in range(len(cells)):
         if np.any(~np.isfinite(norm1[i])):
             out.append((math.nan, math.nan, "degenerate"))
+        elif config.log_ratio_of_means:
+            m0, m1 = norm0.mean(), norm1[i].mean()
+            cov = np.cov(np.stack([norm0, norm1[i]]))
+            grad = np.array([1.0 / m0, -1.0 / m1])
+            out.append((math.log(m0 / m1), math.sqrt(grad @ cov @ grad / reps), "ok"))
         else:
             mean, se = stats(np.log(norm0 / norm1[i])[:, None])
             out.append((float(mean[0]), float(se[0]), "ok"))
@@ -211,8 +218,7 @@ def reference_trajectory(config):
     reps, k_rounds = config.replications, per_dir.size
     out = {}
     for arm in config.arms:
-        arm_config = LinRegConfig(p, theta, ball, config.sigma, config.n0, per_dir,
-                                  filter_mode=arm)
+        arm_config = LinRegConfig(ball, config.sigma, filter_mode=arm)
         star = np.empty((reps, k_rounds + 1))
         center = np.empty((reps, k_rounds + 1))
         for rep in range(1, reps + 1):
@@ -263,7 +269,7 @@ def fast_switching():
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_landscape_equals_replication_loop(threads, fast_switching):
+def test_landscape_equals_replication_loop(threads, fast_switching, split_blocks):
     config = config_from_mapping({
         "experiment": "landscape", "replications": 7, "master_seed": 31,
         "problem": PROBLEM,
@@ -278,6 +284,17 @@ def test_landscape_equals_replication_loop(threads, fast_switching):
         assert same(row["log_ratio_mean"], mean) and same(row["log_ratio_se"], se)
     assert {row["status"] for row in rows} == {"ok", "degenerate"}
 
+    # the log of mean errors, computed in a different order: equal to 1e-12
+    mapping = config.to_mapping()
+    mapping["landscape"]["log_ratio_of_means"] = True
+    ratio = config_from_mapping(mapping)
+    rows = run_landscape(ratio, threads=threads)
+    for row, (mean, se, status) in zip(rows, reference_landscape(ratio)):
+        assert row["status"] == status
+        assert row["log_ratio_mean"] == pytest.approx(mean, rel=1e-12, nan_ok=True)
+        assert row["log_ratio_se"] == pytest.approx(se, rel=1e-12, nan_ok=True)
+    assert {row["status"] for row in rows} == {"ok", "degenerate"}
+
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("ball,schedule,arms", [
@@ -289,7 +306,8 @@ def test_landscape_equals_replication_loop(threads, fast_switching):
      {"kind": "fixed", "start": 2, "rounds": 3, "unit": "per_direction"},
      ["direct"]),
 ])
-def test_trajectory_equals_replication_loop(threads, ball, schedule, arms, fast_switching):
+def test_trajectory_equals_replication_loop(threads, ball, schedule, arms, fast_switching,
+                                           split_blocks):
     config = config_from_mapping({
         "experiment": "iterate_linreg", "replications": 7, "master_seed": 32,
         "problem": PROBLEM, "ball": ball, "schedule": schedule, "arms": arms,
@@ -307,7 +325,7 @@ def test_trajectory_equals_replication_loop(threads, ball, schedule, arms, fast_
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("arm", ["direct", "reject"])
-def test_one_dimensional_equals_replication_loop(threads, arm, fast_switching):
+def test_one_dimensional_equals_replication_loop(threads, arm, fast_switching, split_blocks):
     config = config_from_mapping({
         "experiment": "iterate_1d", "replications": 7, "master_seed": 33,
         "problem": {"true_mean": 0.0, "sigma": 1.0, "n0": 30},

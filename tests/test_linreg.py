@@ -26,23 +26,18 @@ from verisynth import (
     spectral_design,
 )
 from verisynth.gaussian1d import retrain_step
+from verisynth.linreg import BlockRound
 
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
 
 def make_config(dimension=2, radius=1.0, slack=0.0, center=None, sigma=1.0,
-                n0=100, schedule=(200,), filter_mode="direct", true_theta=None):
-    if true_theta is None:
-        true_theta = np.zeros(dimension)
+                filter_mode="direct"):
     if center is None:
         center = np.zeros(dimension)
     return LinRegConfig(
-        dimension=dimension,
-        true_theta=np.asarray(true_theta, dtype=float),
         ball=KnowledgeBall(np.asarray(center, dtype=float), radius, slack),
         sigma=sigma,
-        n0=n0,
-        schedule=np.asarray(schedule, dtype=int),
         filter_mode=filter_mode,
     )
 
@@ -143,18 +138,14 @@ class TestConfigValidation:
         assert make_config(sigma=0.0, filter_mode="none").sigma == 0.0
 
     def test_dimension_mismatches(self):
-        with pytest.raises(DimensionMismatchError):
-            make_config(dimension=2, true_theta=np.zeros(3))
-        with pytest.raises(DimensionMismatchError):
-            LinRegConfig(2, np.zeros(2), KnowledgeBall(np.zeros(3), 1.0, 0.0),
-                         1.0, 10, np.array([5]))
-
-    def test_schedule_rules(self):
-        with pytest.raises(InvalidBoundsError):
-            make_config(schedule=(5, 3))
-        with pytest.raises(InvalidBoundsError):
-            make_config(schedule=(0,))
-        assert make_config(schedule=()).rounds == 0
+        # the ball must live in the design's space, or no round can run
+        design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
+        config = make_config(dimension=3)
+        with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
+            BlockRound(design, config)
+        with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
+            retrain_round(RetrainState(np.zeros(2), 0), design, config, 5,
+                          np.random.default_rng(0))
 
 
 class TestRetrainRound:
@@ -166,7 +157,7 @@ class TestRetrainRound:
         theta_hat = np.array([0.3, -0.2])
         for mode in ("direct", "reject"):
             config = make_config(radius=radius, slack=slack, center=center,
-                                 sigma=sigma, schedule=(64,), filter_mode=mode)
+                                 sigma=sigma, filter_mode=mode)
             state = retrain_round(
                 RetrainState(theta_hat, 0), design, config, 64,
                 [np.random.default_rng(900), np.random.default_rng(901)],
@@ -302,8 +293,7 @@ class TestOneStepPrediction:
         for i in range(reps):
             y = x @ theta_star + sigma * rng.standard_normal(100)
             state = RetrainState(ols_fit(Dataset(x, y)), 0)
-            config = LinRegConfig(4, theta_star, ball, sigma, 100,
-                                  np.array([n1]))
+            config = LinRegConfig(ball, sigma)
             new = retrain_round(state, design, config, n1, rng)
             sq[i] = np.sum((new.theta_hat - theta_star) ** 2)
         pred = one_step_prediction(design, theta_star, ball, sigma, n1)
