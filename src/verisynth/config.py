@@ -12,6 +12,12 @@ One config file describes one experiment. Top-level keys::
     arms: [...]          # iterate kinds, optional
     landscape: {...}     # landscape only
 
+``LAYOUT`` is the one place this layout lives: one row per ``ExperimentConfig``
+field, in file order, with the field's dotted path, the kinds it applies to,
+its reader and its default. The parser, the presence checks of
+``ExperimentConfig`` and ``to_mapping`` each loop over it; value ranges are
+checked in ``ExperimentConfig`` alone.
+
 Unknown keys anywhere are hard errors naming the full dotted path. The only
 defaulted fields are ``arms`` ([direct]), the verifier slack (``ball.slack`` /
 ``landscape.sigma_c``, defaulting to sqrt(2/pi)*sigma), ``schedule.unit``
@@ -21,8 +27,8 @@ so a written config always spells every value out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Iterable, Mapping
 
 import yaml
 
@@ -37,7 +43,7 @@ KIND_ITERATE_LINREG = "iterate_linreg"
 KIND_ITERATE_1D = "iterate_1d"
 EXPERIMENT_KINDS = (KIND_LANDSCAPE, KIND_ITERATE_LINREG, KIND_ITERATE_1D)
 
-#: most noise values one replication may draw in one round
+#: most values one replication may draw or hold in one round, the real data included
 MAX_ROUND_NOISE = 2 ** 24
 #: most floats the per-replication results of one run may hold
 MAX_RESULT_FLOATS = 2 ** 28
@@ -79,99 +85,74 @@ class ExperimentConfig:
     log_ratio_of_means: bool | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        _kind(self.kind, "experiment", {})
+        for field, path, kinds, _, default in LAYOUT:
+            value = getattr(self, field)
+            if self.kind not in kinds:
+                _check(value is None, f"{path} does not apply to {self.kind} experiments")
+            elif default is not None:
+                _check(value is not None, f"missing required config key {path!r}")
         _check(self.replications >= 1, "replications must be >= 1")
         _check(0 <= self.master_seed <= MAX_INDEX,
                f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")
         _check(math.isfinite(self.sigma) and self.sigma > 0.0, "problem.sigma must be > 0")
         _check(self.n0 >= 1, "problem.n0 must be >= 1")
         if self.kind == KIND_ITERATE_1D:
-            _check(self.true_mean is not None and math.isfinite(self.true_mean),
-                   "problem.true_mean must be finite")
-            _check(
-                self.interval_lower is not None and self.interval_upper is not None,
-                "interval.lower and interval.upper are required",
-            )
-            _check(
-                self.interval_lower < self.interval_upper,
-                "interval.lower must be < interval.upper",
-            )
+            _check(math.isfinite(self.true_mean), "problem.true_mean must be finite")
+            _check(self.interval_lower < self.interval_upper,
+                   "interval.lower must be < interval.upper")
         else:
-            _check(
-                self.dimension is not None and self.dimension >= 1,
-                "problem.dimension must be >= 1",
-            )
-            _check(
-                self.true_theta is not None and len(self.true_theta) == self.dimension,
-                "problem.true_theta must have length problem.dimension",
-            )
+            _check(self.dimension >= 1, "problem.dimension must be >= 1")
+            _check(len(self.true_theta) == self.dimension,
+                   "problem.true_theta must have length problem.dimension")
             _check(_finite(self.true_theta), "problem.true_theta must be finite")
             _check(self.n0 >= self.dimension, "problem.n0 must be >= problem.dimension")
         if self.kind == KIND_ITERATE_LINREG:
-            _check(
-                self.ball_radius is not None and 0.0 <= self.ball_radius < math.inf,
-                "ball.radius must be finite and >= 0",
-            )
-            has_delta = self.ball_delta is not None
-            has_center = self.ball_center is not None
-            _check(has_delta != has_center, "ball needs exactly one of delta / center")
-            if has_delta:
+            _check(0.0 <= self.ball_radius < math.inf, "ball.radius must be finite and >= 0")
+            _check((self.ball_delta is None) != (self.ball_center is None),
+                   "ball needs exactly one of 'delta' / 'center'")
+            if self.ball_delta is not None:
                 _check(0.0 <= self.ball_delta < math.inf, "ball.delta must be finite and >= 0")
             else:
-                _check(
-                    len(self.ball_center) == self.dimension,
-                    "ball.center must have length problem.dimension",
-                )
+                _check(len(self.ball_center) == self.dimension,
+                       "ball.center must have length problem.dimension")
                 _check(_finite(self.ball_center), "ball.center must be finite")
-            _check(self.slack is not None and 0.0 <= self.slack < math.inf,
-                   "ball.slack must be finite and >= 0")
+            _check(0.0 <= self.slack < math.inf, "ball.slack must be finite and >= 0")
             _check(self.ball_radius + self.slack > 0.0, "ball.radius + ball.slack must be > 0")
-        if self.kind in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
-            _check(self.schedule is not None, "schedule section is required")
-            _check(self.arms is not None and len(self.arms) >= 1, "arms must be nonempty")
-            _check(
-                len(set(self.arms)) == len(self.arms), "arms must not repeat a filter mode"
-            )
-            for arm in self.arms:
-                _check(arm in FILTER_MODES, f"unknown arm {arm!r}")
-        if self.kind == KIND_ITERATE_1D:
-            _check(
-                len(self.arms) == 1 and self.arms[0] != FILTER_NONE,
-                "arms: 1-D experiments run a single verified arm (direct or reject)",
-            )
         if self.kind == KIND_LANDSCAPE:
-            _check(
-                self.delta_values is not None and len(self.delta_values) > 0,
-                "landscape.delta_values must be nonempty",
-            )
-            _check(
-                self.r_values is not None and len(self.r_values) > 0,
-                "landscape.r_values must be nonempty",
-            )
-            _check(
-                all(0.0 <= d < math.inf for d in self.delta_values),
-                "landscape.delta_values must be finite and >= 0",
-            )
+            _check(len(self.delta_values) > 0, "landscape.delta_values must be nonempty")
+            _check(len(self.r_values) > 0, "landscape.r_values must be nonempty")
+            _check(all(0.0 <= d < math.inf for d in self.delta_values),
+                   "landscape.delta_values must be finite and >= 0")
             _check(all(0.0 < r < math.inf for r in self.r_values),
                    "landscape.r_values must be finite and > 0")
-            _check(self.sigma_c is not None and 0.0 <= self.sigma_c < math.inf,
-                   "landscape.sigma_c must be finite and >= 0")
-            _check(self.n1 is not None and self.n1 >= 1, "landscape.n1 must be >= 1")
+            _check(0.0 <= self.sigma_c < math.inf, "landscape.sigma_c must be finite and >= 0")
+            _check(self.n1 >= 1, "landscape.n1 must be >= 1")
+        else:
+            _check(len(self.arms) >= 1, "arms must be nonempty")
+            _check(len(set(self.arms)) == len(self.arms), "arms must not repeat a filter mode")
+            for arm in self.arms:
+                _check(arm in FILTER_MODES, f"unknown arm {arm!r}")
+            _check(self.kind == KIND_ITERATE_LINREG
+                   or (len(self.arms) == 1 and self.arms[0] != FILTER_NONE),
+                   "arms: 1-D experiments run a single verified arm (direct or reject)")
         self._check_work()
 
     def _check_work(self) -> None:
-        """Bound the noise one replication draws in one round and the result floats of a run."""
+        """Bound the values one replication draws or holds in one round and a run's results."""
+        p = 1 if self.kind == KIND_ITERATE_1D else self.dimension
         if self.kind == KIND_LANDSCAPE:
-            noise = self.dimension * self.n1
+            noise = p * self.n1
             floats = self.replications * (len(self.delta_values) * len(self.r_values) + 1)
         else:
-            p = 1 if self.kind == KIND_ITERATE_1D else self.dimension
             last = math.ceil(self.schedule.last_count)
             noise = p * (max(1, last // p) if self.schedule.unit == UNIT_TOTAL else last)
             floats = self.replications * (self.schedule.rounds + 1)
             if self.kind == KIND_ITERATE_LINREG:
                 floats *= 2 * len(self.arms)
+        _check(self.n0 * p <= MAX_ROUND_NOISE,
+               f"problem.n0 = {self.n0} gives one replication {self.n0 * p} real-data values, "
+               f"above the limit of 2^24")
         _check(noise <= MAX_ROUND_NOISE,
                f"one replication would draw {noise} noise values in one round, "
                f"above the limit of 2^24")
@@ -181,57 +162,22 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict[str, Any]:
         """Plain nested mapping mirroring the file schema, fully resolved."""
-        problem: dict[str, Any] = {"sigma": self.sigma, "n0": self.n0}
-        out: dict[str, Any] = {
-            "experiment": self.kind,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "problem": problem,
-        }
-        if self.kind == KIND_ITERATE_1D:
-            problem["true_mean"] = self.true_mean
-            out["interval"] = {"lower": self.interval_lower, "upper": self.interval_upper}
-        else:
-            problem["dimension"] = self.dimension
-            problem["true_theta"] = list(self.true_theta)
-        if self.kind == KIND_ITERATE_LINREG:
-            ball: dict[str, Any] = {"radius": self.ball_radius}
-            if self.ball_delta is not None:
-                ball["delta"] = self.ball_delta
-            else:
-                ball["center"] = list(self.ball_center)
-            ball["slack"] = self.slack
-            out["ball"] = ball
-        if self.schedule is not None:
-            out["schedule"] = {
-                "kind": self.schedule.kind,
-                "start": self.schedule.start,
-                "end_or_ratio": self.schedule.end_or_ratio,
-                "rounds": self.schedule.rounds,
-                "unit": self.schedule.unit,
-            }
-        if self.arms is not None:
-            out["arms"] = list(self.arms)
-        if self.kind == KIND_LANDSCAPE:
-            out["landscape"] = {
-                "delta_values": list(self.delta_values),
-                "r_values": list(self.r_values),
-                "sigma_c": self.sigma_c,
-                "n1": self.n1,
-                "log_ratio_of_means": self.log_ratio_of_means,
-            }
+        out: dict[str, Any] = {}
+        for field, path, *_ in LAYOUT:
+            value = getattr(self, field)
+            if value is not None:
+                section, _, key = path.rpartition(".")
+                node = out.setdefault(section, {}) if section else out
+                node[key] = (asdict(value) if isinstance(value, Schedule)
+                             else list(value) if isinstance(value, tuple) else value)
         return out
 
     def with_overrides(
         self, master_seed: int | None = None, replications: int | None = None
     ) -> "ExperimentConfig":
         """Copy with command-line seed/replication overrides applied."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        if master_seed is not None:
-            values["master_seed"] = master_seed
-        if replications is not None:
-            values["replications"] = replications
-        return ExperimentConfig(**values)
+        given = {"master_seed": master_seed, "replications": replications}
+        return replace(self, **{key: value for key, value in given.items() if value is not None})
 
 
 def _check(condition: bool, message: str) -> None:
@@ -243,164 +189,157 @@ def _finite(values: tuple[float, ...]) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _section(raw: Mapping[str, Any], path: str, allowed: set[str], required: set[str]):
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{path} must be a mapping of keys to values")
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _section(raw: Any, path: str, allowed: set[str], required: Iterable[str] = ()):
+    _check(isinstance(raw, Mapping), f"{path} must be a mapping of keys to values")
+    prefix = f"{path}." if path else ""
     for key in raw:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown config key {where!r}")
+        _check(key in allowed, f"unknown config key {prefix + str(key)!r}")
     for key in sorted(required):
-        if key not in raw:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"missing required config key {where!r}")
+        _check(key in raw, f"missing required config key {prefix + key!r}")
 
 
-def _number(raw: Mapping[str, Any], path: str, key: str, default=None) -> float | None:
-    if key not in raw:
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+# Readers take a raw value, its dotted path and the fields read before it.
 
 
-def _integer(raw: Mapping[str, Any], path: str, key: str, default=None) -> int | None:
-    if key not in raw:
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+def _kind(value: Any, path: str, values: Mapping[str, Any]) -> str:
+    _check(value in EXPERIMENT_KINDS, f"{path} must be one of {EXPERIMENT_KINDS}, got {value!r}")
     return value
 
 
-def _vector(raw: Any, path: str, dimension: int | None = None) -> tuple[float, ...]:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if dimension is None:
-            raise ConfigError(f"{path} must be a list of numbers")
-        return (float(raw),) * dimension
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"{path} must be a nonempty list of numbers")
-    values = []
-    for i, value in enumerate(raw):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}[{i}] must be a number, got {value!r}")
-        values.append(float(value))
-    return tuple(values)
+def _number(value: Any, path: str, values: Mapping[str, Any]) -> float:
+    _check(_is_number(value), f"{path} must be a number, got {value!r}")
+    return float(value)
 
 
-def _parse_schedule(raw: Mapping[str, Any]) -> Schedule:
-    _section(raw, "schedule", {"kind", "start", "end_or_ratio", "rounds", "unit"},
+def _integer(value: Any, path: str, values: Mapping[str, Any]) -> int:
+    _check(isinstance(value, int) and not isinstance(value, bool),
+           f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value: Any, path: str, values: Mapping[str, Any]) -> bool:
+    _check(isinstance(value, bool), f"{path} must be true/false, got {value!r}")
+    return value
+
+
+def _vector(value: Any, path: str, values: Mapping[str, Any],
+            dimension: int | None = None) -> tuple[float, ...]:
+    if _is_number(value):
+        _check(dimension is not None, f"{path} must be a list of numbers")
+        _check(dimension <= MAX_ROUND_NOISE,
+               f"problem.dimension must be at most 2^24, got {dimension}")
+        return (float(value),) * dimension
+    _check(isinstance(value, (list, tuple)) and len(value) > 0,
+           f"{path} must be a nonempty list of numbers")
+    for i, item in enumerate(value):
+        _check(_is_number(item), f"{path}[{i}] must be a number, got {item!r}")
+    return tuple(float(item) for item in value)
+
+
+def _per_direction(value: Any, path: str, values: Mapping[str, Any]) -> tuple[float, ...]:
+    """A vector along the problem's directions; a single number is broadcast."""
+    return _vector(value, path, values, values["dimension"])
+
+
+def _schedule(value: Any, path: str, values: Mapping[str, Any]) -> Schedule:
+    _section(value, path, {"kind", "start", "end_or_ratio", "rounds", "unit"},
              {"kind", "start", "rounds"})
-    kind = raw["kind"]
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    start = _integer(raw, "schedule", "start")
-    rounds = _integer(raw, "schedule", "rounds")
-    end_or_ratio = _number(raw, "schedule", "end_or_ratio")
-    if kind == KIND_FIXED:
-        if end_or_ratio is None:
-            end_or_ratio = float(start)
-        elif end_or_ratio != start:
-            raise ConfigError("schedule.end_or_ratio of a fixed schedule must equal start")
-    elif end_or_ratio is None:
-        raise ConfigError(f"schedule.end_or_ratio is required for {kind} schedules")
-    unit = raw.get("unit", UNIT_TOTAL)
-    if unit not in SCHEDULE_UNITS:
-        raise ConfigError(f"schedule.unit must be one of {SCHEDULE_UNITS}, got {unit!r}")
+    kind = value["kind"]
+    _check(kind in SCHEDULE_KINDS, f"{path}.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+    start = _integer(value["start"], f"{path}.start", values)
+    rounds = _integer(value["rounds"], f"{path}.rounds", values)
+    if "end_or_ratio" in value:
+        end_or_ratio = _number(value["end_or_ratio"], f"{path}.end_or_ratio", values)
+        _check(kind != KIND_FIXED or end_or_ratio == start,
+               f"{path}.end_or_ratio of a fixed schedule must equal start")
+    else:
+        _check(kind == KIND_FIXED, f"{path}.end_or_ratio is required for {kind} schedules")
+        end_or_ratio = float(start)
+    unit = value.get("unit", UNIT_TOTAL)
+    _check(unit in SCHEDULE_UNITS, f"{path}.unit must be one of {SCHEDULE_UNITS}, got {unit!r}")
     try:
         return Schedule(kind, start, end_or_ratio, rounds, unit)
     except Exception as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _arms(value: Any, path: str, values: Mapping[str, Any]) -> tuple[str, ...]:
+    _check(isinstance(value, (list, tuple)), f"{path} must be a list of filter modes")
+    return tuple(value)
+
+
+def _default_slack(values: Mapping[str, Any]) -> float:
+    return default_slack(values["sigma"])
+
+
+#: the default of a key that every config of the row's kinds must give
+_REQUIRED = object()
+_ALL = EXPERIMENT_KINDS
+_LINEAR = (KIND_LANDSCAPE, KIND_ITERATE_LINREG)
+_ITERATE = (KIND_ITERATE_LINREG, KIND_ITERATE_1D)
+_LINREG = (KIND_ITERATE_LINREG,)
+_ONE_D = (KIND_ITERATE_1D,)
+_GRID = (KIND_LANDSCAPE,)
+
+#: the file layout in file order, one row per ExperimentConfig field:
+#: (field, dotted path, kinds it applies to, reader, default). A default of
+#: None leaves the field unset; a callable default is computed from the
+#: fields read before it.
+LAYOUT = (
+    ("kind", "experiment", _ALL, _kind, _REQUIRED),
+    ("replications", "replications", _ALL, _integer, _REQUIRED),
+    ("master_seed", "master_seed", _ALL, _integer, _REQUIRED),
+    ("sigma", "problem.sigma", _ALL, _number, _REQUIRED),
+    ("n0", "problem.n0", _ALL, _integer, _REQUIRED),
+    ("true_mean", "problem.true_mean", _ONE_D, _number, _REQUIRED),
+    ("dimension", "problem.dimension", _LINEAR, _integer, _REQUIRED),
+    ("true_theta", "problem.true_theta", _LINEAR, _per_direction, _REQUIRED),
+    ("interval_lower", "interval.lower", _ONE_D, _number, _REQUIRED),
+    ("interval_upper", "interval.upper", _ONE_D, _number, _REQUIRED),
+    ("ball_radius", "ball.radius", _LINREG, _number, _REQUIRED),
+    ("ball_delta", "ball.delta", _LINREG, _number, None),
+    ("ball_center", "ball.center", _LINREG, _per_direction, None),
+    ("slack", "ball.slack", _LINREG, _number, _default_slack),
+    ("schedule", "schedule", _ITERATE, _schedule, _REQUIRED),
+    ("arms", "arms", _ITERATE, _arms, (FILTER_DIRECT,)),
+    ("delta_values", "landscape.delta_values", _GRID, _vector, _REQUIRED),
+    ("r_values", "landscape.r_values", _GRID, _vector, _REQUIRED),
+    ("sigma_c", "landscape.sigma_c", _GRID, _number, _default_slack),
+    ("n1", "landscape.n1", _GRID, _integer, _REQUIRED),
+    ("log_ratio_of_means", "landscape.log_ratio_of_means", _GRID, _flag, False),
+)
 
 
 def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain nested mapping."""
-    _section(raw, "", {"experiment", "replications", "master_seed", "problem", "ball",
-                       "interval", "schedule", "arms", "landscape"},
-             {"experiment", "replications", "master_seed", "problem"})
-    kind = raw["experiment"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-
-    for key, wanted in (("ball", (KIND_ITERATE_LINREG,)),
-                        ("interval", (KIND_ITERATE_1D,)),
-                        ("schedule", (KIND_ITERATE_LINREG, KIND_ITERATE_1D)),
-                        ("arms", (KIND_ITERATE_LINREG, KIND_ITERATE_1D)),
-                        ("landscape", (KIND_LANDSCAPE,))):
-        if key in raw and kind not in wanted:
-            raise ConfigError(f"config section {key!r} does not apply to {kind} experiments")
-
-    problem = raw["problem"]
-    if kind == KIND_ITERATE_1D:
-        _section(problem, "problem", {"true_mean", "sigma", "n0"},
-                 {"true_mean", "sigma", "n0"})
-    else:
-        _section(problem, "problem", {"dimension", "true_theta", "sigma", "n0"},
-                 {"dimension", "true_theta", "sigma", "n0"})
-    sigma = _number(problem, "problem", "sigma")
-
-    values: dict[str, Any] = {
-        "kind": kind,
-        "replications": _integer(raw, "", "replications"),
-        "master_seed": _integer(raw, "", "master_seed"),
-        "sigma": sigma,
-        "n0": _integer(problem, "problem", "n0"),
-    }
-    if kind == KIND_ITERATE_1D:
-        values["true_mean"] = _number(problem, "problem", "true_mean")
-    else:
-        dimension = _integer(problem, "problem", "dimension")
-        values["dimension"] = dimension
-        values["true_theta"] = _vector(problem["true_theta"], "problem.true_theta", dimension)
-
-    if kind == KIND_ITERATE_LINREG:
-        if "ball" not in raw:
-            raise ConfigError("missing required config section 'ball'")
-        ball = raw["ball"]
-        _section(ball, "ball", {"radius", "delta", "center", "slack"}, {"radius"})
-        if ("delta" in ball) == ("center" in ball):
-            raise ConfigError("ball needs exactly one of 'delta' / 'center'")
-        values["ball_radius"] = _number(ball, "ball", "radius")
-        if "delta" in ball:
-            values["ball_delta"] = _number(ball, "ball", "delta")
+    _section(raw, "", {path.partition(".")[0] for _, path, *_ in LAYOUT},
+             {path.partition(".")[0] for _, path, kinds, *_ in LAYOUT if kinds == _ALL})
+    kind = _kind(raw["experiment"], "experiment", {})
+    rows = [row for row in LAYOUT if kind in row[2]]
+    for key in raw:
+        _check(any(path.partition(".")[0] == key for _, path, *_ in rows),
+               f"config section {key!r} does not apply to {kind} experiments")
+    values: dict[str, Any] = {}
+    for field, path, _, reader, default in rows:
+        section, _, key = path.rpartition(".")
+        node = raw
+        if section:
+            _check(section in raw, f"missing required config section {section!r}")
+            node = raw[section]
+            _section(node, section,
+                     {p.rpartition(".")[2] for _, p, *_ in rows if p.startswith(section + ".")})
+        if key in node:
+            values[field] = reader(node[key], path, values)
         else:
-            values["ball_center"] = _vector(ball["center"], "ball.center",
-                                            values.get("dimension"))
-        values["slack"] = _number(ball, "ball", "slack", default_slack(sigma))
-    if kind == KIND_ITERATE_1D:
-        if "interval" not in raw:
-            raise ConfigError("missing required config section 'interval'")
-        interval = raw["interval"]
-        _section(interval, "interval", {"lower", "upper"}, {"lower", "upper"})
-        values["interval_lower"] = _number(interval, "interval", "lower")
-        values["interval_upper"] = _number(interval, "interval", "upper")
-
-    if kind in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
-        if "schedule" not in raw:
-            raise ConfigError("missing required config section 'schedule'")
-        values["schedule"] = _parse_schedule(raw["schedule"])
-        arms = raw.get("arms", [FILTER_DIRECT])
-        if not isinstance(arms, (list, tuple)):
-            raise ConfigError("arms must be a list of filter modes")
-        values["arms"] = tuple(arms)
-
-    if kind == KIND_LANDSCAPE:
-        if "landscape" not in raw:
-            raise ConfigError("missing required config section 'landscape'")
-        grid = raw["landscape"]
-        _section(grid, "landscape",
-                 {"delta_values", "r_values", "sigma_c", "n1", "log_ratio_of_means"},
-                 {"delta_values", "r_values", "n1"})
-        values["delta_values"] = _vector(grid["delta_values"], "landscape.delta_values")
-        values["r_values"] = _vector(grid["r_values"], "landscape.r_values")
-        values["sigma_c"] = _number(grid, "landscape", "sigma_c", default_slack(sigma))
-        values["n1"] = _integer(grid, "landscape", "n1")
-        flag = grid.get("log_ratio_of_means", False)
-        if not isinstance(flag, bool):
-            raise ConfigError(f"landscape.log_ratio_of_means must be true/false, got {flag!r}")
-        values["log_ratio_of_means"] = flag
-
+            # the top-level keys every kind needs are checked above, so a
+            # required top-level key missing here is a kind's own section
+            _check(default is not _REQUIRED,
+                   f"missing required config {'key' if section else 'section'} {path!r}")
+            values[field] = default(values) if callable(default) else default
     try:
         return ExperimentConfig(**values)
     except ConfigError:
@@ -428,4 +367,3 @@ def write_config(config: ExperimentConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         yaml.safe_dump(config.to_mapping(), handle, sort_keys=False,
                        default_flow_style=None)
-

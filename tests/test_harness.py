@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from verisynth import (
@@ -139,7 +139,122 @@ BAD_VALUES = [
                  "1000000000000000000 noise values", id="geometric-noise-per-round"),
     pytest.param(landscape_mapping(replications=10 ** 12),
                  "1000000000000 replications", id="landscape-reps-huge"),
+    # a scalar true_theta is broadcast only after the dimension is bounded
+    pytest.param(landscape_mapping(problem={"dimension": 10 ** 30, "true_theta": 1.0,
+                                            "sigma": 1.0, "n0": 40}),
+                 "problem.dimension", id="dimension-huge"),
+    # the real data alone: n0 normals per replication, an n0 x p design
+    pytest.param(oned_mapping(problem={"true_mean": 0.0, "sigma": 1.0, "n0": 10 ** 10}),
+                 "problem.n0", id="oned-real-data-huge"),
+    pytest.param(landscape_mapping(problem={"dimension": 100000, "true_theta": 1.0,
+                                            "sigma": 1.0, "n0": 100000}),
+                 "problem.n0", id="landscape-design-huge"),
 ]
+
+#: write_config's exact output: a writer that reorders keys still round-trips,
+#: so this pins the key order
+WRITTEN_YAML = [
+    pytest.param(landscape_mapping(), (
+        "experiment: landscape\n"
+        "replications: 4\n"
+        "master_seed: 11\n"
+        "problem:\n"
+        "  sigma: 1.0\n"
+        "  n0: 40\n"
+        "  dimension: 3\n"
+        "  true_theta: [1.0, 1.0, 1.0]\n"
+        "landscape:\n"
+        "  delta_values: [0.0, 1.0]\n"
+        "  r_values: [0.6, 1.2]\n"
+        "  sigma_c: 0.7978845608028654\n"
+        "  n1: 60\n"
+        "  log_ratio_of_means: false\n"
+    ), id="landscape"),
+    pytest.param(linreg_mapping(), (
+        "experiment: iterate_linreg\n"
+        "replications: 3\n"
+        "master_seed: 5\n"
+        "problem:\n"
+        "  sigma: 1.0\n"
+        "  n0: 30\n"
+        "  dimension: 2\n"
+        "  true_theta: [1.0, -1.0]\n"
+        "ball: {radius: 1.0, delta: 0.5, slack: 0.7978845608028654}\n"
+        "schedule: {kind: linear, start: 40, end_or_ratio: 80.0, rounds: 3, unit: total}\n"
+        "arms: [direct, none]\n"
+    ), id="iterate_linreg"),
+    pytest.param(oned_mapping(), (
+        "experiment: iterate_1d\n"
+        "replications: 3\n"
+        "master_seed: 5\n"
+        "problem: {sigma: 1.0, n0: 50, true_mean: 0.0}\n"
+        "interval: {lower: -1.0, upper: 1.0}\n"
+        "schedule: {kind: fixed, start: 30, end_or_ratio: 30.0, rounds: 4, unit: total}\n"
+        "arms: [direct]\n"
+    ), id="iterate_1d"),
+    pytest.param(linreg_mapping(ball={"radius": 1.0, "center": [0.5, -0.25], "slack": 0.1}), (
+        "experiment: iterate_linreg\n"
+        "replications: 3\n"
+        "master_seed: 5\n"
+        "problem:\n"
+        "  sigma: 1.0\n"
+        "  n0: 30\n"
+        "  dimension: 2\n"
+        "  true_theta: [1.0, -1.0]\n"
+        "ball:\n"
+        "  radius: 1.0\n"
+        "  center: [0.5, -0.25]\n"
+        "  slack: 0.1\n"
+        "schedule: {kind: linear, start: 40, end_or_ratio: 80.0, rounds: 3, unit: total}\n"
+        "arms: [direct, none]\n"
+    ), id="ball-center"),
+]
+
+#: names the config schema accepts somewhere, so fuzzed strings sometimes parse
+SCHEMA_NAMES = ["landscape", "iterate_linreg", "iterate_1d", "direct", "reject", "none",
+                "fixed", "linear", "geometric", "total", "per_direction"]
+#: one replacement value of any YAML type; integers skip 10^7..2^62, so that
+#: no example builds a large vector while parsing
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.sampled_from([2 ** 63, 2 ** 70]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(SCHEMA_NAMES) | st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-3, 300), st.floats(), st.sampled_from(SCHEMA_NAMES)),
+             max_size=4),
+    st.dictionaries(st.text(max_size=6), st.integers(-3, 300), max_size=3),
+)
+
+
+def scalar_theta_mapping():
+    return landscape_mapping(problem={"dimension": 3, "true_theta": 1.0,
+                                      "sigma": 1.0, "n0": 40})
+
+
+def key_paths(mapping, prefix=()):
+    """The path of every key of a nested mapping, sections included."""
+    for key, value in mapping.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@st.composite
+def one_fault_mappings(draw):
+    """A minimal valid mapping with one key deleted or its value replaced."""
+    mapping = draw(st.sampled_from([landscape_mapping, linreg_mapping, oned_mapping,
+                                    scalar_theta_mapping]))()
+    path = draw(st.sampled_from(list(key_paths(mapping))))
+    node = mapping
+    for key in path[:-1]:
+        node = node[key]
+    if draw(st.booleans()):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = draw(FUZZ_VALUES)
+    return mapping
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -251,6 +366,33 @@ class TestConfigParsing:
         path = tmp_path / "config.yaml"
         write_config(config, str(path))
         assert load_config(str(path)) == config
+
+    @pytest.mark.parametrize("mapping,text", WRITTEN_YAML)
+    def test_written_bytes(self, tmp_path, mapping, text):
+        path = tmp_path / "config.yaml"
+        write_config(config_from_mapping(mapping), str(path))
+        assert path.read_bytes() == text.encode()
+
+    # parses only: nothing is simulated
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mapping=one_fault_mappings())
+    @example(mapping=landscape_mapping(problem={"dimension": 2 ** 70, "true_theta": 1.0,
+                                                "sigma": 1.0, "n0": 40}))
+    def test_one_fault_fails_cleanly_or_round_trips(self, tmp_path, mapping):
+        try:
+            config = config_from_mapping(mapping)
+        except ConfigError:
+            return
+        path = tmp_path / "fuzzed.yaml"
+        write_config(config, str(path))
+        assert load_config(str(path)) == config
+
+    def test_top_level_type_errors_name_the_key(self):
+        for key in ("replications", "master_seed"):
+            with pytest.raises(ConfigError) as exc:
+                config_from_mapping(oned_mapping(**{key: "x"}))
+            assert str(exc.value) == f"{key} must be an integer, got 'x'"
 
     def test_defaults_are_resolved(self):
         config = config_from_mapping(linreg_mapping())
