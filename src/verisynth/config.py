@@ -194,7 +194,7 @@ def _is_number(value: Any) -> bool:
 
 
 def _section(raw: Any, path: str, allowed: set[str], required: Iterable[str] = ()):
-    _check(isinstance(raw, Mapping), f"{path} must be a mapping of keys to values")
+    _check(isinstance(raw, Mapping), f"{path or 'the config'} must be a mapping of keys to values")
     prefix = f"{path}." if path else ""
     for key in raw:
         _check(key in allowed, f"unknown config key {prefix + str(key)!r}")
@@ -269,6 +269,8 @@ def _schedule(value: Any, path: str, values: Mapping[str, Any]) -> Schedule:
 
 def _arms(value: Any, path: str, values: Mapping[str, Any]) -> tuple[str, ...]:
     _check(isinstance(value, (list, tuple)), f"{path} must be a list of filter modes")
+    for i, arm in enumerate(value):
+        _check(isinstance(arm, str), f"{path}[{i}] must be one of {FILTER_MODES}, got {arm!r}")
     return tuple(value)
 
 

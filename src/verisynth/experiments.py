@@ -242,8 +242,8 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
         streams = KeyedStreams(config.master_seed)
         theta_hat = _real_estimates(config, covariates, streams, block)
         norm0[slots] = _norms(theta_hat - theta)
-        # every cell's round draws from the same (rep, 1, j) streams, so the
-        # inverse-CDF branch of every cell reads the same uniforms
+        # every cell's round draws from the same (rep, 1, j) streams, so every
+        # cell reads the same uniforms
         round1 = streams.derive(_keys(block, range(1, 2), range(1, p + 1)))[0]
         uniforms = np.empty((len(block) * p, config.n1))
         for row in range(uniforms.shape[0]):

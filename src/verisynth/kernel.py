@@ -6,13 +6,12 @@ noise values xi from N(0, 1) as filtered by the verifier along v_j, and moves
 the coordinate to proj + sigma * mean(xi). The 1-D problem is the case p = 1,
 v = 1. The kernel advances a block of such rows at once: standardized bounds,
 acceptance masses and inverse-CDF draws are array operations over the block;
-the deep-tail rejection branch, the unfiltered arm and the REJECT
-generate-and-verify loop draw row by row.
+the unfiltered arm and the REJECT generate-and-verify loop draw row by row.
 
 Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
-each row's generator. Rows draw in that order, each choosing its sampler
-branch as it draws, so one generator shared by all rows is consumed exactly
-as a loop over the rows would consume it.
+each row's generator. Rows draw in that order (a direct row takes exactly
+n_k uniforms), so one generator shared by all rows is consumed exactly as a
+loop over the rows would consume it.
 """
 from __future__ import annotations
 
@@ -21,14 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxAttemptsError, VerisynthError
-from .truncnorm import (
-    INVERSE_CDF_MIN_PROB,
-    MIN_ACCEPTANCE,
-    Bounds,
-    Truncations,
-    acceptance_probability,
-    rejection_branch,
-)
+from .truncnorm import MIN_ACCEPTANCE, Bounds, Truncations, acceptance_probability
 
 FILTER_DIRECT = "direct"
 FILTER_REJECT = "reject"
@@ -97,7 +89,6 @@ def retrain_coords(
     VerisynthError is re-raised with ``label(row)`` of the failing row.
     """
     rows = proj.size
-    means = np.empty(rows)
     row = 0
     try:
         if mode == FILTER_NONE:
@@ -107,39 +98,23 @@ def retrain_coords(
             means = _row_means(noise)
         elif mode == FILTER_REJECT:
             p = proj.shape[1]
+            means = np.empty(rows)
             for row, mean in enumerate(proj.reshape(-1)):
                 noise = generate_and_verify(mean, sigma, accept[row % p], n_k, streams(row))
                 means[row] = _row_means(noise)
         else:
             limits = bounds.reshape(2, -1)
             block = Truncations(limits)
-
-            def rejection_mean(row: int) -> float:
-                lower, upper = limits[:, row].tolist()
-                return _row_means(rejection_branch(lower, upper, n_k, streams(row)))
-
-            inverse = block.mass >= INVERSE_CDF_MIN_PROB
-            every = np.count_nonzero(inverse) == rows
-            if not every:
-                healthy = block.mass >= MIN_ACCEPTANCE
-                if np.count_nonzero(healthy) < rows:
-                    row = int(np.argmax(~healthy))
-                    # the scalar definitions raise this row's error (invalid or degenerate)
-                    acceptance_probability(Bounds(*limits[:, row]))
+            healthy = block.mass >= MIN_ACCEPTANCE
+            if np.count_nonzero(healthy) < rows:
+                row = int(np.argmax(~healthy))
+                # the scalar definitions raise this row's error (invalid or degenerate)
+                acceptance_probability(Bounds(*limits[:, row]))
             if uniforms is None:
                 uniforms = np.empty((rows, n_k))
                 for row in range(rows):
-                    if inverse[row]:
-                        streams(row).random(out=uniforms[row])
-                    else:
-                        means[row] = rejection_mean(row)
-            else:
-                for row in np.flatnonzero(~inverse):
-                    means[row] = rejection_mean(row)
-            if every:
-                means = _row_means(block.inverse_cdf(uniforms))
-            elif np.count_nonzero(inverse):
-                means[inverse] = _row_means(block.inverse_cdf(uniforms[inverse], inverse))
+                    streams(row).random(out=uniforms[row])
+            means = _row_means(block.inverse_cdf(uniforms))
     except VerisynthError as exc:
         if label is None:
             raise

@@ -137,6 +137,8 @@ BAD_VALUES = [
     pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
                                           "end_or_ratio": 10.0, "rounds": 19}),
                  "1000000000000000000 noise values", id="geometric-noise-per-round"),
+    pytest.param(linreg_mapping(arms=[["direct"]]), "arms[0]", id="arms-nested-list"),
+    pytest.param(linreg_mapping(arms=["direct", {"a": 1}]), "arms[1]", id="arms-nested-mapping"),
     pytest.param(landscape_mapping(replications=10 ** 12),
                  "1000000000000 replications", id="landscape-reps-huge"),
     # a scalar true_theta is broadcast only after the dimension is bounded
@@ -387,6 +389,11 @@ class TestConfigParsing:
         path = tmp_path / "fuzzed.yaml"
         write_config(config, str(path))
         assert load_config(str(path)) == config
+
+    def test_non_mapping_names_the_config(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping([1])
+        assert str(exc.value) == "the config must be a mapping of keys to values"
 
     def test_top_level_type_errors_name_the_key(self):
         for key in ("replications", "master_seed"):

@@ -37,8 +37,9 @@ from verisynth import (
     spectral_design,
 )
 from verisynth.gaussian1d import initial_mean, retrain_step
-from verisynth.kernel import generate_and_verify
+from verisynth.kernel import generate_and_verify, retrain_coords
 from verisynth.seeding import MAX_INDEX, KeyedStreams
+from verisynth.truncnorm import Truncations
 from verisynth.verifier import ball_acceptance
 
 INDEX = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, MAX_INDEX]),
@@ -107,7 +108,7 @@ def test_round_equals_direction_loop(mode, shared):
         p = 1 + case % 8
         design = spectral_design(rng.standard_normal((p + 6, p)))
         theta = rng.standard_normal(p)
-        # zero radius, tiny slack: low acceptance mass, the sampler's rejection branch
+        # zero radius, tiny slack: acceptance mass below 1e-3
         radius, slack = (0.0, 0.001) if case % 3 == 0 and mode == "direct" else (0.6, 0.3)
         center = theta + 0.5 * rng.standard_normal(p)
         config = LinRegConfig(KnowledgeBall(center, radius, slack), 1.2, filter_mode=mode)
@@ -120,6 +121,32 @@ def test_round_equals_direction_loop(mode, shared):
 
         got = retrain_round(RetrainState(theta, 0), design, config, n_k, rngs()).theta_hat
         assert np.array_equal(got, scalar_round(theta, design, config, n_k, rngs()))
+
+
+@pytest.mark.parametrize("source", ["own", "shared", "given"])
+def test_direct_rows_draw_by_inverse_cdf_at_any_mass(source):
+    # masses ~8e-4 (zero radius, slack 1e-3 at sigma 1) and ~1e-20 in both
+    # tails, next to one healthy row: each row's mean is that of the inverse
+    # CDF of its own n_k uniforms
+    limits = np.array([[-1e-3, 9.2, -9.3, -1.0],
+                       [1e-3, 9.3, -9.2, 1.0]])
+    proj = np.array([[0.5, -2.0], [3.0, 0.0]])
+    sigma, n_k = 1.3, 17
+    shared = np.random.default_rng(4)
+    streams = {"own": lambda row: np.random.default_rng([4, row]),
+               "shared": lambda row: shared, "given": None}[source]
+    if source == "shared":
+        own = np.random.default_rng(4).random((4, n_k))
+    else:
+        own = np.array([np.random.default_rng([4, row]).random(n_k) for row in range(4)])
+    got = retrain_coords(proj, sigma, "direct", n_k, streams, bounds=limits.reshape(2, 2, 2),
+                         uniforms=own if source == "given" else None)
+    expected = [
+        proj.flat[row]
+        + sigma * Truncations(limits[:, [row]]).inverse_cdf(own[[row]]).mean()
+        for row in range(4)
+    ]
+    assert np.array_equal(got.reshape(-1), expected)
 
 
 def test_step_equals_scalar_definition():
@@ -273,7 +300,7 @@ def test_landscape_equals_replication_loop(threads, fast_switching, split_blocks
     config = config_from_mapping({
         "experiment": "landscape", "replications": 7, "master_seed": 31,
         "problem": PROBLEM,
-        # r = 0.002 with sigma_c = 0 takes the rejection branch; delta = 100
+        # r = 0.002 with sigma_c = 0 gives acceptance mass below 1e-3; delta = 100
         # makes its cells degenerate
         "landscape": {"delta_values": [0.0, 0.7, 100.0], "r_values": [0.002, 0.5, 1.5],
                       "n1": 30, "sigma_c": 0.0},
@@ -301,7 +328,7 @@ def test_landscape_equals_replication_loop(threads, fast_switching, split_blocks
     ({"radius": 1.0, "delta": 0.5},
      {"kind": "linear", "start": 30, "end_or_ratio": 90, "rounds": 4},
      ["direct", "reject", "none"]),
-    # zero radius: acceptance mass ~8e-4, the direct arm's rejection branch
+    # zero radius: acceptance mass ~8e-4 in the direct arm
     ({"radius": 0.0, "delta": 0.5, "slack": 0.001},
      {"kind": "fixed", "start": 2, "rounds": 3, "unit": "per_direction"},
      ["direct"]),

@@ -205,10 +205,12 @@ class TestSampling:
     @pytest.mark.parametrize(
         "bounds",
         [Bounds(10.0, 10.001), Bounds(10.0, math.inf), Bounds(8.0, 30.0),
-         Bounds(-math.inf, -12.0)],
+         Bounds(-math.inf, -12.0), Bounds(36.0, 36.5), Bounds(-37.0, -36.9),
+         Bounds(30.0, 30.001), Bounds(-0.001, 0.001), Bounds(-5.0001, -5.0)],
     )
     def test_deep_tail_rejection_paths(self, bounds):
-        # these acceptance probabilities are far below the inverse-CDF cutoff
+        # acceptance probabilities from below 1e-3 down to ~1e-300, narrow and
+        # wide, in both tails and around 0: the inverse CDF draws them all
         n = 20000
         x = sample_truncated(bounds, n, np.random.default_rng(8))
         assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
