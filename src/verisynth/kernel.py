@@ -8,6 +8,12 @@ v = 1. The kernel advances a block of such rows at once: standardized bounds,
 acceptance masses and inverse-CDF draws are array operations over the block;
 the unfiltered arm and the REJECT generate-and-verify loop draw row by row.
 
+The generate-and-verify loop draws raw candidates in chunks of max(2 n_k, 64)
+that double after every pass that leaves the row short, up to
+``MAX_REJECT_CHUNK`` and the attempt budget. The kept draws, the first n_k
+accepted ones of the row's stream, are independent of chunking; only how far
+the stream runs past the last of them depends on the chunks.
+
 Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
 each row's generator. Rows draw in that order (a direct row takes exactly
 n_k uniforms), so one generator shared by all rows is consumed exactly as a
@@ -29,6 +35,8 @@ FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
 
 #: REJECT-mode attempt budget per needed sample
 MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
+#: most raw candidates one pass of the generate-and-verify loop draws
+MAX_REJECT_CHUNK = 2 ** 16
 
 Streams = Callable[[int], np.random.Generator]
 Acceptance = Callable[[np.ndarray], np.ndarray]
@@ -39,14 +47,20 @@ def generate_and_verify(
 ) -> np.ndarray:
     """Keep the first ``count`` raw draws of N(mean, sigma^2) that ``accept`` passes.
 
-    Returns standardized residuals, so that every filter mode shares one update.
+    Candidates come in chunks of max(2 count, 64) draws, doubled after every
+    pass that leaves the row short and capped by ``MAX_REJECT_CHUNK`` and by
+    the budget of ``MAX_REJECT_ATTEMPTS_PER_SAMPLE * count`` attempts. The
+    kept draws are independent of chunking; how many candidates are drawn
+    past the last kept one is not. Returns standardized residuals, so that
+    every filter mode shares one update.
     """
     kept = np.empty(count)
     filled = 0
     attempts = 0
     budget = MAX_REJECT_ATTEMPTS_PER_SAMPLE * count
+    chunk = min(max(2 * count, 64), MAX_REJECT_CHUNK)
     while filled < count:
-        k = min(max(2 * (count - filled), 64), budget - attempts)
+        k = min(chunk, budget - attempts)
         if k <= 0:
             raise MaxAttemptsError(
                 f"REJECT filter exhausted {budget} attempts for {count} samples"
@@ -57,6 +71,7 @@ def generate_and_verify(
         take = min(got.size, count - filled)
         kept[filled : filled + take] = got[:take]
         filled += take
+        chunk = min(2 * chunk, MAX_REJECT_CHUNK)
     return (kept - mean) / sigma
 
 

@@ -212,6 +212,57 @@ WRITTEN_YAML = [
     ), id="ball-center"),
 ]
 
+#: run_iterative's rows, each value repr'd, for two small configs with a REJECT
+#: arm: selective_reject's problem (acceptance about 8e-4) and a 1-D interval
+#: (1, 1.5) that accepts about 9% of the first round's candidates. A change of
+#: chunking or of the stream layout that moves a kept REJECT draw changes them.
+REJECT_ROWS = [
+    pytest.param(linreg_mapping(
+        master_seed=1105,
+        problem={"dimension": 8, "true_theta": 1.0, "sigma": 1.0, "n0": 100},
+        ball={"radius": 0.0, "delta": 0.5, "slack": 0.001},
+        schedule={"kind": "fixed", "start": 2, "rounds": 5, "unit": "per_direction"},
+        arms=["direct", "reject"],
+    ), [
+        "'direct' 0 0 0.07975101447264585 0.014748771616443399 0.39736808528489037 "
+        "0.08407542267881916 0.3334611757727749 3.333332346810991e-07 3",
+        "'direct' 1 2 0.24968234669944658 0.00027873811598062707 1.756689788181599e-06 "
+        "5.103777430391048e-07 1.3333329757756163e-06 3.333332346810991e-07 3",
+        "'direct' 2 2 0.24993097556107927 9.705306512799864e-05 1.2239976104426699e-06 "
+        "3.134814017602879e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'direct' 3 2 0.25041007700044615 0.00035183012191696174 1.9964613499292703e-06 "
+        "7.450989025836583e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'direct' 4 2 0.25037076204644726 9.693355205181498e-05 1.8181530439283945e-06 "
+        "1.472403722478828e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'direct' 5 2 0.2501033297730926 0.0002671219108095264 1.296175688109587e-06 "
+        "1.7933353722440107e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'reject' 0 0 0.07975101447264585 0.014748771616443399 0.39736808528489037 "
+        "0.08407542267881916 0.3334611757727749 3.333332346810991e-07 3",
+        "'reject' 1 2 0.24982925893732624 0.00032434984170968484 1.619093971922573e-06 "
+        "5.808667227309365e-07 1.3333329757756163e-06 3.333332346810991e-07 3",
+        "'reject' 2 2 0.24980081186227862 0.00022979313942223388 1.9163613538979852e-06 "
+        "2.3440293956007902e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'reject' 3 2 0.24979477402109476 0.00014291588855764128 6.534513770595593e-07 "
+        "1.801681818592583e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'reject' 4 2 0.24976876752646415 0.00018286311179823488 1.1497605934886451e-06 "
+        "3.5403761963832403e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "'reject' 5 2 0.24970747871001828 0.000107782072496809 1.705572564986383e-06 "
+        "4.6100116226596537e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+    ], id="selective_reject"),
+    pytest.param(oned_mapping(interval={"lower": 1.0, "upper": 1.5}, arms=["reject"]), [
+        "0 0 -0.06409067410043677 0.023302061669170974 1.727920271913808 "
+        "0.060896394304545215 1.5825 3",
+        "1 30 1.2158616915169975 0.016332277289845282 0.0016989106690254256 "
+        "0.0013636671199711234 0.0013641578011954008 3",
+        "2 30 1.2521069695698943 0.008870046434663647 0.00016179476827463978 "
+        "8.090938391816692e-05 0.0006892569865172189 3",
+        "3 30 1.2405438113895602 0.014040843249548615 0.00048371006135300193 "
+        "0.0004607050265313546 0.0006889689081007433 3",
+        "4 30 1.2772239271115526 0.010757398968277496 0.000972585472500526 "
+        "0.0004953401942788594 0.0006889687851357502 3",
+    ], id="iterate_1d"),
+]
+
 #: names the config schema accepts somewhere, so fuzzed strings sometimes parse
 SCHEMA_NAMES = ["landscape", "iterate_linreg", "iterate_1d", "direct", "reject", "none",
                 "fixed", "linear", "geometric", "total", "per_direction"]
@@ -589,6 +640,11 @@ class TestRunners:
         assert rows[0]["theory_bound"] == pytest.approx(init_std)
         # squared-distance column: round-0 mean near 1/n0
         assert rows[0]["dist_midpoint_mean"] < 10 * init_std
+
+    @pytest.mark.parametrize("mapping,expected", REJECT_ROWS)
+    def test_reject_rows_are_pinned(self, mapping, expected):
+        rows = run_iterative(config_from_mapping(mapping))
+        assert [" ".join(repr(v) for v in row.values()) for row in rows] == expected
 
     def test_semi_infinite_interval_rows_have_nan_bounds(self):
         raw = oned_mapping(interval={"lower": -math.inf, "upper": 1.0})

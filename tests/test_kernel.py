@@ -20,6 +20,7 @@ from verisynth import (
     Interval1D,
     KnowledgeBall,
     LinRegConfig,
+    MaxAttemptsError,
     RetrainState,
     SeedSpaceError,
     config_from_mapping,
@@ -36,6 +37,7 @@ from verisynth import (
     sample_truncated,
     spectral_design,
 )
+from verisynth import kernel
 from verisynth.gaussian1d import initial_mean, retrain_step
 from verisynth.kernel import generate_and_verify, retrain_coords
 from verisynth.seeding import MAX_INDEX, KeyedStreams
@@ -169,6 +171,63 @@ def test_step_equals_scalar_definition():
                                         np.random.default_rng(case))
         expected = mean + config.sigma * float(noise.mean())
         assert retrain_step(mean, config, n_k, np.random.default_rng(case)) == expected
+
+
+# --- the generate-and-verify loop: chunks, budget and cap ------------------------
+
+
+class RecordingGenerator:
+    """A generator that records the size of every standard_normal call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def first_accepted(mean, sigma, accept, count, seed):
+    """The first ``count`` accepted draws, standardized, from one long stream."""
+    size = 1024
+    while True:
+        y = mean + sigma * np.random.default_rng(seed).standard_normal(size)
+        got = y[accept(y)]
+        if got.size >= count:
+            return (got[:count] - mean) / sigma
+        size *= 2
+
+
+# acceptance masses about 1, 0.68, 0.24, 0.044 and 1.9e-4 at mean 0, sigma 1
+@pytest.mark.parametrize("interval", [Interval1D(-8.0, 8.0), Interval1D(-1.0, 1.0),
+                                      Interval1D(0.5, 1.5), Interval1D(1.5, 2.0),
+                                      Interval1D(0.3, 0.3005)])
+@pytest.mark.parametrize("count", [1, 2, 17, 500])
+def test_chunking_cannot_move_a_draw(interval, count):
+    for seed, mean, sigma in ((3, 0.0, 1.0), (4, 0.1, 1.3)):
+        got = generate_and_verify(mean, sigma, interval.accepts, count,
+                                  np.random.default_rng(seed))
+        assert np.array_equal(got, first_accepted(mean, sigma, interval.accepts, count, seed))
+
+
+@pytest.mark.parametrize("budget", [1000, 100_000])
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_reject_budget_is_exact_and_chunks_are_capped(monkeypatch, budget, count):
+    monkeypatch.setattr(kernel, "MAX_REJECT_ATTEMPTS_PER_SAMPLE", budget)
+    rng = RecordingGenerator(np.random.default_rng(9))
+    with pytest.raises(MaxAttemptsError):
+        generate_and_verify(0.0, 1.0, Interval1D(50.0, 51.0).accepts, count, rng)
+    assert sum(rng.sizes) == budget * count
+    assert max(rng.sizes) <= kernel.MAX_REJECT_CHUNK
+
+
+def test_high_acceptance_chunks_are_capped():
+    count = 2 ** 17 + 3
+    accept = Interval1D(-50.0, 50.0).accepts
+    rng = RecordingGenerator(np.random.default_rng(10))
+    got = generate_and_verify(0.0, 1.0, accept, count, rng)
+    assert max(rng.sizes) <= kernel.MAX_REJECT_CHUNK
+    assert np.array_equal(got, first_accepted(0.0, 1.0, accept, count, 10))
 
 
 # --- the runners against a loop over replications and rounds --------------------
