@@ -15,13 +15,14 @@ identical for any value),
 ``--format csv|json`` (default csv).
 
 Exit codes: 0 success, 1 runtime failure (e.g. a degenerate experiment),
-2 usage or config errors.
+2 usage or config errors, an ``--out`` that cannot hold the result included.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import warnings
 
 from ._version import __version__
 from .config import (
@@ -80,15 +81,16 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return config.with_overrides(master_seed=args.seed, replications=args.reps)
 
 
-def _write(rows: list[dict], config: ExperimentConfig, args: argparse.Namespace) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    stem = output_basename(config.kind)
-    columns = columns_for(config.kind)
-    path = os.path.join(args.out, f"{stem}.{args.format}")
-    if args.format == "csv":
-        write_csv(path, rows, columns)
-    else:
-        write_json(path, rows, columns, config)
+def _output_path(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    """The result file's path, checked before the run for a place to write it."""
+    path = os.path.join(args.out, f"{output_basename(config.kind)}.{args.format}")
+    ancestor = os.path.abspath(args.out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"--out {args.out!r}: {ancestor!r} is not a directory")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it is a directory")
     return path
 
 
@@ -104,8 +106,13 @@ def _print_theory(summary: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         config = _load(args)
         if args.command == "validate":
@@ -123,17 +130,22 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        path = _output_path(config, args)
         if config.kind == KIND_LANDSCAPE:
             rows = run_landscape(config, threads=args.threads)
         else:
             rows = run_iterative(config, threads=args.threads)
-        path = _write(rows, config, args)
+        os.makedirs(args.out, exist_ok=True)
+        if args.format == "csv":
+            write_csv(path, rows, columns_for(config.kind))
+        else:
+            write_json(path, rows, columns_for(config.kind), config)
         print(f"wrote {path} ({len(rows)} records, {config.replications} replications)")
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerisynthError as exc:
+    except (VerisynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,10 +36,10 @@ from .errors import (
     InsufficientRoundsError,
 )
 from .gaussian1d import (
+    ONE_DIRECTION,
     Gaussian1DConfig,
     initial_mean,
     one_step_mse_prediction_1d,
-    step_block,
 )
 from .linreg import (
     FILTER_NONE,
@@ -155,17 +155,45 @@ def _round_rows(streams: KeyedStreams, block: range, rounds: int, p: int):
             yield k, chunk_streams[i]
 
 
-def _real_estimates(
-    config: ExperimentConfig, covariates: np.ndarray, streams: KeyedStreams, block: range
-) -> np.ndarray:
-    """OLS fits of each replication's real data, drawn from its (rep, 0, 0) stream."""
-    signal = covariates @ np.asarray(config.true_theta, dtype=float)
+def _real_estimates(streams: KeyedStreams, block: range, fit: Callable) -> np.ndarray:
+    """Each replication's real-data fit, drawn from its (rep, 0, 0) stream, one row each."""
     real = streams.derive(_keys(block, range(1), range(1)))[0]
-    estimates = np.empty((len(block), config.dimension))
-    for row in range(len(block)):
-        noise = real.stream(row).standard_normal(covariates.shape[0])
-        estimates[row] = ols_fit(Dataset(covariates, signal + config.sigma * noise))
-    return estimates
+    return np.array([fit(real.stream(row)) for row in range(len(block))]).reshape(len(block), -1)
+
+
+def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
+    """The spectral design of the experiment's covariates, and the OLS fit of
+    real responses at them whose noise a replication's stream draws."""
+    covariates = design_matrix(config)
+    signal = covariates @ np.asarray(config.true_theta, dtype=float)
+    return spectral_design(covariates), lambda rng: ols_fit(Dataset(
+        covariates, signal + config.sigma * rng.standard_normal(covariates.shape[0])))
+
+
+def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign,
+              verifier: KnowledgeBall | Interval1D, per_dir: np.ndarray, fit: Callable,
+              record: Callable) -> None:
+    """Retrain each replication's real-data fit in every arm, passing each block's
+    estimates to ``record(arm, slots, k, estimates)`` at round 0 and every round k."""
+    p = design.dimension
+    arm_rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
+                  for arm in config.arms}
+
+    def simulate(block: range) -> None:
+        slots = slice(block.start - 1, block.stop - 1)
+        streams = KeyedStreams(config.master_seed)
+        theta_hat = _real_estimates(streams, block, fit)
+        estimates = dict.fromkeys(config.arms, theta_hat)
+        for arm in config.arms:
+            record(arm, slots, 0, theta_hat)
+        for k, round_k in _round_rows(streams, block, per_dir.size, p):
+            for arm, arm_round in arm_rounds.items():
+                estimates[arm] = arm_round(estimates[arm], int(per_dir[k - 1]),
+                                           round_k.stream, round_k.label)
+                record(arm, slots, k, estimates[arm])
+
+    blocks = _blocks(config.replications, threads, p * int(per_dir.max(initial=1)))
+    _run_blocks(simulate, blocks, threads)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -224,8 +252,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     if config.kind != KIND_LANDSCAPE:
         raise ConfigError(f"run_landscape needs a landscape config, got {config.kind}")
     theta = np.asarray(config.true_theta, dtype=float)
-    covariates = design_matrix(config)
-    design = spectral_design(covariates)
+    design, fit = _real_data(config)
     _, cells = _landscape_theory(config, design)
     reps, p = config.replications, config.dimension
 
@@ -240,7 +267,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     def simulate(block: range) -> None:
         slots = slice(block.start - 1, block.stop - 1)
         streams = KeyedStreams(config.master_seed)
-        theta_hat = _real_estimates(config, covariates, streams, block)
+        theta_hat = _real_estimates(streams, block, fit)
         norm0[slots] = _norms(theta_hat - theta)
         # every cell's round draws from the same (rep, 1, j) streams, so every
         # cell reads the same uniforms
@@ -291,32 +318,28 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 # iterative retraining (linear regression)
 
 
-def _linreg_theory(
-    config: ExperimentConfig, design: SpectralDesign, ball: KnowledgeBall, per_dir: np.ndarray
-) -> dict:
-    """Closed forms of an iterate_linreg config: the contraction rate, the OLS
-    baseline MSE, E||theta_0 - center||^2 and the k-round bound for k = 0..K."""
+def _linreg_theory(config: ExperimentConfig,
+                   design: SpectralDesign) -> tuple[KnowledgeBall, np.ndarray, dict]:
+    """An iterate_linreg config's verifier ball, its per-direction counts and
+    its closed forms: the contraction rate, the OLS baseline MSE,
+    E||theta_0 - center||^2 and the k-round bound for k = 0..K."""
+    ball = resolve_ball(config)
+    per_dir = config.schedule.per_direction_counts(config.dimension)
     base = baseline_mse(design, config.sigma)
     init = base + float(np.sum((ball.center - np.asarray(config.true_theta, dtype=float)) ** 2))
     rho = contraction_rate(ball, config.sigma)
     scale = config.dimension * config.sigma * config.sigma
     bounds = [long_term_bound(rho, init, per_dir, k, scale) for k in range(per_dir.size + 1)]
-    return {"rho": rho, "baseline_mse": base, "initial_expected_sq_center": init,
-            "bounds": bounds}
+    return ball, per_dir, {"rho": rho, "baseline_mse": base,
+                           "initial_expected_sq_center": init, "bounds": bounds}
 
 
 def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
     theta = np.asarray(config.true_theta, dtype=float)
-    covariates = design_matrix(config)
-    design = spectral_design(covariates)
-    ball = resolve_ball(config)
-    reps, p = config.replications, config.dimension
-    per_dir = config.schedule.per_direction_counts(p)
-    k_rounds = per_dir.size
-    theory = _linreg_theory(config, design, ball, per_dir)
+    design, fit = _real_data(config)
+    ball, per_dir, theory = _linreg_theory(config, design)
+    reps, k_rounds = config.replications, per_dir.size
 
-    arm_rounds = {arm: BlockRound(design, LinRegConfig(ball, config.sigma, arm))
-                  for arm in config.arms}
     sq_star = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
     sq_center = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
 
@@ -324,20 +347,7 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
         sq_star[arm][slots, k] = np.sum((estimates - theta) ** 2, axis=1)
         sq_center[arm][slots, k] = np.sum((estimates - ball.center) ** 2, axis=1)
 
-    def simulate(block: range) -> None:
-        slots = slice(block.start - 1, block.stop - 1)
-        streams = KeyedStreams(config.master_seed)
-        theta_hat = _real_estimates(config, covariates, streams, block)
-        estimates = dict.fromkeys(config.arms, theta_hat)
-        for arm in config.arms:
-            record(arm, slots, 0, theta_hat)
-        for k, round_k in _round_rows(streams, block, k_rounds, p):
-            for arm, arm_round in arm_rounds.items():
-                estimates[arm] = arm_round(estimates[arm], int(per_dir[k - 1]),
-                                           round_k.stream, round_k.label)
-                record(arm, slots, k, estimates[arm])
-
-    _run_blocks(simulate, _blocks(reps, threads, p * int(per_dir.max(initial=1))), threads)
+    _run_arms(config, threads, design, ball, per_dir, fit, record)
 
     rows = []
     for arm in config.arms:
@@ -364,48 +374,35 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
 # iterative retraining (1-D Gaussian mean)
 
 
-def _gaussian1d_theory(
-    config: ExperimentConfig, interval: Interval1D, per_dir: np.ndarray
-) -> dict:
-    """Closed forms of an iterate_1d config: the contraction rate, the fixed
-    point (the interval midpoint) and the k-round bound on the squared
-    distance to it for k = 0..K. A half-line has no fixed point and does not
-    contract, so all three are NaN there."""
+def _gaussian1d_theory(config: ExperimentConfig) -> tuple[Interval1D, np.ndarray, dict]:
+    """An iterate_1d config's interval, its per-round counts and its closed
+    forms: the contraction rate, the fixed point (the interval midpoint) and
+    the k-round bound on the squared distance to it for k = 0..K. A half-line
+    has no fixed point and does not contract, so all three are NaN there."""
+    interval = Interval1D(config.interval_lower, config.interval_upper)
+    per_dir = config.schedule.per_direction_counts(1)
     midpoint = interval.midpoint
     if not math.isfinite(midpoint):
-        return {"rho": math.nan, "fixed_point": midpoint,
-                "bounds": [math.nan] * (per_dir.size + 1)}
+        return interval, per_dir, {"rho": math.nan, "fixed_point": midpoint,
+                                   "bounds": [math.nan] * (per_dir.size + 1)}
     rho = contraction_rate(interval, config.sigma)
     init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
     bounds = [config.sigma ** 2 * long_term_bound(rho, init_std, per_dir, k)
               for k in range(per_dir.size + 1)]
-    return {"rho": rho, "fixed_point": midpoint, "bounds": bounds}
+    return interval, per_dir, {"rho": rho, "fixed_point": midpoint, "bounds": bounds}
 
 
 def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
-    interval = Interval1D(config.interval_lower, config.interval_upper)
-    per_dir = config.schedule.per_direction_counts(1)
-    bounds = _gaussian1d_theory(config, interval, per_dir)["bounds"]
-    k_rounds = per_dir.size
-    reps = config.replications
-    arm = config.arms[0]
-    cfg1d = Gaussian1DConfig(
-        true_mean=config.true_mean, sigma=config.sigma, interval=interval,
-        n0=config.n0, schedule=per_dir, filter_mode=arm,
-    )
+    interval, per_dir, theory = _gaussian1d_theory(config)
+    reps, k_rounds = config.replications, per_dir.size
+    problem = Gaussian1DConfig(config.true_mean, config.sigma, interval, config.n0, per_dir)
     estimates = np.empty((reps, k_rounds + 1))
 
-    def simulate(block: range) -> None:
-        slots = slice(block.start - 1, block.stop - 1)
-        streams = KeyedStreams(config.master_seed)
-        real = streams.derive(_keys(block, range(1), range(1)))[0]
-        means = np.array([initial_mean(cfg1d, real.stream(row)) for row in range(len(block))])
-        estimates[slots, 0] = means
-        for k, round_k in _round_rows(streams, block, k_rounds, 1):
-            means = step_block(means, cfg1d, int(per_dir[k - 1]), round_k.stream, round_k.label)
-            estimates[slots, k] = means
+    def record(arm: str, slots: slice, k: int, means: np.ndarray) -> None:
+        estimates[slots, k] = means[:, 0]
 
-    _run_blocks(simulate, _blocks(reps, threads, int(per_dir.max(initial=1))), threads)
+    _run_arms(config, threads, ONE_DIRECTION, interval, per_dir,
+              lambda rng: initial_mean(problem, rng), record)
 
     est_mean, est_se = _mean_se(estimates)
     if math.isfinite(interval.midpoint):
@@ -413,17 +410,14 @@ def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
     else:
         sq_mean = sq_se = np.full(k_rounds + 1, math.nan)
 
-    rows = []
-    for k in range(k_rounds + 1):
-        rows.append({
-            "round": k, "n_k": 0 if k == 0 else int(per_dir[k - 1]),
-            "mean_estimate_mean": float(est_mean[k]),
-            "mean_estimate_se": float(est_se[k]),
-            "dist_midpoint_mean": float(sq_mean[k]),
-            "dist_midpoint_se": float(sq_se[k]),
-            "theory_bound": bounds[k], "n_reps": reps,
-        })
-    return rows
+    return [{
+        "round": k, "n_k": 0 if k == 0 else int(per_dir[k - 1]),
+        "mean_estimate_mean": float(est_mean[k]),
+        "mean_estimate_se": float(est_se[k]),
+        "dist_midpoint_mean": float(sq_mean[k]),
+        "dist_midpoint_se": float(sq_se[k]),
+        "theory_bound": theory["bounds"][k], "n_reps": reps,
+    } for k in range(k_rounds + 1)]
 
 
 def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
@@ -475,9 +469,7 @@ def theory_summary(config: ExperimentConfig) -> dict:
                 "cells": [cell for _, cell in cells]}
     if config.kind == KIND_ITERATE_LINREG:
         design = spectral_design(design_matrix(config))
-        ball = resolve_ball(config)
-        per_dir = config.schedule.per_direction_counts(config.dimension)
-        theory = _linreg_theory(config, design, ball, per_dir)
+        ball, per_dir, theory = _linreg_theory(config, design)
         bounds = theory.pop("bounds")
         theta = np.asarray(config.true_theta, dtype=float)
         return {"experiment": config.kind, **theory,
@@ -485,9 +477,7 @@ def theory_summary(config: ExperimentConfig) -> dict:
                                                     int(per_dir[0])),
                 "final_round_bound": bounds[-1]}
     if config.kind == KIND_ITERATE_1D:
-        interval = Interval1D(config.interval_lower, config.interval_upper)
-        per_dir = config.schedule.per_direction_counts(1)
-        theory = _gaussian1d_theory(config, interval, per_dir)
+        interval, per_dir, theory = _gaussian1d_theory(config)
         bounds = theory.pop("bounds")
         at_truth = interval_bounds_1d(interval, config.true_mean, config.sigma)
         out = {"experiment": config.kind, **theory,

@@ -23,9 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoundsError, VerisynthError
-from .kernel import FILTER_DIRECT, FILTER_REJECT, retrain_coords
+from .kernel import FILTER_DIRECT, FILTER_REJECT
+from .linreg import BlockRound, LinRegConfig, SpectralDesign
 from .truncnorm import Bounds, std_moments
-from .verifier import Interval1D, interval_bounds
+from .verifier import Interval1D
+
+#: the spectral design of the p = 1 problem: one direction, v = 1
+ONE_DIRECTION = SpectralDesign(np.ones(1), np.ones((1, 1)))
 
 
 class RegimeWarning(UserWarning):
@@ -87,15 +91,14 @@ def initial_mean(config: Gaussian1DConfig, rng: np.random.Generator) -> float:
     return float(draws.mean())
 
 
+def _block_round(config: Gaussian1DConfig) -> BlockRound:
+    return BlockRound(ONE_DIRECTION,
+                      LinRegConfig(config.interval, config.sigma, config.filter_mode))
+
+
 def step_block(means: np.ndarray, config: Gaussian1DConfig, n_k: int, streams, label=None):
-    """One retraining round for a block of mean estimates: the kernel at p = 1, v = 1."""
-    bounds = accept = None
-    if config.filter_mode == FILTER_DIRECT:
-        bounds = interval_bounds(config.interval, means, config.sigma)
-    else:
-        accept = [config.interval.accepts]
-    return retrain_coords(means[:, None], config.sigma, config.filter_mode, n_k, streams,
-                          label, bounds=bounds, accept=accept)[:, 0]
+    """One retraining round for a block of mean estimates: BlockRound at p = 1, v = 1."""
+    return _block_round(config)(means[:, None], n_k, streams, label)[:, 0]
 
 
 def retrain_step(
@@ -114,9 +117,10 @@ def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajec
     means = np.empty(config.rounds + 1)
     means[0] = initial_mean(config, rng)
     streams = [rng].__getitem__
+    block_round = _block_round(config)
     for k, n_k in enumerate(config.schedule, start=1):
         try:
-            means[k] = step_block(means[k - 1 : k], config, int(n_k), streams)[0]
+            means[k] = block_round(means[k - 1 : k, None], int(n_k), streams)[0, 0]
         except VerisynthError as exc:
             raise type(exc)(f"retraining round {k}: {exc}") from exc
     dist = np.abs(means - mid) if math.isfinite(mid) else np.full_like(means, math.nan)

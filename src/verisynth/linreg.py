@@ -24,13 +24,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
 from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT, retrain_coords
 from .truncnorm import std_moments
-from .verifier import (
-    KnowledgeBall,
-    ball_acceptance,
-    ball_bounds,
-    direction_bounds,
-    unit_directions,
-)
+from .verifier import Interval1D, KnowledgeBall, direction_bounds, unit_directions
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,12 @@ class RetrainState:
 
 @dataclass(frozen=True)
 class LinRegConfig:
-    """One verified retraining round: the verifier ball, the noise scale and
-    the filter mode. ``sigma`` may be zero only in NONE (unfiltered) mode,
-    where the update is exact.
+    """One verified retraining round: the verifier (a ball, or an interval at
+    p = 1), the noise scale and the filter mode. ``sigma`` may be zero only in
+    NONE (unfiltered) mode, where the update is exact.
     """
 
-    ball: KnowledgeBall
+    ball: KnowledgeBall | Interval1D
     sigma: float
     filter_mode: str = FILTER_DIRECT
 
@@ -180,14 +174,14 @@ class BlockRound:
         self.config = config
         mode = config.filter_mode
         self.units = unit_directions(design.directions) if mode == FILTER_DIRECT else None
-        self.accept = ([ball_acceptance(config.ball, v) for v in design.directions]
+        self.accept = ([config.ball.acceptance(v) for v in design.directions]
                        if mode == FILTER_REJECT else None)
 
     def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
         config = self.config
         proj = np.vecdot(theta[:, None, :], self.directions)
         bounds = (None if self.units is None
-                  else ball_bounds(config.ball, self.units, theta, config.sigma))
+                  else config.ball.bounds(self.units, theta, config.sigma))
         coords = retrain_coords(proj, config.sigma, config.filter_mode, n_k, streams, label,
                                 bounds=bounds, accept=self.accept, uniforms=uniforms)
         new_theta = np.zeros_like(theta)

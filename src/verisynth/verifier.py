@@ -68,13 +68,29 @@ class KnowledgeBall:
         """Half-width of the acceptance band of a unit covariate: radius + slack."""
         return self.radius + self.slack
 
+    def bounds(self, units: np.ndarray, generator_means: np.ndarray, sigma: float) -> np.ndarray:
+        """Standardized acceptance intervals of a block, lower and upper stacked:
+        entry (:, r, j) is :func:`direction_bounds` of ``units[j]`` at
+        ``generator_means[r]``, its offset one ``np.vecdot`` dot product, bit
+        for bit the ``v @ x`` of a single direction."""
+        offset = np.vecdot((self.center - generator_means)[:, None, :], units)
+        return np.add.outer([-self.half_width, self.half_width], offset) / sigma
+
+    def acceptance(self, direction: np.ndarray):
+        """The acceptance test, vectorized over responses at covariate x = direction."""
+        halfwidth = self.radius * float(np.linalg.norm(direction)) + self.slack
+        center_proj = float(direction @ self.center)
+        return lambda y: np.abs(y - center_proj) <= halfwidth
+
 
 @dataclass(frozen=True)
 class Interval1D:
-    """Plausibility interval (lower, upper) for the scalar-mean verifier."""
+    """Plausibility interval (lower, upper) for the scalar-mean verifier: the
+    verifier of the p = 1 problem, whose one direction is v = 1."""
 
     lower: float
     upper: float
+    dimension = 1
 
     def __post_init__(self):
         lo, hi = float(self.lower), float(self.upper)
@@ -101,6 +117,15 @@ class Interval1D:
         """Acceptance decisions for candidate values; the endpoints are rejected."""
         return (x > self.lower) & (x < self.upper)
 
+    def bounds(self, units, generator_means: np.ndarray, sigma: float) -> np.ndarray:
+        """Standardized truncation bounds of each generator mean, lower and upper
+        stacked on a leading axis; ``units`` is the direction v = 1, left unread."""
+        return np.subtract.outer([self.lower, self.upper], generator_means) / sigma
+
+    def acceptance(self, direction):
+        """The acceptance test along the direction v = 1: :meth:`accepts`."""
+        return self.accepts
+
 
 def verify_point(ball: KnowledgeBall, x: np.ndarray, y: float) -> bool:
     """Acceptance decision for one candidate pair; the boundary is accepted."""
@@ -109,7 +134,7 @@ def verify_point(ball: KnowledgeBall, x: np.ndarray, y: float) -> bool:
         raise DimensionMismatchError(
             f"covariate has shape {x.shape}, verifier expects ({ball.dimension},)"
         )
-    return bool(ball_acceptance(ball, x)(float(y)))
+    return bool(ball.acceptance(x)(float(y)))
 
 
 def _as_unit(direction: np.ndarray) -> np.ndarray:
@@ -124,20 +149,6 @@ def _as_unit(direction: np.ndarray) -> np.ndarray:
 def unit_directions(directions: np.ndarray) -> np.ndarray:
     """Rows of ``directions`` checked for unit norm (renormalized within tolerance)."""
     return np.array([_as_unit(v) for v in directions])
-
-
-def ball_bounds(
-    ball: KnowledgeBall, units: np.ndarray, generator_means: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Standardized acceptance intervals for a block: estimates (rows) x directions.
-
-    Lower and upper bounds are stacked on a leading axis of length 2: entry
-    (:, r, j) is :func:`direction_bounds` of unit direction ``units[j]`` at
-    generator mean ``generator_means[r]``. ``np.vecdot`` takes each offset as
-    its own dot product, bit for bit the ``v @ x`` of a single direction.
-    """
-    offset = np.vecdot((ball.center - generator_means)[:, None, :], units)
-    return np.add.outer([-ball.half_width, ball.half_width], offset) / sigma
 
 
 def direction_bounds(
@@ -160,27 +171,15 @@ def direction_bounds(
         raise DimensionMismatchError(
             f"direction {direction.shape} / mean {generator_mean.shape} vs dimension {ball.dimension}"
         )
-    lower, upper = ball_bounds(ball, _as_unit(direction)[None], generator_mean[None], sigma)
+    lower, upper = ball.bounds(_as_unit(direction)[None], generator_mean[None], sigma)
     return Bounds(lower[0, 0], upper[0, 0])
-
-
-def ball_acceptance(ball: KnowledgeBall, direction: np.ndarray):
-    """The ball's acceptance test, vectorized over responses at covariate x = direction."""
-    halfwidth = ball.radius * float(np.linalg.norm(direction)) + ball.slack
-    center_proj = float(direction @ ball.center)
-    return lambda y: np.abs(y - center_proj) <= halfwidth
-
-
-def interval_bounds(interval: Interval1D, generator_means: np.ndarray, sigma: float) -> np.ndarray:
-    """Standardized truncation bounds of each mean of a block, lower and upper stacked."""
-    return np.subtract.outer([interval.lower, interval.upper], generator_means) / sigma
 
 
 def interval_bounds_1d(interval: Interval1D, generator_mean: float, sigma: float) -> Bounds:
     """Standardized truncation bounds for scalar noise under an interval verifier."""
     if not sigma > 0.0:
         raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
-    return Bounds(*interval_bounds(interval, generator_mean, sigma))
+    return Bounds(*interval.bounds(None, generator_mean, sigma))
 
 
 def contraction_rate(verifier: KnowledgeBall | Interval1D, sigma: float) -> float:

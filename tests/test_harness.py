@@ -212,10 +212,14 @@ WRITTEN_YAML = [
     ), id="ball-center"),
 ]
 
-#: run_iterative's rows, each value repr'd, for two small configs with a REJECT
-#: arm: selective_reject's problem (acceptance about 8e-4) and a 1-D interval
-#: (1, 1.5) that accepts about 9% of the first round's candidates. A change of
-#: chunking or of the stream layout that moves a kept REJECT draw changes them.
+#: run_iterative's rows, each value repr'd, for small configs: two with a REJECT
+#: arm, selective_reject's problem (acceptance about 8e-4) and a 1-D interval
+#: (1, 1.5) that accepts about 9% of the first round's candidates, then two
+#: direct 1-D runs, a finite interval and a half-line at one replication. A
+#: change of chunking or of the stream layout that moves a kept REJECT draw
+#: changes them; so does any change to the p = 1 round or its real-data fit.
+#: A half-line has no midpoint, so both of its distance columns read nan,
+#: while one replication's standard error reads 0.0.
 REJECT_ROWS = [
     pytest.param(linreg_mapping(
         master_seed=1105,
@@ -261,6 +265,27 @@ REJECT_ROWS = [
         "4 30 1.2772239271115526 0.010757398968277496 0.000972585472500526 "
         "0.0004953401942788594 0.0006889687851357502 3",
     ], id="iterate_1d"),
+    pytest.param(oned_mapping(master_seed=1201, interval={"lower": 0.25, "upper": 2.0},
+                              arms=["direct"]), [
+        "0 0 0.09098096985022751 0.07604098576577355 1.0807598177443374 "
+        "0.15214222049469062 1.285625 3",
+        "1 30 0.9199601390895075 0.04341808363709605 0.045811604535629886 "
+        "0.016932288712907813 0.07576903783001694 3",
+        "2 30 1.0187005428951619 0.058086966782968354 0.018047766000874696 "
+        "0.01569249117339134 0.011684977233100595 3",
+        "3 30 0.9731314794416684 0.02243981248848382 0.024071137905613025 "
+        "0.007184569148211418 0.008290550994771037 3",
+        "4 30 1.1141916156417375 0.0643455705309746 0.008397526066349185 "
+        "0.0031446643066257414 0.008110753875485266 3",
+    ], id="iterate_1d-direct"),
+    pytest.param(oned_mapping(master_seed=1202, replications=1,
+                              interval={"lower": -math.inf, "upper": 1.0},
+                              schedule={"kind": "fixed", "start": 20, "rounds": 3}), [
+        "0 0 0.06182175425635975 0.0 nan nan nan 1",
+        "1 20 -0.2671275801849956 0.0 nan nan nan 1",
+        "2 20 -0.5854650142049229 0.0 nan nan nan 1",
+        "3 20 -0.6514848724645621 0.0 nan nan nan 1",
+    ], id="iterate_1d-half-line"),
 ]
 
 #: names the config schema accepts somewhere, so fuzzed strings sometimes parse
@@ -835,6 +860,44 @@ class TestCli:
         with open(out / "gaussian1d.csv", newline="") as handle:
             bounds = [float(row["theory_bound"]) for row in csv.DictReader(handle)]
         assert bounds == pytest.approx([1 / 100 + k / 150 for k in range(5)], rel=1e-12)
+
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        path = self.write(tmp_path, oned_mapping())
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr("verisynth.cli.run_iterative", None)  # the run must not start
+        assert main(["gaussian1d", "--config", path, "--out", str(out)]) == 2
+        assert f"error: --out {str(out)!r}" in capsys.readouterr().err
+        assert main(["gaussian1d", "--config", path, "--out", str(out / "sub")]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_result_path_that_is_a_directory_fails_before_the_run(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        path = self.write(tmp_path, oned_mapping())
+        (tmp_path / "out" / "gaussian1d.csv").mkdir(parents=True)
+        monkeypatch.setattr("verisynth.cli.run_iterative", None)  # the run must not start
+        assert main(["gaussian1d", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "gaussian1d.csv" in err
+
+    def test_failed_write_after_the_run_exits_1(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, *args):
+            raise PermissionError(f"[Errno 13] Permission denied: {path!r}")
+        path = self.write(tmp_path, oned_mapping())
+        monkeypatch.setattr("verisynth.cli.write_csv", refuse)
+        assert main(["gaussian1d", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Permission denied" in err
+        assert "Traceback" not in err
+
+    def test_warnings_print_as_one_line(self, tmp_path, capsys):
+        # n1 = 30 < n0 = 50 lies outside the one-step expansion's regime
+        path = self.write(tmp_path, oned_mapping())
+        assert main(["theory", "--config", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: prediction derived for n1 > n0 >= 100; "
+                       "called with n0=50, n1=30\n")
+        assert out.startswith("experiment: 'iterate_1d'\n")
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, landscape_mapping())

@@ -42,7 +42,6 @@ from verisynth.gaussian1d import initial_mean, retrain_step
 from verisynth.kernel import generate_and_verify, retrain_coords
 from verisynth.seeding import MAX_INDEX, KeyedStreams
 from verisynth.truncnorm import Truncations
-from verisynth.verifier import ball_acceptance
 
 INDEX = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, MAX_INDEX]),
                   st.integers(0, MAX_INDEX))
@@ -96,7 +95,7 @@ def scalar_round(theta, design, config, n_k, rngs):
             bounds = direction_bounds(config.ball, v, theta, config.sigma)
             noise = sample_truncated(bounds, n_k, streams[j])
         else:
-            noise = generate_and_verify(proj, config.sigma, ball_acceptance(config.ball, v),
+            noise = generate_and_verify(proj, config.sigma, config.ball.acceptance(v),
                                         n_k, streams[j])
         new_theta += v * (proj + config.sigma * float(noise.mean()))
     return new_theta

@@ -146,6 +146,9 @@ class TestConfigValidation:
         with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
             retrain_round(RetrainState(np.zeros(2), 0), design, config, 5,
                           np.random.default_rng(0))
+        # an interval is the verifier of the p = 1 problem only
+        with pytest.raises(DimensionMismatchError, match="ball dimension 1"):
+            BlockRound(design, LinRegConfig(Interval1D(0.0, 1.0), 1.0))
 
 
 class TestRetrainRound:
