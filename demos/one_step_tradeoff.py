@@ -22,7 +22,7 @@ from verisynth import (
     one_step_prediction,
     spectral_design,
 )
-from verisynth.linreg import BlockRound
+from verisynth.kernel import BlockRound
 from verisynth.seeding import KeyedStreams
 
 

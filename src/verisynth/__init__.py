@@ -59,7 +59,6 @@ from .linreg import (
     FILTER_REJECT,
     Dataset,
     LinRegConfig,
-    RetrainState,
     SpectralDesign,
     baseline_mse,
     ols_fit,
@@ -117,7 +116,7 @@ __all__ = [
     "retraining_map", "retraining_map_slope", "hitting_time",
     # linear regression dynamics
     "FILTER_DIRECT", "FILTER_REJECT", "FILTER_NONE", "FILTER_MODES",
-    "Dataset", "SpectralDesign", "RetrainState", "LinRegConfig",
+    "Dataset", "SpectralDesign", "LinRegConfig",
     "ols_fit", "spectral_design", "retrain_round", "one_step_prediction",
     "baseline_mse",
     # harness

@@ -36,6 +36,7 @@ from .errors import ConfigError
 from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE
 from .schedules import KIND_FIXED, SCHEDULE_KINDS, SCHEDULE_UNITS, UNIT_TOTAL, Schedule
 from .seeding import MAX_INDEX
+from .truncnorm import MIN_STD_WIDTH
 from .verifier import default_slack
 
 KIND_LANDSCAPE = "landscape"
@@ -101,6 +102,10 @@ class ExperimentConfig:
             _check(math.isfinite(self.true_mean), "problem.true_mean must be finite")
             _check(self.interval_lower < self.interval_upper,
                    "interval.lower must be < interval.upper")
+            _check_width((self.interval_upper - self.true_mean) / self.sigma
+                         - (self.interval_lower - self.true_mean) / self.sigma,
+                         "(interval.upper - problem.true_mean) / problem.sigma"
+                         " - (interval.lower - problem.true_mean) / problem.sigma")
         else:
             _check(self.dimension >= 1, "problem.dimension must be >= 1")
             _check(len(self.true_theta) == self.dimension,
@@ -119,6 +124,8 @@ class ExperimentConfig:
                 _check(_finite(self.ball_center), "ball.center must be finite")
             _check(0.0 <= self.slack < math.inf, "ball.slack must be finite and >= 0")
             _check(self.ball_radius + self.slack > 0.0, "ball.radius + ball.slack must be > 0")
+            _check_width(2.0 * (self.ball_radius + self.slack) / self.sigma,
+                         "2 (ball.radius + ball.slack) / problem.sigma")
         if self.kind == KIND_LANDSCAPE:
             _check(len(self.delta_values) > 0, "landscape.delta_values must be nonempty")
             _check(len(self.r_values) > 0, "landscape.r_values must be nonempty")
@@ -127,6 +134,8 @@ class ExperimentConfig:
             _check(all(0.0 < r < math.inf for r in self.r_values),
                    "landscape.r_values must be finite and > 0")
             _check(0.0 <= self.sigma_c < math.inf, "landscape.sigma_c must be finite and >= 0")
+            _check_width(2.0 * (min(self.r_values) + self.sigma_c) / self.sigma,
+                         "2 (min landscape.r_values + landscape.sigma_c) / problem.sigma")
             _check(self.n1 >= 1, "landscape.n1 must be >= 1")
         else:
             _check(len(self.arms) >= 1, "arms must be nonempty")
@@ -183,6 +192,11 @@ class ExperimentConfig:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _check_width(width: float, formula: str) -> None:
+    _check(width >= MIN_STD_WIDTH, f"the standardized acceptance width {formula} is "
+           f"{width:.3g}, below the floor of {MIN_STD_WIDTH}")
 
 
 def _finite(values: tuple[float, ...]) -> bool:

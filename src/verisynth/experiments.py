@@ -41,9 +41,8 @@ from .gaussian1d import (
     initial_mean,
     one_step_mse_prediction_1d,
 )
+from .kernel import FILTER_NONE, BlockRound
 from .linreg import (
-    FILTER_NONE,
-    BlockRound,
     Dataset,
     LinRegConfig,
     SpectralDesign,
@@ -386,7 +385,10 @@ def _gaussian1d_theory(config: ExperimentConfig) -> tuple[Interval1D, np.ndarray
         return interval, per_dir, {"rho": math.nan, "fixed_point": midpoint,
                                    "bounds": [math.nan] * (per_dir.size + 1)}
     rho = contraction_rate(interval, config.sigma)
-    init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
+    try:
+        init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
+    except OverflowError:  # a midpoint beyond ~1e154 standard deviations: no bound
+        init_std = math.inf
     bounds = [config.sigma ** 2 * long_term_bound(rho, init_std, per_dir, k)
               for k in range(per_dir.size + 1)]
     return interval, per_dir, {"rho": rho, "fixed_point": midpoint, "bounds": bounds}

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBoundsError, VerisynthError
-from .kernel import FILTER_DIRECT, FILTER_REJECT
-from .linreg import BlockRound, LinRegConfig, SpectralDesign
+from .kernel import FILTER_DIRECT, FILTER_REJECT, BlockRound
+from .linreg import LinRegConfig, SpectralDesign
 from .truncnorm import Bounds, std_moments
 from .verifier import Interval1D
 

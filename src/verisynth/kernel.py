@@ -4,15 +4,18 @@ Both problems retrain the same way in spectral coordinates. Along direction
 v_j an estimate's generator mean is proj = v_j . theta; the round draws n_k
 noise values xi from N(0, 1) as filtered by the verifier along v_j, and moves
 the coordinate to proj + sigma * mean(xi). The 1-D problem is the case p = 1,
-v = 1. The kernel advances a block of such rows at once: standardized bounds,
-acceptance masses and inverse-CDF draws are array operations over the block;
-the unfiltered arm and the REJECT generate-and-verify loop draw row by row.
+v = 1. :class:`BlockRound` advances a block of such rows at once:
+standardized bounds, acceptance masses and inverse-CDF draws are array
+operations over the block; the unfiltered arm and the REJECT
+generate-and-verify loop draw row by row.
 
 The generate-and-verify loop draws raw candidates in chunks of max(2 n_k, 64)
 that double after every pass that leaves the row short, up to
 ``MAX_REJECT_CHUNK`` and the attempt budget. The kept draws, the first n_k
 accepted ones of the row's stream, are independent of chunking; only how far
-the stream runs past the last of them depends on the chunks.
+the stream runs past the last of them depends on the chunks. A REJECT row
+whose acceptance probability times the per-sample budget is below 1 fails
+before any row draws.
 
 Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
 each row's generator. Rows draw in that order (a direct row takes exactly
@@ -21,12 +24,13 @@ loop over the rows would consume it.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import MaxAttemptsError, VerisynthError
+from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
 from .truncnorm import MIN_ACCEPTANCE, Bounds, Truncations, acceptance_probability
+from .verifier import unit_directions
 
 FILTER_DIRECT = "direct"
 FILTER_REJECT = "reject"
@@ -38,7 +42,6 @@ MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
 #: most raw candidates one pass of the generate-and-verify loop draws
 MAX_REJECT_CHUNK = 2 ** 16
 
-Streams = Callable[[int], np.random.Generator]
 Acceptance = Callable[[np.ndarray], np.ndarray]
 
 
@@ -80,58 +83,74 @@ def _row_means(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def retrain_coords(
-    proj: np.ndarray,
-    sigma: float,
-    mode: str,
-    n_k: int,
-    streams: Streams,
-    label: Callable[[int], str] | None = None,
-    *,
-    bounds: np.ndarray | None = None,
-    accept: Sequence[Acceptance] | None = None,
-    uniforms: np.ndarray | None = None,
-) -> np.ndarray:
-    """New spectral coordinates ``proj + sigma * mean(noise)`` of a block.
+class BlockRound:
+    """One retraining round of a problem, a ``linreg.SpectralDesign`` and a
+    ``linreg.LinRegConfig``, for blocks of estimates, one per row.
 
-    ``proj`` has one row per estimate and one column per direction. Mode
-    ``direct`` needs ``bounds``, the standardized lower and upper bounds of
-    the truncation stacked on a leading axis, each shaped like ``proj``;
-    mode ``reject`` needs ``accept``, one raw acceptance test per direction;
-    mode ``none`` draws unfiltered noise.
-    ``uniforms`` (rows x n_k), when given, holds the first n_k uniforms of
-    every row's stream, for rows whose streams are their own. A
-    VerisynthError is re-raised with ``label(row)`` of the failing row.
+    Calling it with a (rows x p) block of estimates, a per-direction count
+    ``n_k`` and the row streams returns the next block, reassembled from its
+    spectral coordinates direction by direction in the same order as a
+    single estimate's round. ``uniforms`` (rows x n_k), when given, holds the
+    first n_k uniforms of every row's stream, for direct rows whose streams
+    are their own. A VerisynthError is re-raised with ``label(row)`` of the
+    failing row.
     """
-    rows = proj.size
-    row = 0
-    try:
-        if mode == FILTER_NONE:
-            noise = np.empty((rows, n_k))
-            for row in range(rows):
-                streams(row).standard_normal(out=noise[row])
-            means = _row_means(noise)
-        elif mode == FILTER_REJECT:
-            p = proj.shape[1]
-            means = np.empty(rows)
-            for row, mean in enumerate(proj.reshape(-1)):
-                noise = generate_and_verify(mean, sigma, accept[row % p], n_k, streams(row))
-                means[row] = _row_means(noise)
-        else:
-            limits = bounds.reshape(2, -1)
-            block = Truncations(limits)
-            healthy = block.mass >= MIN_ACCEPTANCE
-            if np.count_nonzero(healthy) < rows:
-                row = int(np.argmax(~healthy))
-                # the scalar definitions raise this row's error (invalid or degenerate)
-                acceptance_probability(Bounds(*limits[:, row]))
-            if uniforms is None:
-                uniforms = np.empty((rows, n_k))
+
+    def __init__(self, design, config):
+        if config.ball.dimension != design.dimension:
+            raise DimensionMismatchError(
+                f"ball dimension {config.ball.dimension} vs design dimension {design.dimension}"
+            )
+        self.directions = design.directions
+        self.units = unit_directions(design.directions)
+        self.accept = [config.ball.acceptance(v) for v in design.directions]
+        self.config = config
+
+    def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
+        verifier, sigma, mode = self.config.ball, self.config.sigma, self.config.filter_mode
+        proj = np.vecdot(theta[:, None, :], self.directions)
+        rows, p = proj.size, proj.shape[1]
+        row = 0
+        try:
+            if mode == FILTER_NONE:
+                noise = np.empty((rows, n_k))
                 for row in range(rows):
-                    streams(row).random(out=uniforms[row])
-            means = _row_means(block.inverse_cdf(uniforms))
-    except VerisynthError as exc:
-        if label is None:
-            raise
-        raise type(exc)(f"{label(row)}: {exc}") from exc
-    return proj + sigma * means.reshape(proj.shape)
+                    streams(row).standard_normal(out=noise[row])
+                means = _row_means(noise)
+            else:
+                limits = verifier.bounds(self.units, theta, sigma).reshape(2, -1)
+                block = Truncations(limits)
+                if mode == FILTER_REJECT:
+                    short = block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE < 1.0
+                    if np.count_nonzero(short):
+                        row = int(np.argmax(short))
+                        raise MaxAttemptsError(
+                            f"REJECT acceptance probability {block.mass[row]:.3g} is below "
+                            f"1 in the budget of {MAX_REJECT_ATTEMPTS_PER_SAMPLE} attempts "
+                            f"per sample"
+                        )
+                    means = np.empty(rows)
+                    for row, mean in enumerate(proj.reshape(-1)):
+                        noise = generate_and_verify(mean, sigma, self.accept[row % p], n_k,
+                                                    streams(row))
+                        means[row] = _row_means(noise)
+                else:
+                    healthy = block.mass >= MIN_ACCEPTANCE
+                    if np.count_nonzero(healthy) < rows:
+                        row = int(np.argmax(~healthy))
+                        # the scalar definitions raise this row's error (invalid or degenerate)
+                        acceptance_probability(Bounds(*limits[:, row]))
+                    if uniforms is None:
+                        uniforms = np.empty((rows, n_k))
+                        for row in range(rows):
+                            streams(row).random(out=uniforms[row])
+                    means = _row_means(block.inverse_cdf(uniforms))
+        except VerisynthError as exc:
+            if label is None:
+                raise
+            raise type(exc)(f"{label(row)}: {exc}") from exc
+        coords = proj + sigma * means.reshape(proj.shape)
+        new_theta = np.zeros_like(theta)
+        for j, v in enumerate(self.directions):
+            new_theta += v * coords[:, j, None]
+        return new_theta

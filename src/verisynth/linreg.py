@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
-from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT, retrain_coords
+from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT, BlockRound
 from .truncnorm import std_moments
-from .verifier import Interval1D, KnowledgeBall, direction_bounds, unit_directions
+from .verifier import Interval1D, KnowledgeBall, direction_bounds
 
 
 @dataclass(frozen=True)
@@ -84,24 +84,6 @@ class SpectralDesign:
 
 
 @dataclass(frozen=True)
-class RetrainState:
-    """Current estimator and round counter of a retraining run."""
-
-    theta_hat: np.ndarray
-    round_index: int
-
-    def __post_init__(self):
-        th = np.asarray(self.theta_hat, dtype=float)
-        if th.ndim != 1:
-            raise DimensionMismatchError("theta_hat must be a 1-D vector")
-        if not np.all(np.isfinite(th)):
-            raise InvalidBoundsError("theta_hat must be finite")
-        if self.round_index < 0:
-            raise InvalidBoundsError("round_index must be >= 0")
-        object.__setattr__(self, "theta_hat", th)
-
-
-@dataclass(frozen=True)
 class LinRegConfig:
     """One verified retraining round: the verifier (a ball, or an interval at
     p = 1), the noise scale and the filter mode. ``sigma`` may be zero only in
@@ -145,75 +127,36 @@ def spectral_design(covariates: np.ndarray) -> SpectralDesign:
     return SpectralDesign(s, vt * signs[:, None])
 
 
-def _direction_rngs(
-    rngs: np.random.Generator | Sequence[np.random.Generator], p: int
-) -> list[np.random.Generator]:
-    if isinstance(rngs, np.random.Generator):
-        return [rngs] * p
-    rngs = list(rngs)
-    if len(rngs) != p:
-        raise DimensionMismatchError(f"need {p} per-direction streams, got {len(rngs)}")
-    return rngs
-
-
-class BlockRound:
-    """Retraining rounds of one problem for blocks of estimates, one per row.
-
-    Calling it with a (rows x p) block of estimates, a per-direction count
-    and the row streams of :func:`verisynth.kernel.retrain_coords` returns the
-    next block, reassembled from its spectral coordinates direction by
-    direction in the same order as a single estimate's round.
-    """
-
-    def __init__(self, design: SpectralDesign, config: LinRegConfig):
-        if config.ball.dimension != design.dimension:
-            raise DimensionMismatchError(
-                f"ball dimension {config.ball.dimension} vs design dimension {design.dimension}"
-            )
-        self.directions = design.directions
-        self.config = config
-        mode = config.filter_mode
-        self.units = unit_directions(design.directions) if mode == FILTER_DIRECT else None
-        self.accept = ([config.ball.acceptance(v) for v in design.directions]
-                       if mode == FILTER_REJECT else None)
-
-    def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
-        config = self.config
-        proj = np.vecdot(theta[:, None, :], self.directions)
-        bounds = (None if self.units is None
-                  else config.ball.bounds(self.units, theta, config.sigma))
-        coords = retrain_coords(proj, config.sigma, config.filter_mode, n_k, streams, label,
-                                bounds=bounds, accept=self.accept, uniforms=uniforms)
-        new_theta = np.zeros_like(theta)
-        for j, v in enumerate(self.directions):
-            new_theta += v * coords[:, j, None]
-        return new_theta
-
-
 def retrain_round(
-    state: RetrainState,
+    theta_hat: np.ndarray,
     design: SpectralDesign,
     config: LinRegConfig,
     n_k: int,
     rngs: np.random.Generator | Sequence[np.random.Generator],
-) -> RetrainState:
-    """One block-design retraining round with ``n_k`` verified samples per direction.
+) -> np.ndarray:
+    """The estimate after one block-design retraining round from ``theta_hat``
+    with ``n_k`` verified samples per direction.
 
     ``rngs`` is either a single generator (consumed direction by direction) or a
     sequence of one independent generator per direction.
     """
     if n_k < 1:
         raise InvalidBoundsError(f"n_k must be >= 1, got {n_k}")
+    theta_hat = np.asarray(theta_hat, dtype=float)
     p = design.dimension
-    if state.theta_hat.shape != (p,):
+    if theta_hat.shape != (p,):
         raise DimensionMismatchError(
-            f"state dimension {state.theta_hat.shape} vs design dimension {p}"
+            f"theta_hat shape {theta_hat.shape} vs design dimension {p}"
         )
-    streams = _direction_rngs(rngs, p)
+    if not np.all(np.isfinite(theta_hat)):
+        raise InvalidBoundsError("theta_hat must be finite")
+    streams = [rngs] * p if isinstance(rngs, np.random.Generator) else list(rngs)
+    if len(streams) != p:
+        raise DimensionMismatchError(f"need {p} per-direction streams, got {len(streams)}")
     new_theta = BlockRound(design, config)(
-        state.theta_hat[None, :], n_k, streams.__getitem__, lambda j: f"direction {j}"
+        theta_hat[None, :], n_k, streams.__getitem__, lambda j: f"direction {j}"
     )
-    return RetrainState(new_theta[0], state.round_index + 1)
+    return new_theta[0]
 
 
 def baseline_mse(design: SpectralDesign, sigma: float) -> float:

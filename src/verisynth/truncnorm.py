@@ -44,6 +44,9 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 #: acceptance probabilities below this raise DegenerateIntervalError
 MIN_ACCEPTANCE = 1e-300
+#: narrowest standardized acceptance width a config may ask for: a narrower
+#: band keeps less than about 4 digits of m2 (see the accuracy domain above)
+MIN_STD_WIDTH = 1e-3
 #: every interval draws by inverse CDF; only the benchmark tracer reads this,
 #: splitting its sampler-branch label at this acceptance probability
 INVERSE_CDF_MIN_PROB = 1e-3

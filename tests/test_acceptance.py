@@ -25,7 +25,6 @@ from verisynth import (
     Interval1D,
     KnowledgeBall,
     LinRegConfig,
-    RetrainState,
     config_from_mapping,
     derive_stream,
     estimate_contraction,
@@ -46,7 +45,7 @@ from verisynth import (
 )
 from verisynth.cli import main
 from verisynth.gaussian1d import step_block
-from verisynth.linreg import BlockRound
+from verisynth.kernel import BlockRound
 from verisynth.seeding import KeyedStreams
 
 from test_truncnorm import random_bounds
@@ -170,11 +169,11 @@ def test_criterion_03_block_path_equals_replication_loop():
     loop = np.empty((len(configs), reps))
     for rep in range(1, reps + 1):
         noise = derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)
-        state0 = RetrainState(ols_fit(Dataset(covariates, covariates @ theta + SIGMA * noise)), 0)
+        theta0 = ols_fit(Dataset(covariates, covariates @ theta + SIGMA * noise))
         for i, config in enumerate(configs):
             streams = [derive_stream(C3_SEED, rep, 1, j) for j in range(1, P + 1)]
-            state1 = retrain_round(state0, design, config, C3_N1, streams)
-            loop[i, rep - 1] = np.sum((state1.theta_hat - theta) ** 2)
+            theta1 = retrain_round(theta0, design, config, C3_N1, streams)
+            loop[i, rep - 1] = np.sum((theta1 - theta) ** 2)
     block = criterion_03_squared_errors(theta, covariates, design, configs, reps)
     assert np.array_equal(block, loop)
 

@@ -112,6 +112,20 @@ BAD_VALUES = [
                  "ball.slack", id="slack-inf"),
     pytest.param(linreg_mapping(ball={"radius": 0.0, "delta": 0.5, "slack": 0.0}),
                  "ball.radius + ball.slack", id="ball-no-width"),
+    # acceptance bands narrower than 1e-3 standard deviations lose the
+    # variance factor m2 to cancellation (e.g. rho = -2.9e-5 at 2e-12)
+    pytest.param(linreg_mapping(ball={"radius": 0.0, "delta": 0.5, "slack": 1e-12}),
+                 "2 (ball.radius + ball.slack) / problem.sigma", id="ball-narrow"),
+    pytest.param(landscape_mapping(landscape={"delta_values": [0.0], "r_values": [1e-7, 0.6],
+                                              "n1": 60, "sigma_c": 0.0}),
+                 "2 (min landscape.r_values + landscape.sigma_c) / problem.sigma",
+                 id="landscape-narrow"),
+    pytest.param(oned_mapping(interval={"lower": 0.0, "upper": 1e-9}),
+                 "(interval.upper - problem.true_mean) / problem.sigma", id="interval-narrow"),
+    # (1 - 1e21) and (-1 - 1e21) round to the same float: the band collapses
+    pytest.param(oned_mapping(problem={"true_mean": 1e21, "sigma": 1.0, "n0": 50}),
+                 "(interval.lower - problem.true_mean) / problem.sigma",
+                 id="interval-collapsed"),
     pytest.param(linreg_mapping(problem={"dimension": 2, "true_theta": [1.0, -1.0],
                                          "sigma": 1.0, "n0": 1}),
                  "problem.n0", id="n0-below-dimension"),
@@ -465,6 +479,30 @@ class TestConfigParsing:
         path = tmp_path / "fuzzed.yaml"
         write_config(config, str(path))
         assert load_config(str(path)) == config
+
+    # every config that parses runs: theory, then one replication
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mapping=one_fault_mappings())
+    @example(mapping=landscape_mapping(landscape={"delta_values": [0.0], "r_values": [1e-7],
+                                                  "n1": 60, "sigma_c": 0.0}))
+    @example(mapping=oned_mapping(problem={"true_mean": 1e21, "sigma": 1.0, "n0": 50}))
+    # the squared distance of the midpoint in standard deviations overflows
+    @example(mapping=oned_mapping(interval={"lower": -1.0, "upper": 1.6e288}))
+    def test_one_fault_runs_or_fails_cleanly(self, tmp_path, capsys, mapping):
+        try:
+            config = config_from_mapping(mapping)
+        except ConfigError:
+            return
+        path = tmp_path / "fuzzed.yaml"
+        write_config(config, str(path))
+        command = COMMAND_FOR_KIND[config.kind]
+        for argv in (["theory"], [command, "--reps", "1", "--out", str(tmp_path / "out")]):
+            code = main(argv + ["--config", str(path)])
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error: ")]
+            assert code in (0, 1, 2)
+            assert len(errors) == (code != 0)
 
     def test_non_mapping_names_the_config(self):
         with pytest.raises(ConfigError) as exc:

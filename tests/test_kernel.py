@@ -21,8 +21,8 @@ from verisynth import (
     KnowledgeBall,
     LinRegConfig,
     MaxAttemptsError,
-    RetrainState,
     SeedSpaceError,
+    SpectralDesign,
     config_from_mapping,
     derive_stream,
     design_matrix,
@@ -39,7 +39,7 @@ from verisynth import (
 )
 from verisynth import kernel
 from verisynth.gaussian1d import initial_mean, retrain_step
-from verisynth.kernel import generate_and_verify, retrain_coords
+from verisynth.kernel import BlockRound, generate_and_verify
 from verisynth.seeding import MAX_INDEX, KeyedStreams
 from verisynth.truncnorm import Truncations
 
@@ -120,8 +120,24 @@ def test_round_equals_direction_loop(mode, shared):
                 return np.random.default_rng(case)
             return [np.random.default_rng([case, j]) for j in range(p)]
 
-        got = retrain_round(RetrainState(theta, 0), design, config, n_k, rngs()).theta_hat
+        got = retrain_round(theta, design, config, n_k, rngs())
         assert np.array_equal(got, scalar_round(theta, design, config, n_k, rngs()))
+
+
+class FixedLimits:
+    """A verifier of the p = 2 design whose standardized bounds are given, one
+    interval per row, whatever the estimates."""
+
+    dimension = 2
+
+    def __init__(self, limits):
+        self.limits = limits
+
+    def bounds(self, units, generator_means, sigma):
+        return self.limits.reshape(2, -1, 2)
+
+    def acceptance(self, direction):
+        return None  # direct rows never test a raw draw
 
 
 @pytest.mark.parametrize("source", ["own", "shared", "given"])
@@ -131,8 +147,11 @@ def test_direct_rows_draw_by_inverse_cdf_at_any_mass(source):
     # CDF of its own n_k uniforms
     limits = np.array([[-1e-3, 9.2, -9.3, -1.0],
                        [1e-3, 9.3, -9.2, 1.0]])
+    # on the canonical directions the estimates are their own spectral coordinates
     proj = np.array([[0.5, -2.0], [3.0, 0.0]])
     sigma, n_k = 1.3, 17
+    block_round = BlockRound(SpectralDesign(np.ones(2), np.eye(2)),
+                             LinRegConfig(FixedLimits(limits), sigma))
     shared = np.random.default_rng(4)
     streams = {"own": lambda row: np.random.default_rng([4, row]),
                "shared": lambda row: shared, "given": None}[source]
@@ -140,8 +159,7 @@ def test_direct_rows_draw_by_inverse_cdf_at_any_mass(source):
         own = np.random.default_rng(4).random((4, n_k))
     else:
         own = np.array([np.random.default_rng([4, row]).random(n_k) for row in range(4)])
-    got = retrain_coords(proj, sigma, "direct", n_k, streams, bounds=limits.reshape(2, 2, 2),
-                         uniforms=own if source == "given" else None)
+    got = block_round(proj, n_k, streams, uniforms=own if source == "given" else None)
     expected = [
         proj.flat[row]
         + sigma * Truncations(limits[:, [row]]).inverse_cdf(own[[row]]).mean()
@@ -229,6 +247,38 @@ def test_high_acceptance_chunks_are_capped():
     assert np.array_equal(got, first_accepted(0.0, 1.0, accept, count, 10))
 
 
+class Untouchable:
+    """A stream that fails the test when a row draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a row called {name} before the round failed")
+
+
+def test_reject_row_short_of_its_budget_fails_before_any_draw():
+    # direction 1's band lies 30 sigma off every estimate: acceptance ~1e-198,
+    # while direction 0 accepts about half its candidates
+    design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
+    ball = KnowledgeBall(np.array([0.0, 30.0]), 0.7, 0.0)
+    block_round = BlockRound(design, LinRegConfig(ball, 1.0, filter_mode="reject"))
+    with pytest.raises(MaxAttemptsError, match="row 1: REJECT acceptance probability"):
+        block_round(np.zeros((3, 2)), 5, lambda row: Untouchable(), lambda row: f"row {row}")
+
+
+@pytest.mark.parametrize("interval,fails", [(Interval1D(2.5, 2.7), False),
+                                            (Interval1D(3.0, 3.1), True)])
+def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval, fails):
+    # with 1,000 attempts per sample the line lies at probability 1e-3: about
+    # 2.7e-3 on (2.5, 2.7) and 3.8e-4 on (3.0, 3.1) at mean 0, sigma 1
+    monkeypatch.setattr(kernel, "MAX_REJECT_ATTEMPTS_PER_SAMPLE", 1000)
+    config = Gaussian1DConfig(0.0, 1.0, interval, 10, np.array([5]), filter_mode="reject")
+    if fails:
+        with pytest.raises(MaxAttemptsError, match="below 1 in the budget of 1000"):
+            retrain_step(0.0, config, 5, Untouchable())
+        return
+    expected = generate_and_verify(0.0, 1.0, interval.accepts, 5, np.random.default_rng(6))
+    assert retrain_step(0.0, config, 5, np.random.default_rng(6)) == float(expected.mean())
+
+
 # --- the runners against a loop over replications and rounds --------------------
 
 
@@ -272,11 +322,11 @@ def reference_landscape(config):
             cell = LinRegConfig(ball, config.sigma)
             try:  # a cell degenerate at the truth or for a replication keeps NaN
                 one_step_prediction(design, theta, ball, config.sigma, config.n1)
-                state = retrain_round(RetrainState(theta_hat, 0), design, cell, config.n1,
-                                      round_streams(config, rep, 1))
+                theta1 = retrain_round(theta_hat, design, cell, config.n1,
+                                       round_streams(config, rep, 1))
             except DegenerateIntervalError:
                 continue
-            norm1[i, rep - 1] = np.linalg.norm(state.theta_hat - theta)
+            norm1[i, rep - 1] = np.linalg.norm(theta1 - theta)
     out = []
     for i in range(len(cells)):
         if np.any(~np.isfinite(norm1[i])):
@@ -307,13 +357,13 @@ def reference_trajectory(config):
         star = np.empty((reps, k_rounds + 1))
         center = np.empty((reps, k_rounds + 1))
         for rep in range(1, reps + 1):
-            state = RetrainState(real_estimate(config, covariates, rep), 0)
+            theta_hat = real_estimate(config, covariates, rep)
             for k in range(k_rounds + 1):
                 if k:
-                    state = retrain_round(state, design, arm_config, int(per_dir[k - 1]),
-                                          round_streams(config, rep, k))
-                star[rep - 1, k] = np.sum((state.theta_hat - theta) ** 2)
-                center[rep - 1, k] = np.sum((state.theta_hat - ball.center) ** 2)
+                    theta_hat = retrain_round(theta_hat, design, arm_config,
+                                              int(per_dir[k - 1]), round_streams(config, rep, k))
+                star[rep - 1, k] = np.sum((theta_hat - theta) ** 2)
+                center[rep - 1, k] = np.sum((theta_hat - ball.center) ** 2)
         out[arm] = stats(star) + stats(center)
     return out
 

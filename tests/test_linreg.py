@@ -15,7 +15,6 @@ from verisynth import (
     KnowledgeBall,
     LinRegConfig,
     RankDeficientError,
-    RetrainState,
     SpectralDesign,
     baseline_mse,
     contraction_rate,
@@ -26,7 +25,7 @@ from verisynth import (
     spectral_design,
 )
 from verisynth.gaussian1d import retrain_step
-from verisynth.linreg import BlockRound
+from verisynth.kernel import BlockRound
 
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
@@ -121,16 +120,6 @@ class TestSpectralDesign:
             SpectralDesign(np.array([2.0, 1.0]), np.eye(3))
 
 
-class TestRetrainState:
-    def test_validation(self):
-        with pytest.raises(InvalidBoundsError):
-            RetrainState(np.array([1.0, math.nan]), 0)
-        with pytest.raises(InvalidBoundsError):
-            RetrainState(np.array([1.0]), -1)
-        with pytest.raises(DimensionMismatchError):
-            RetrainState(np.eye(2), 0)
-
-
 class TestConfigValidation:
     def test_sigma_zero_only_unfiltered(self):
         with pytest.raises(InvalidBoundsError):
@@ -144,8 +133,7 @@ class TestConfigValidation:
         with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
             BlockRound(design, config)
         with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
-            retrain_round(RetrainState(np.zeros(2), 0), design, config, 5,
-                          np.random.default_rng(0))
+            retrain_round(np.zeros(2), design, config, 5, np.random.default_rng(0))
         # an interval is the verifier of the p = 1 problem only
         with pytest.raises(DimensionMismatchError, match="ball dimension 1"):
             BlockRound(design, LinRegConfig(Interval1D(0.0, 1.0), 1.0))
@@ -161,8 +149,8 @@ class TestRetrainRound:
         for mode in ("direct", "reject"):
             config = make_config(radius=radius, slack=slack, center=center,
                                  sigma=sigma, filter_mode=mode)
-            state = retrain_round(
-                RetrainState(theta_hat, 0), design, config, 64,
+            new_theta = retrain_round(
+                theta_hat, design, config, 64,
                 [np.random.default_rng(900), np.random.default_rng(901)],
             )
             for j in range(2):
@@ -172,16 +160,15 @@ class TestRetrainRound:
                                         np.array([64]), filter_mode=mode)
                 scalar = retrain_step(theta_hat[j], cfg1, 64,
                                       np.random.default_rng(900 + j))
-                assert state.theta_hat[j] == scalar
+                assert new_theta[j] == scalar
 
     def test_unfiltered_zero_noise_is_resolution_of_identity(self):
         rng = np.random.default_rng(10)
         design = spectral_design(rng.standard_normal((30, 4)))
         theta_hat = rng.standard_normal(4)
         config = make_config(dimension=4, sigma=0.0, filter_mode="none")
-        state = retrain_round(RetrainState(theta_hat, 0), design, config, 5, rng)
-        assert np.allclose(state.theta_hat, theta_hat, atol=1e-10)
-        assert state.round_index == 1
+        new_theta = retrain_round(theta_hat, design, config, 5, rng)
+        assert np.allclose(new_theta, theta_hat, atol=1e-10)
 
     def test_ball_centered_at_estimate_is_unbiased(self):
         rng = np.random.default_rng(11)
@@ -189,37 +176,42 @@ class TestRetrainRound:
         theta_hat = np.array([1.0, -2.0])
         config = make_config(center=theta_hat, radius=1.0, slack=0.0)
         n = 200_000
-        state = retrain_round(RetrainState(theta_hat, 0), design, config, n, rng)
+        new_theta = retrain_round(theta_hat, design, config, n, rng)
         tol = 5.0 * math.sqrt(M2_SYM1 / n)
-        assert np.allclose(state.theta_hat, theta_hat, atol=tol)
+        assert np.allclose(new_theta, theta_hat, atol=tol)
 
     def test_direction_error_annotation(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
         config = make_config(center=np.array([100.0, 0.0]), radius=1.0)
         with pytest.raises(DegenerateIntervalError, match="direction 0:"):
-            retrain_round(RetrainState(np.zeros(2), 0), design, config, 10,
-                          np.random.default_rng(12))
+            retrain_round(np.zeros(2), design, config, 10, np.random.default_rng(12))
 
     def test_count_and_stream_validation(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
         config = make_config()
         with pytest.raises(InvalidBoundsError):
-            retrain_round(RetrainState(np.zeros(2), 0), design, config, 0,
-                          np.random.default_rng(0))
+            retrain_round(np.zeros(2), design, config, 0, np.random.default_rng(0))
         with pytest.raises(DimensionMismatchError):
-            retrain_round(RetrainState(np.zeros(2), 0), design, config, 5,
+            retrain_round(np.zeros(2), design, config, 5,
                           [np.random.default_rng(0)])  # one stream, two directions
         with pytest.raises(DimensionMismatchError):
-            retrain_round(RetrainState(np.zeros(3), 0), design, config, 5,
+            retrain_round(np.zeros(3), design, config, 5, np.random.default_rng(0))
+
+    def test_estimate_validation(self):
+        design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
+        config = make_config()
+        with pytest.raises(InvalidBoundsError, match="finite"):
+            retrain_round(np.array([1.0, math.nan]), design, config, 5,
                           np.random.default_rng(0))
+        with pytest.raises(DimensionMismatchError):
+            retrain_round(np.eye(2), design, config, 5, np.random.default_rng(0))
 
     def test_reject_budget_exhaustion_names_direction(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
         config = make_config(center=np.array([0.0, 30.0]), radius=0.005,
                              filter_mode=FILTER_REJECT)
         with pytest.raises(Exception, match="direction 1:"):
-            retrain_round(RetrainState(np.zeros(2), 0), design, config, 1,
-                          np.random.default_rng(13))
+            retrain_round(np.zeros(2), design, config, 1, np.random.default_rng(13))
 
 
 class TestBaselineMse:
@@ -295,10 +287,9 @@ class TestOneStepPrediction:
         sq = np.empty(reps)
         for i in range(reps):
             y = x @ theta_star + sigma * rng.standard_normal(100)
-            state = RetrainState(ols_fit(Dataset(x, y)), 0)
             config = LinRegConfig(ball, sigma)
-            new = retrain_round(state, design, config, n1, rng)
-            sq[i] = np.sum((new.theta_hat - theta_star) ** 2)
+            new_theta = retrain_round(ols_fit(Dataset(x, y)), design, config, n1, rng)
+            sq[i] = np.sum((new_theta - theta_star) ** 2)
         pred = one_step_prediction(design, theta_star, ball, sigma, n1)
         se = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - pred) < 3 * se
