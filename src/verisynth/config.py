@@ -207,6 +207,22 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_number(value: Any, path: str) -> None:
+    if _is_number(value):
+        return
+    message = f"{path} must be a number, got {value!r}"
+    if isinstance(value, str):
+        try:
+            spelling = yaml.safe_dump(float(value)).splitlines()[0]
+        except ValueError:
+            pass
+        else:
+            reason = ("YAML 1.1 reads an exponent only after a dot and with a sign"
+                      if "e" in value.lower() else "YAML 1.1 reads it as a string")
+            message += f" ({reason}: write {spelling})"
+    raise ConfigError(message)
+
+
 def _section(raw: Any, path: str, allowed: set[str], required: Iterable[str] = ()):
     _check(isinstance(raw, Mapping), f"{path or 'the config'} must be a mapping of keys to values")
     prefix = f"{path}." if path else ""
@@ -225,7 +241,7 @@ def _kind(value: Any, path: str, values: Mapping[str, Any]) -> str:
 
 
 def _number(value: Any, path: str, values: Mapping[str, Any]) -> float:
-    _check(_is_number(value), f"{path} must be a number, got {value!r}")
+    _check_number(value, path)
     return float(value)
 
 
@@ -250,7 +266,7 @@ def _vector(value: Any, path: str, values: Mapping[str, Any],
     _check(isinstance(value, (list, tuple)) and len(value) > 0,
            f"{path} must be a nonempty list of numbers")
     for i, item in enumerate(value):
-        _check(_is_number(item), f"{path}[{i}] must be a number, got {item!r}")
+        _check_number(item, f"{path}[{i}]")
     return tuple(float(item) for item in value)
 
 

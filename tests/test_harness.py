@@ -504,6 +504,31 @@ class TestConfigParsing:
             assert code in (0, 1, 2)
             assert len(errors) == (code != 0)
 
+    @pytest.mark.parametrize("text,message", [
+        ("interval: {lower: -1.0, upper: 1.0e17}",
+         "interval.upper must be a number, got '1.0e17' (YAML 1.1 reads an exponent "
+         "only after a dot and with a sign: write 1.0e+17)"),
+        ("interval: {lower: -1.0, upper: inf}",
+         "interval.upper must be a number, got 'inf' (YAML 1.1 reads it as a string: "
+         "write .inf)"),
+        ("interval: {lower: -1.0, upper: one}",
+         "interval.upper must be a number, got 'one'"),
+    ])
+    def test_yaml_1_1_strings_name_their_spelling(self, tmp_path, capsys, text, message):
+        mapping = {key: value for key, value in oned_mapping().items() if key != "interval"}
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"{yaml.safe_dump(mapping)}{text}\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_yaml_1_1_vector_item_names_its_spelling(self):
+        raw = yaml.safe_load("landscape: {delta_values: [0.0, 1e5], r_values: [0.6], n1: 60}")
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(landscape_mapping(**raw))
+        assert str(exc.value) == (
+            "landscape.delta_values[1] must be a number, got '1e5' (YAML 1.1 reads an "
+            "exponent only after a dot and with a sign: write 100000.0)")
+
     def test_non_mapping_names_the_config(self):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping([1])

@@ -124,6 +124,29 @@ class TestStdMoments:
             assert closed.m2 == pytest.approx(oracle.m2, abs=1e-9)
             assert closed.m3 == pytest.approx(oracle.m3, abs=1e-9)
 
+    @pytest.mark.parametrize("upper", [50.0, 1e4, 1e8, 1e16, 1e154, 1e300])
+    @pytest.mark.parametrize("lower", [0.0, 0.5, 3.0, 20.0])
+    def test_huge_finite_bound_is_the_half_line(self, lower, upper):
+        # beyond b^2 - a^2 ~ 1490 the mass above b underflows doubles entirely
+        for b, half_line in ((Bounds(lower, upper), Bounds(lower, math.inf)),
+                             (Bounds(-upper, -lower), Bounds(-math.inf, -lower))):
+            closed = std_moments(b)
+            oracle = quadrature_moments(b)
+            assert closed.m1 == pytest.approx(oracle.m1, abs=1e-12)
+            assert closed.m2 == pytest.approx(oracle.m2, abs=1e-12)
+            assert closed.m3 == pytest.approx(oracle.m3, abs=1e-12)
+            assert closed == std_moments(half_line)
+            assert closed.m2 > 0.0
+
+    @pytest.mark.parametrize("upper", [1e154, 1.6e288, 1e300])
+    def test_straddling_huge_finite_bound_is_finite(self, upper):
+        for b, half_line in ((Bounds(-1.0, upper), Bounds(-1.0, math.inf)),
+                             (Bounds(-upper, 1.0), Bounds(-math.inf, 1.0))):
+            closed = std_moments(b)
+            assert all(math.isfinite(v) for v in (closed.m1, closed.m2, closed.m3))
+            assert closed.m3 == pytest.approx(quadrature_moments(b).m3, abs=1e-12)
+            assert closed == std_moments(half_line)
+
 
 class TestDerivativeIdentities:
     def test_map_slope_equals_variance_factor(self):
