@@ -207,6 +207,13 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _yaml_string_hint(value: str, spelling: str) -> str:
+    """Why YAML 1.1 read a number written as ``value`` as a string, and ``spelling``."""
+    reason = ("YAML 1.1 reads an exponent only after a dot and with a sign"
+              if "e" in value.lower() else "YAML 1.1 reads it as a string")
+    return f" ({reason}: write {spelling})"
+
+
 def _check_number(value: Any, path: str) -> None:
     if _is_number(value):
         return
@@ -217,9 +224,7 @@ def _check_number(value: Any, path: str) -> None:
         except ValueError:
             pass
         else:
-            reason = ("YAML 1.1 reads an exponent only after a dot and with a sign"
-                      if "e" in value.lower() else "YAML 1.1 reads it as a string")
-            message += f" ({reason}: write {spelling})"
+            message += _yaml_string_hint(value, spelling)
     raise ConfigError(message)
 
 
@@ -246,9 +251,21 @@ def _number(value: Any, path: str, values: Mapping[str, Any]) -> float:
 
 
 def _integer(value: Any, path: str, values: Mapping[str, Any]) -> int:
-    _check(isinstance(value, int) and not isinstance(value, bool),
-           f"{path} must be an integer, got {value!r}")
-    return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    message = f"{path} must be an integer, got {value!r}"
+    number = value
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+    # a whole number written as a float (100.0) or as YAML 1.1's string (1e3)
+    if isinstance(number, float) and number.is_integer() and abs(number) <= 2 ** 53:
+        spelling = str(int(number))
+        message += (_yaml_string_hint(value, spelling) if isinstance(value, str)
+                    else f" (write {spelling})")
+    raise ConfigError(message)
 
 
 def _flag(value: Any, path: str, values: Mapping[str, Any]) -> bool:

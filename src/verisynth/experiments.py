@@ -13,7 +13,10 @@ count.
 
 Arms of an iterative experiment (e.g. verified vs unfiltered) reuse the same
 stream keys — common random numbers — which makes between-arm comparisons
-conservative when paired with per-arm standard errors.
+conservative when paired with per-arm standard errors. Each round's row
+streams are read once, into one block of uniforms that every arm shares: a
+direct arm reads each row's first n_k uniforms and an unfiltered arm the
+first of them; a REJECT arm draws its candidates from the streams itself.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from .gaussian1d import (
     initial_mean,
     one_step_mse_prediction_1d,
 )
-from .kernel import FILTER_NONE, BlockRound
+from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound
 from .linreg import (
     Dataset,
     LinRegConfig,
@@ -51,7 +54,7 @@ from .linreg import (
     one_step_prediction,
     spectral_design,
 )
-from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
+from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, StreamRows, derive_stream
 from .verifier import (
     Interval1D,
     KnowledgeBall,
@@ -154,6 +157,14 @@ def _round_rows(streams: KeyedStreams, block: range, rounds: int, p: int):
             yield k, chunk_streams[i]
 
 
+def _uniforms(rows: StreamRows, width: int) -> np.ndarray:
+    """The first ``width`` uniforms of every row's stream, one row each."""
+    uniforms = np.empty((rows.keys.shape[0], width))
+    for row in range(uniforms.shape[0]):
+        rows.stream(row).random(out=uniforms[row])
+    return uniforms
+
+
 def _real_estimates(streams: KeyedStreams, block: range, fit: Callable) -> np.ndarray:
     """Each replication's real-data fit, drawn from its (rep, 0, 0) stream, one row each."""
     real = streams.derive(_keys(block, range(1), range(1)))[0]
@@ -177,6 +188,7 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign,
     p = design.dimension
     arm_rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
                   for arm in config.arms}
+    direct, unfiltered = FILTER_DIRECT in config.arms, FILTER_NONE in config.arms
 
     def simulate(block: range) -> None:
         slots = slice(block.start - 1, block.stop - 1)
@@ -186,9 +198,13 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign,
         for arm in config.arms:
             record(arm, slots, 0, theta_hat)
         for k, round_k in _round_rows(streams, block, per_dir.size, p):
+            n_k = int(per_dir[k - 1])
+            uniforms = None
+            if direct or unfiltered:
+                uniforms = _uniforms(round_k, n_k if direct else 1)
             for arm, arm_round in arm_rounds.items():
-                estimates[arm] = arm_round(estimates[arm], int(per_dir[k - 1]),
-                                           round_k.stream, round_k.label)
+                estimates[arm] = arm_round(estimates[arm], n_k, round_k.stream,
+                                           round_k.label, uniforms)
                 record(arm, slots, k, estimates[arm])
 
     blocks = _blocks(config.replications, threads, p * int(per_dir.max(initial=1)))
@@ -271,9 +287,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
         # every cell's round draws from the same (rep, 1, j) streams, so every
         # cell reads the same uniforms
         round1 = streams.derive(_keys(block, range(1, 2), range(1, p + 1)))[0]
-        uniforms = np.empty((len(block) * p, config.n1))
-        for row in range(uniforms.shape[0]):
-            round1.stream(row).random(out=uniforms[row])
+        uniforms = _uniforms(round1, config.n1)
         for i, cell_round in enumerate(cell_rounds):
             if cell_round is None:
                 continue

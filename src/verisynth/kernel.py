@@ -6,8 +6,10 @@ noise values xi from N(0, 1) as filtered by the verifier along v_j, and moves
 the coordinate to proj + sigma * mean(xi). The 1-D problem is the case p = 1,
 v = 1. :class:`BlockRound` advances a block of such rows at once:
 standardized bounds, acceptance masses and inverse-CDF draws are array
-operations over the block; the unfiltered arm and the REJECT
-generate-and-verify loop draw row by row.
+operations over the block, and so is the unfiltered arm, whose mean of n_k
+N(0, 1) draws is exactly N(0, 1/n_k): one normal per row, the quantile of
+the row's first uniform over sqrt(n_k). Only the REJECT generate-and-verify
+loop draws row by row.
 
 The generate-and-verify loop draws raw candidates in chunks of max(2 n_k, 64)
 that double after every pass that leaves the row short, up to
@@ -19,17 +21,24 @@ before any row draws.
 
 Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
 each row's generator. Rows draw in that order (a direct row takes exactly
-n_k uniforms), so one generator shared by all rows is consumed exactly as a
-loop over the rows would consume it.
+n_k uniforms, an unfiltered row one), so one generator shared by all rows is
+consumed exactly as a loop over the rows would consume it.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
-from .truncnorm import MIN_ACCEPTANCE, Bounds, Truncations, acceptance_probability
+from .truncnorm import (
+    MIN_ACCEPTANCE,
+    Bounds,
+    Truncations,
+    acceptance_probability,
+    normal_quantile,
+)
 from .verifier import unit_directions
 
 FILTER_DIRECT = "direct"
@@ -41,6 +50,9 @@ FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
 MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
 #: most raw candidates one pass of the generate-and-verify loop draws
 MAX_REJECT_CHUNK = 2 ** 16
+#: smallest positive value of Generator.random(); an unfiltered row reads a
+#: first uniform of 0 as this, so that its normal is finite (about -8.2)
+MIN_UNIFORM = 2.0 ** -53
 
 Acceptance = Callable[[np.ndarray], np.ndarray]
 
@@ -90,9 +102,13 @@ class BlockRound:
     Calling it with a (rows x p) block of estimates, a per-direction count
     ``n_k`` and the row streams returns the next block, reassembled from its
     spectral coordinates direction by direction in the same order as a
-    single estimate's round. ``uniforms`` (rows x n_k), when given, holds the
-    first n_k uniforms of every row's stream, for direct rows whose streams
-    are their own. A VerisynthError is re-raised with ``label(row)`` of the
+    single estimate's round. ``uniforms``, when given, holds the first
+    uniforms of every row's stream, one row each, for rows whose streams are
+    their own: n_k columns for direct rows, at least one for unfiltered rows,
+    which read the first; REJECT rows ignore it and draw from their streams.
+    Without it a direct row draws n_k uniforms and an unfiltered row one. An
+    unfiltered row's first uniform u gives the mean ndtri(max(u, 2^-53)) /
+    sqrt(n_k). A VerisynthError is re-raised with ``label(row)`` of the
     failing row.
     """
 
@@ -113,10 +129,11 @@ class BlockRound:
         row = 0
         try:
             if mode == FILTER_NONE:
-                noise = np.empty((rows, n_k))
-                for row in range(rows):
-                    streams(row).standard_normal(out=noise[row])
-                means = _row_means(noise)
+                if uniforms is None:
+                    first = np.array([streams(row).random() for row in range(rows)])
+                else:
+                    first = uniforms[:, 0]
+                means = normal_quantile(np.maximum(first, MIN_UNIFORM)) / math.sqrt(n_k)
             else:
                 limits = verifier.bounds(self.units, theta, sigma).reshape(2, -1)
                 block = Truncations(limits)

@@ -106,6 +106,15 @@ class KeyedStreams:
         self._out_mul = out[1:, None]
         self._bit_generator = np.random.Philox(0)
         self._generator = np.random.Generator(self._bit_generator)
+        # the state at counter 0 under a key; _at sets the key and loads it
+        self._start = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": None},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def derive(self, spawn: np.ndarray) -> "StreamRows":
         """The streams of the keys in ``spawn``, an integer array of shape (..., 3)."""
@@ -133,15 +142,9 @@ class KeyedStreams:
             keys[i] = seq.generate_state(2, np.uint64)
         return StreamRows(self, spawn, keys.reshape(spawn.shape[:-1] + (2,)))
 
-    def _at(self, key: np.ndarray) -> np.random.Generator:
-        self._bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (int(key[0]), int(key[1]))},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    def _at(self, key: list[int]) -> np.random.Generator:
+        self._start["state"]["key"] = key
+        self._bit_generator.state = self._start
         return self._generator
 
 
@@ -157,13 +160,16 @@ class StreamRows:
         self._owner = owner
         self.spawn = spawn
         self.keys = keys
+        self._key_list = None  # keys as Python ints, built on the first stream() call
 
     def __getitem__(self, index) -> "StreamRows":
         return StreamRows(self._owner, self.spawn[index], self.keys[index])
 
     def stream(self, row: int) -> np.random.Generator:
         """The generator, positioned at the start of row ``row``'s stream."""
-        return self._owner._at(self.keys[row])
+        if self._key_list is None:
+            self._key_list = self.keys.tolist()
+        return self._owner._at(self._key_list[row])
 
     def label(self, row: int) -> str:
         """Row ``row``'s key, as named in error messages."""

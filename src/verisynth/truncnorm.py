@@ -102,6 +102,11 @@ def _special():
     return scipy.special
 
 
+def normal_quantile(uniforms: np.ndarray) -> np.ndarray:
+    """The standard normal quantile Phi^-1(u) of each uniform."""
+    return _special().ndtri(uniforms)
+
+
 def _mills(z: float) -> float:
     """Mills ratio Phi_c(z)/phi(z), stable for all z not far below 0."""
     return _SQRT_HALF_PI * _special().erfcx(z / _SQRT2)
@@ -138,11 +143,14 @@ class Truncations:
         Assumes non-degenerate mass (at least MIN_ACCEPTANCE); the draws are
         clamped into their interval.
         """
+        x = self.mass[:, None] * uniforms
+        x += self.cdf_lo[:, None]
+        _special().ndtri(x, out=x)
         lo, hi = self.limits[:, :, None]
-        x = _special().ndtri(self.cdf_lo[:, None] + self.mass[:, None] * uniforms).clip(lo, hi)
-        if not self.any_flip:
-            return x
-        return np.where(self.flip[:, None], -x, x)
+        np.clip(x, lo, hi, out=x)
+        if self.any_flip:
+            np.negative(x, out=x, where=self.flip[:, None])
+        return x
 
 
 def acceptance_probability(bounds: Bounds) -> float:

@@ -90,6 +90,13 @@ def oned_mapping(**over):
 
 #: configs that name a bad value, each with the field its error message names
 BAD_VALUES = [
+    # YAML 1.1 reads 1e3 as a string and 1.0e+2 as a float
+    pytest.param(oned_mapping(problem={"true_mean": 0.0, "sigma": 1.0, "n0": "1e3"}),
+                 "problem.n0 must be an integer, got '1e3' (YAML 1.1 reads an exponent only "
+                 "after a dot and with a sign: write 1000)", id="n0-exponent-string"),
+    pytest.param(oned_mapping(schedule={"kind": "fixed", "start": 100.0, "rounds": 4}),
+                 "schedule.start must be an integer, got 100.0 (write 100)",
+                 id="start-integral-float"),
     pytest.param(oned_mapping(problem={"true_mean": math.nan, "sigma": 1.0, "n0": 50}),
                  "problem.true_mean", id="true_mean-nan"),
     pytest.param(oned_mapping(problem={"true_mean": math.inf, "sigma": 1.0, "n0": 50}),
@@ -224,6 +231,29 @@ WRITTEN_YAML = [
         "schedule: {kind: linear, start: 40, end_or_ratio: 80.0, rounds: 3, unit: total}\n"
         "arms: [direct, none]\n"
     ), id="ball-center"),
+]
+
+#: run_iterative's rows, each value repr'd, for linreg_mapping's [direct, none]
+#: arms. Every arm shares the round's uniforms and an unfiltered row's mean is
+#: ndtri(u_1) / sqrt(n_k) from its first one, so a change to the stream layout
+#: moves them.
+UNFILTERED_ROWS = [
+    "'direct' 0 0 0.07557908376172678 0.04962692156913728 0.22724677625056652 "
+    "0.06962323063266433 0.32835075832450195 0.6928567553994145 3",
+    "'direct' 1 20 0.09504582540447302 0.06115760090900359 0.17820053825971038 "
+    "0.07133215808398474 0.22691061583206532 0.6928567553994145 3",
+    "'direct' 2 30 0.11352536783609403 0.10831551193195753 0.23993339764714375 "
+    "0.06248931387194464 0.15511900120201755 0.6928567553994145 3",
+    "'direct' 3 40 0.06692968531086071 0.009936586335347624 0.07620497354330229 "
+    "0.01091597951754632 0.10910778929744028 0.6928567553994145 3",
+    "'none' 0 0 0.07557908376172678 0.04962692156913728 0.22724677625056652 "
+    "0.06962323063266433 nan nan 3",
+    "'none' 1 20 0.1594340550844764 0.08137385275644561 0.342623801334696 "
+    "0.12147822717718985 nan nan 3",
+    "'none' 2 30 0.34727037479233497 0.20614360088180322 0.538419716677748 "
+    "0.28416481377383135 nan nan 3",
+    "'none' 3 40 0.43665347322671777 0.22503308366940328 0.5419586177801199 "
+    "0.20799308177206638 nan nan 3",
 ]
 
 #: run_iterative's rows, each value repr'd, for small configs: two with a REJECT
@@ -733,6 +763,17 @@ class TestRunners:
     def test_reject_rows_are_pinned(self, mapping, expected):
         rows = run_iterative(config_from_mapping(mapping))
         assert [" ".join(repr(v) for v in row.values()) for row in rows] == expected
+
+    def test_unfiltered_rows_are_pinned(self):
+        rows = run_iterative(config_from_mapping(linreg_mapping()))
+        assert [" ".join(repr(v) for v in row.values()) for row in rows] == UNFILTERED_ROWS
+
+    @pytest.mark.parametrize("arms", [["none"], ["reject", "none"], ["none", "direct"]])
+    def test_unfiltered_rows_do_not_depend_on_the_other_arms(self, arms):
+        rows = run_iterative(config_from_mapping(linreg_mapping(arms=arms)))
+        unfiltered = [" ".join(repr(v) for v in row.values())
+                      for row in rows if row["arm"] == "none"]
+        assert unfiltered == UNFILTERED_ROWS[4:]
 
     def test_semi_infinite_interval_rows_have_nan_bounds(self):
         raw = oned_mapping(interval={"lower": -math.inf, "upper": 1.0})

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
+from scipy.stats import kstest
 
 from verisynth import (
     Dataset,
@@ -38,7 +40,7 @@ from verisynth import (
     spectral_design,
 )
 from verisynth import kernel
-from verisynth.gaussian1d import initial_mean, retrain_step
+from verisynth.gaussian1d import ONE_DIRECTION, initial_mean, retrain_step
 from verisynth.kernel import BlockRound, generate_and_verify
 from verisynth.seeding import MAX_INDEX, KeyedStreams
 from verisynth.truncnorm import Truncations
@@ -72,6 +74,24 @@ def test_positioned_generator_draws_like_derive_stream():
     assert rows.label(3) == "replication 3, round 60, direction 8"
 
 
+def test_stream_resets_draw_like_derive_stream():
+    # narrow and wide keys; each reset follows uniform, normal and uint32
+    # draws, the last of which can leave half a 64-bit word buffered
+    keys = np.array([[(1, 2, 3), (2 ** 32, 5, 1)], [(6, 2 ** 40, 9), (7, 0, 2 ** 63 - 1)]],
+                    dtype=np.uint64)
+    streams = KeyedStreams(4321)
+    rows = [streams.derive(keys)[0], streams.derive(keys[1])]
+    draws = [lambda g: g.random(3), lambda g: g.standard_normal(5),
+             lambda g: g.integers(0, 2 ** 31, 3, dtype=np.uint32), lambda g: g.random()]
+    buffered = False
+    for step, (i, row) in enumerate([(0, 0), (1, 1), (0, 1), (1, 0), (0, 0), (1, 1)]):
+        got, expected = rows[i].stream(row), derive_stream(4321, *keys[i, row])
+        for draw in draws[step % 2:] + draws[:step % 2]:
+            assert np.array_equal(draw(got), draw(expected))
+            buffered |= bool(got.bit_generator.state["has_uint32"])
+    assert buffered
+
+
 def test_bulk_keys_reject_out_of_range_indices():
     streams = KeyedStreams(5)
     with pytest.raises(SeedSpaceError, match="stream indices"):
@@ -90,7 +110,10 @@ def scalar_round(theta, design, config, n_k, rngs):
     for j, v in enumerate(design.directions):
         proj = float(v @ theta)
         if config.filter_mode == "none":
-            noise = streams[j].standard_normal(n_k)
+            # the mean of n_k normals, drawn as one: the quantile of the
+            # first uniform (0 read as 2^-53) over sqrt(n_k)
+            u = max(streams[j].random(), 2.0 ** -53)
+            noise = np.array([special.ndtri(u) / math.sqrt(n_k)])
         elif config.filter_mode == "direct":
             bounds = direction_bounds(config.ball, v, theta, config.sigma)
             noise = sample_truncated(bounds, n_k, streams[j])
@@ -122,6 +145,37 @@ def test_round_equals_direction_loop(mode, shared):
 
         got = retrain_round(theta, design, config, n_k, rngs())
         assert np.array_equal(got, scalar_round(theta, design, config, n_k, rngs()))
+
+
+def unfiltered_round(theta, n_k, streams, uniforms=None):
+    """An unfiltered round of the one-direction design at sigma 1."""
+    config = LinRegConfig(KnowledgeBall(np.zeros(1), 1.0, 0.0), 1.0, filter_mode="none")
+    return BlockRound(ONE_DIRECTION, config)(theta, n_k, streams, uniforms=uniforms)
+
+
+@pytest.mark.parametrize("n_k", [1, 7, 50])
+def test_unfiltered_mean_is_a_normal_over_sqrt_n(n_k):
+    # the mean of n_k N(0, 1) draws is N(0, 1/n_k): over 20,000 rows of
+    # distinct keys of seed 20250, sqrt(n_k) times the round's move from 0
+    # passes a KS test against N(0, 1) at level 1e-3
+    reps = 20_000
+    keys = np.stack([np.arange(1, reps + 1), np.full(reps, n_k), np.ones(reps, int)], axis=1)
+    rows = KeyedStreams(20250).derive(keys)
+    moves = unfiltered_round(np.zeros((reps, 1)), n_k, rows.stream)[:, 0]
+    assert kstest(math.sqrt(n_k) * moves, "norm").pvalue > 1e-3
+
+
+class ZeroGenerator:
+    def random(self):
+        return 0.0
+
+
+def test_zero_first_uniform_gives_a_finite_estimate():
+    theta = np.zeros((2, 1))
+    given = unfiltered_round(theta, 7, None, np.array([[0.0, 0.5], [2.0 ** -53, 0.5]]))
+    assert np.all(np.isfinite(given))
+    assert given[0, 0] == given[1, 0] == special.ndtri(2.0 ** -53) / math.sqrt(7)
+    assert np.array_equal(unfiltered_round(theta, 7, lambda row: ZeroGenerator()), given)
 
 
 class FixedLimits:
