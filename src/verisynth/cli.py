@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 runtime failure (e.g. a degenerate experiment),
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config's replication count")
         sub.add_argument("--out", default=".", help="output directory (default: .)")
         sub.add_argument("--threads", type=int, default=1,
-                         help="most worker threads to use (default 1; output is identical)")
+                         help="most worker threads to use (default 1; output is identical); "
+                              "a run below 2^13 noise values per round uses one worker")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
     return parser
@@ -150,5 +152,17 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry, ``verisynth`` and ``python -m verisynth.cli``: :func:`main`,
+    then ``gc.freeze()``, so that interpreter shutdown does not collect the
+    objects of the numpy and scipy imports once more. ``main`` itself leaves
+    the collector alone, as an in-process caller keeps running after it.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -248,7 +248,10 @@ def _landscape_theory(
             ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
             try:
                 one_step = one_step_prediction(design, theta, ball, config.sigma, config.n1)
-                ratio = 0.5 * math.log(base / one_step)
+                # both MSEs scale with sigma^2: where that underflows to 0 the
+                # ratio is NaN, as it is where it overflows
+                ratio = (0.5 * math.log(base / one_step) if base > 0.0 and one_step > 0.0
+                         else math.nan)
             except DegenerateIntervalError:
                 ball, one_step, ratio = None, math.nan, math.nan
             cells.append((ball, {"delta": delta, "r": radius,

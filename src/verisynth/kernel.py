@@ -11,18 +11,20 @@ N(0, 1) draws is exactly N(0, 1/n_k): one normal per row, the quantile of
 the row's first uniform over sqrt(n_k). Only the REJECT generate-and-verify
 loop draws row by row.
 
-The generate-and-verify loop draws raw candidates in chunks of max(2 n_k, 64)
-that double after every pass that leaves the row short, up to
-``MAX_REJECT_CHUNK`` and the attempt budget. The kept draws, the first n_k
+The generate-and-verify loop sizes each pass from the row's acceptance mass:
+a row still short of ``need`` samples draws ceil(need / mass) raw candidates,
+at least 64 and at most ``MAX_REJECT_CHUNK`` and what is left of the attempt
+budget, so that one pass usually fills the row. The kept draws, the first n_k
 accepted ones of the row's stream, are independent of chunking; only how far
 the stream runs past the last of them depends on the chunks. A REJECT row
-whose acceptance probability times the per-sample budget is below 1 fails
-before any row draws.
+whose acceptance probability times the per-sample budget is not at least 1
+(a NaN mass included) fails before any row draws.
 
 Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
 each row's generator. Rows draw in that order (a direct row takes exactly
-n_k uniforms, an unfiltered row one), so one generator shared by all rows is
-consumed exactly as a loop over the rows would consume it.
+n_k uniforms, an unfiltered row one, a REJECT row the chunks its mass sets),
+so one generator shared by all rows is consumed exactly as a loop over the
+rows would consume it.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
 from .truncnorm import (
     MIN_ACCEPTANCE,
+    MIN_UNIFORM,
     Bounds,
     Truncations,
     acceptance_probability,
@@ -48,45 +51,51 @@ FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
 
 #: REJECT-mode attempt budget per needed sample
 MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
-#: most raw candidates one pass of the generate-and-verify loop draws
+#: fewest and most raw candidates one pass of the generate-and-verify loop draws
+MIN_REJECT_CHUNK = 64
 MAX_REJECT_CHUNK = 2 ** 16
-#: smallest positive value of Generator.random(); an unfiltered row reads a
-#: first uniform of 0 as this, so that its normal is finite (about -8.2)
-MIN_UNIFORM = 2.0 ** -53
 
 Acceptance = Callable[[np.ndarray], np.ndarray]
 
 
 def generate_and_verify(
-    mean: float, sigma: float, accept: Acceptance, count: int, rng: np.random.Generator
+    mean: float, sigma: float, accept: Acceptance, mass: float, count: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Keep the first ``count`` raw draws of N(mean, sigma^2) that ``accept`` passes.
 
-    Candidates come in chunks of max(2 count, 64) draws, doubled after every
-    pass that leaves the row short and capped by ``MAX_REJECT_CHUNK`` and by
-    the budget of ``MAX_REJECT_ATTEMPTS_PER_SAMPLE * count`` attempts. The
-    kept draws are independent of chunking; how many candidates are drawn
-    past the last kept one is not. Returns standardized residuals, so that
-    every filter mode shares one update.
+    ``mass`` is the probability that ``accept`` passes a draw (0 when it
+    underflows; not NaN). A pass still short of ``need`` samples draws
+    ceil(need / mass) candidates, at least ``MIN_REJECT_CHUNK`` and at most
+    ``MAX_REJECT_CHUNK`` and what is left of the budget of
+    ``MAX_REJECT_ATTEMPTS_PER_SAMPLE * count`` attempts. The kept draws are
+    independent of chunking; how many candidates are drawn past the last kept
+    one is not. Returns standardized residuals, so that every filter mode
+    shares one update.
     """
     kept = np.empty(count)
     filled = 0
     attempts = 0
     budget = MAX_REJECT_ATTEMPTS_PER_SAMPLE * count
-    chunk = min(max(2 * count, 64), MAX_REJECT_CHUNK)
     while filled < count:
+        need = count - filled
+        if need >= mass * MAX_REJECT_CHUNK:
+            chunk = MAX_REJECT_CHUNK
+        else:
+            chunk = max(math.ceil(need / mass), MIN_REJECT_CHUNK)
         k = min(chunk, budget - attempts)
         if k <= 0:
             raise MaxAttemptsError(
                 f"REJECT filter exhausted {budget} attempts for {count} samples"
             )
-        y = mean + sigma * rng.standard_normal(k)
+        y = rng.standard_normal(k)
+        y *= sigma
+        y += mean
         attempts += k
         got = y[accept(y)]
-        take = min(got.size, count - filled)
+        take = min(got.size, need)
         kept[filled : filled + take] = got[:take]
         filled += take
-        chunk = min(2 * chunk, MAX_REJECT_CHUNK)
     return (kept - mean) / sigma
 
 
@@ -138,7 +147,7 @@ class BlockRound:
                 limits = verifier.bounds(self.units, theta, sigma).reshape(2, -1)
                 block = Truncations(limits)
                 if mode == FILTER_REJECT:
-                    short = block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE < 1.0
+                    short = ~(block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE >= 1.0)
                     if np.count_nonzero(short):
                         row = int(np.argmax(short))
                         raise MaxAttemptsError(
@@ -147,9 +156,10 @@ class BlockRound:
                             f"per sample"
                         )
                     means = np.empty(rows)
-                    for row, mean in enumerate(proj.reshape(-1)):
-                        noise = generate_and_verify(mean, sigma, self.accept[row % p], n_k,
-                                                    streams(row))
+                    masses = block.mass.tolist()
+                    for row, mean in enumerate(proj.reshape(-1).tolist()):
+                        noise = generate_and_verify(mean, sigma, self.accept[row % p],
+                                                    masses[row], n_k, streams(row))
                         means[row] = _row_means(noise)
                 else:
                     healthy = block.mass >= MIN_ACCEPTANCE

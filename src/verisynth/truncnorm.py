@@ -56,6 +56,9 @@ MIN_STD_WIDTH = 1e-3
 INVERSE_CDF_MIN_PROB = 1e-3
 #: standard-normal mass beyond |z| = 40 underflows double precision entirely
 TAIL_CLIP = 40.0
+#: smallest positive value of Generator.random(); a uniform of 0 is read as
+#: this, so that a draw on a half-line stays finite
+MIN_UNIFORM = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,11 @@ class Truncations:
     def inverse_cdf(self, uniforms: np.ndarray) -> np.ndarray:
         """Draws for every interval from its uniforms (one row each).
 
-        Assumes non-degenerate mass (at least MIN_ACCEPTANCE); the draws are
-        clamped into their interval.
+        Assumes non-degenerate mass (at least MIN_ACCEPTANCE); a uniform of 0
+        is read as MIN_UNIFORM, and the draws are clamped into their interval.
         """
-        x = self.mass[:, None] * uniforms
+        x = np.maximum(uniforms, MIN_UNIFORM)
+        x *= self.mass[:, None]
         x += self.cdf_lo[:, None]
         _special().ndtri(x, out=x)
         lo, hi = self.limits[:, :, None]

@@ -17,6 +17,7 @@ from verisynth import (
     MaxAttemptsError,
     RegimeWarning,
     Trajectory1D,
+    acceptance_probability,
     hitting_time,
     initial_mean,
     interval_bounds_1d,
@@ -106,7 +107,8 @@ class TestRetrainStep:
         bounds = interval_bounds_1d(config.interval, current, config.sigma)
         direct = sample_truncated(bounds, n, np.random.default_rng(11))
         rejected = generate_and_verify(
-            current, config.sigma, config.interval.accepts, n, np.random.default_rng(12)
+            current, config.sigma, config.interval.accepts, acceptance_probability(bounds), n,
+            np.random.default_rng(12)
         )
         stat = ks_2samp(direct, rejected).statistic
         assert stat < 1.628 * math.sqrt(2.0 / n)  # two-sample KS, alpha = 0.01

@@ -519,6 +519,9 @@ class TestConfigParsing:
     @example(mapping=oned_mapping(problem={"true_mean": 1e21, "sigma": 1.0, "n0": 50}))
     # the squared distance of the midpoint in standard deviations overflows
     @example(mapping=oned_mapping(interval={"lower": -1.0, "upper": 1.6e288}))
+    # sigma^2 underflows: both one-step MSEs of the landscape theory are 0
+    @example(mapping=landscape_mapping(problem={"dimension": 3, "true_theta": [1.0, 1.0, 1.0],
+                                                "sigma": 1e-300, "n0": 40}))
     def test_one_fault_runs_or_fails_cleanly(self, tmp_path, capsys, mapping):
         try:
             config = config_from_mapping(mapping)

@@ -25,6 +25,7 @@ from verisynth import (
     MaxAttemptsError,
     SeedSpaceError,
     SpectralDesign,
+    acceptance_probability,
     config_from_mapping,
     derive_stream,
     design_matrix,
@@ -118,8 +119,11 @@ def scalar_round(theta, design, config, n_k, rngs):
             bounds = direction_bounds(config.ball, v, theta, config.sigma)
             noise = sample_truncated(bounds, n_k, streams[j])
         else:
+            # the row's acceptance mass sets its chunks, and with a shared
+            # generator where the next row starts drawing
+            mass = acceptance_probability(direction_bounds(config.ball, v, theta, config.sigma))
             noise = generate_and_verify(proj, config.sigma, config.ball.acceptance(v),
-                                        n_k, streams[j])
+                                        mass, n_k, streams[j])
         new_theta += v * (proj + config.sigma * float(noise.mean()))
     return new_theta
 
@@ -176,6 +180,17 @@ def test_zero_first_uniform_gives_a_finite_estimate():
     assert np.all(np.isfinite(given))
     assert given[0, 0] == given[1, 0] == special.ndtri(2.0 ** -53) / math.sqrt(7)
     assert np.array_equal(unfiltered_round(theta, 7, lambda row: ZeroGenerator()), given)
+
+
+@pytest.mark.parametrize("interval", [Interval1D(-math.inf, 1.0), Interval1D(0.5, math.inf)])
+def test_zero_uniform_on_a_half_line_gives_a_finite_estimate(interval):
+    # at u = 0 the half-line's cdf_lo is 0 and ndtri(0) infinite: 0 is read as 2^-53
+    block_round = BlockRound(ONE_DIRECTION, LinRegConfig(interval, 1.0))
+    theta = np.zeros((1, 1))
+    got = block_round(theta, 3, None, uniforms=np.array([[0.0, 0.5, 0.5]]))
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, block_round(theta, 3, None,
+                                           uniforms=np.array([[2.0 ** -53, 0.5, 0.5]])))
 
 
 class FixedLimits:
@@ -238,7 +253,8 @@ def test_step_equals_scalar_definition():
             bounds = interval_bounds_1d(config.interval, mean, config.sigma)
             noise = sample_truncated(bounds, n_k, np.random.default_rng(case))
         else:
-            noise = generate_and_verify(mean, config.sigma, config.interval.accepts, n_k,
+            noise = generate_and_verify(mean, config.sigma, config.interval.accepts,
+                                        mass_of(config.interval, mean, config.sigma), n_k,
                                         np.random.default_rng(case))
         expected = mean + config.sigma * float(noise.mean())
         assert retrain_step(mean, config, n_k, np.random.default_rng(case)) == expected
@@ -256,6 +272,12 @@ class RecordingGenerator:
     def standard_normal(self, size):
         self.sizes.append(size)
         return self.rng.standard_normal(size)
+
+
+def mass_of(interval, mean, sigma):
+    """The acceptance mass of ``interval`` for draws of N(mean, sigma^2)."""
+    bounds = interval_bounds_1d(interval, mean, sigma)
+    return float(Truncations(np.array([[bounds.lower], [bounds.upper]])).mass[0])
 
 
 def first_accepted(mean, sigma, accept, count, seed):
@@ -276,7 +298,8 @@ def first_accepted(mean, sigma, accept, count, seed):
 @pytest.mark.parametrize("count", [1, 2, 17, 500])
 def test_chunking_cannot_move_a_draw(interval, count):
     for seed, mean, sigma in ((3, 0.0, 1.0), (4, 0.1, 1.3)):
-        got = generate_and_verify(mean, sigma, interval.accepts, count,
+        got = generate_and_verify(mean, sigma, interval.accepts,
+                                  mass_of(interval, mean, sigma), count,
                                   np.random.default_rng(seed))
         assert np.array_equal(got, first_accepted(mean, sigma, interval.accepts, count, seed))
 
@@ -286,19 +309,35 @@ def test_chunking_cannot_move_a_draw(interval, count):
 def test_reject_budget_is_exact_and_chunks_are_capped(monkeypatch, budget, count):
     monkeypatch.setattr(kernel, "MAX_REJECT_ATTEMPTS_PER_SAMPLE", budget)
     rng = RecordingGenerator(np.random.default_rng(9))
+    interval = Interval1D(50.0, 51.0)  # its mass underflows to 0
     with pytest.raises(MaxAttemptsError):
-        generate_and_verify(0.0, 1.0, Interval1D(50.0, 51.0).accepts, count, rng)
+        generate_and_verify(0.0, 1.0, interval.accepts, mass_of(interval, 0.0, 1.0), count, rng)
     assert sum(rng.sizes) == budget * count
     assert max(rng.sizes) <= kernel.MAX_REJECT_CHUNK
 
 
 def test_high_acceptance_chunks_are_capped():
     count = 2 ** 17 + 3
-    accept = Interval1D(-50.0, 50.0).accepts
+    interval = Interval1D(-50.0, 50.0)
+    accept = interval.accepts
     rng = RecordingGenerator(np.random.default_rng(10))
-    got = generate_and_verify(0.0, 1.0, accept, count, rng)
+    got = generate_and_verify(0.0, 1.0, accept, mass_of(interval, 0.0, 1.0), count, rng)
     assert max(rng.sizes) <= kernel.MAX_REJECT_CHUNK
     assert np.array_equal(got, first_accepted(0.0, 1.0, accept, count, 10))
+
+
+# masses about 0.24 and 1.9e-4: one chunk clipped to 64, one sized by the
+# mass, one capped
+@pytest.mark.parametrize("interval,count", [(Interval1D(0.5, 1.5), 1),
+                                            (Interval1D(0.5, 1.5), 17),
+                                            (Interval1D(0.3, 0.3005), 2),
+                                            (Interval1D(0.3, 0.3005), 40)])
+def test_first_chunk_is_sized_by_the_mass(interval, count):
+    mass = mass_of(interval, 0.0, 1.0)
+    rng = RecordingGenerator(np.random.default_rng(11))
+    generate_and_verify(0.0, 1.0, interval.accepts, mass, count, rng)
+    expected = max(math.ceil(count / mass), kernel.MIN_REJECT_CHUNK)
+    assert rng.sizes[0] == min(expected, kernel.MAX_REJECT_CHUNK)
 
 
 class Untouchable:
@@ -318,6 +357,15 @@ def test_reject_row_short_of_its_budget_fails_before_any_draw():
         block_round(np.zeros((3, 2)), 5, lambda row: Untouchable(), lambda row: f"row {row}")
 
 
+def test_reject_row_of_nan_mass_fails_before_any_draw():
+    # a NaN estimate has NaN bounds and a NaN mass, which no budget covers
+    config = LinRegConfig(Interval1D(-1.0, 1.0), 1.0, filter_mode="reject")
+    block_round = BlockRound(ONE_DIRECTION, config)
+    with pytest.raises(MaxAttemptsError, match="row 0: REJECT acceptance probability nan"):
+        block_round(np.array([[math.nan]]), 5, lambda row: Untouchable(),
+                    lambda row: f"row {row}")
+
+
 @pytest.mark.parametrize("interval,fails", [(Interval1D(2.5, 2.7), False),
                                             (Interval1D(3.0, 3.1), True)])
 def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval, fails):
@@ -329,7 +377,8 @@ def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval,
         with pytest.raises(MaxAttemptsError, match="below 1 in the budget of 1000"):
             retrain_step(0.0, config, 5, Untouchable())
         return
-    expected = generate_and_verify(0.0, 1.0, interval.accepts, 5, np.random.default_rng(6))
+    expected = generate_and_verify(0.0, 1.0, interval.accepts, mass_of(interval, 0.0, 1.0), 5,
+                                   np.random.default_rng(6))
     assert retrain_step(0.0, config, 5, np.random.default_rng(6)) == float(expected.mean())
 
 
