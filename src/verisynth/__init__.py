@@ -32,7 +32,6 @@ from .errors import (
     VerisynthError,
 )
 from .experiments import (
-    bias_direction,
     design_matrix,
     estimate_contraction,
     resolve_ball,
@@ -42,27 +41,18 @@ from .experiments import (
 )
 from .gaussian1d import (
     Gaussian1DConfig,
-    RegimeWarning,
     Trajectory1D,
     hitting_time,
     initial_mean,
-    one_step_mse_prediction_1d,
     retrain_step,
-    retraining_map,
-    retraining_map_slope,
     run_iterations,
 )
+from .kernel import FILTER_REJECT
 from .linreg import (
-    FILTER_DIRECT,
-    FILTER_MODES,
-    FILTER_NONE,
-    FILTER_REJECT,
     Dataset,
     LinRegConfig,
     SpectralDesign,
-    baseline_mse,
     ols_fit,
-    one_step_prediction,
     retrain_round,
     spectral_design,
 )
@@ -70,16 +60,24 @@ from .output import (
     GAUSSIAN1D_COLUMNS,
     LANDSCAPE_COLUMNS,
     TRAJECTORY_COLUMNS,
-    columns_for,
     output_basename,
     write_csv,
     write_json,
 )
 from .schedules import Schedule
 from .seeding import derive_stream
+from .theory import (
+    RegimeWarning,
+    baseline_mse,
+    contraction_rate,
+    long_term_bound,
+    one_step_mse_prediction_1d,
+    one_step_prediction,
+    retraining_map,
+    retraining_map_slope,
+)
 from .truncnorm import (
     Bounds,
-    Moments,
     acceptance_probability,
     quadrature_moments,
     sample_truncated,
@@ -88,11 +86,9 @@ from .truncnorm import (
 from .verifier import (
     Interval1D,
     KnowledgeBall,
-    contraction_rate,
     default_slack,
     direction_bounds,
     interval_bounds_1d,
-    long_term_bound,
     verify_point,
 )
 
@@ -104,28 +100,27 @@ __all__ = [
     "RankDeficientError", "MaxAttemptsError", "InsufficientRoundsError",
     "SeedSpaceError", "ConfigError",
     # truncated-normal core
-    "Bounds", "Moments", "std_moments", "quadrature_moments",
+    "Bounds", "std_moments", "quadrature_moments",
     "sample_truncated", "acceptance_probability",
     # verifier geometry
     "KnowledgeBall", "Interval1D", "verify_point",
-    "direction_bounds", "interval_bounds_1d", "contraction_rate", "long_term_bound",
-    "default_slack",
+    "direction_bounds", "interval_bounds_1d", "default_slack",
+    # closed-form theory
+    "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
+    "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bound",
     # 1-D dynamics
-    "Gaussian1DConfig", "Trajectory1D", "RegimeWarning", "initial_mean",
-    "retrain_step", "run_iterations", "one_step_mse_prediction_1d",
-    "retraining_map", "retraining_map_slope", "hitting_time",
+    "Gaussian1DConfig", "Trajectory1D", "initial_mean",
+    "retrain_step", "run_iterations", "hitting_time",
     # linear regression dynamics
-    "FILTER_DIRECT", "FILTER_REJECT", "FILTER_NONE", "FILTER_MODES",
-    "Dataset", "SpectralDesign", "LinRegConfig",
-    "ols_fit", "spectral_design", "retrain_round", "one_step_prediction",
-    "baseline_mse",
+    "FILTER_REJECT", "Dataset", "SpectralDesign", "LinRegConfig",
+    "ols_fit", "spectral_design", "retrain_round",
     # harness
     "Schedule", "derive_stream", "ExperimentConfig", "load_config",
     "write_config", "config_from_mapping",
     "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D",
     "run_landscape", "run_iterative", "estimate_contraction", "theory_summary",
-    "design_matrix", "bias_direction", "resolve_ball",
+    "design_matrix", "resolve_ball",
     "write_csv", "write_json",
     "LANDSCAPE_COLUMNS", "TRAJECTORY_COLUMNS", "GAUSSIAN1D_COLUMNS",
-    "columns_for", "output_basename",
+    "output_basename",
 ]

@@ -11,12 +11,13 @@ preallocated arrays. Every reduction happens after all blocks finish, in
 index order, so results are byte-identical for any block split and worker
 count.
 
-Arms of an iterative experiment (e.g. verified vs unfiltered) reuse the same
-stream keys — common random numbers — which makes between-arm comparisons
-conservative when paired with per-arm standard errors. Each round's row
-streams are read once, into one block of uniforms that every arm shares: a
-direct arm reads each row's first n_k uniforms and an unfiltered arm the
-first of them; a REJECT arm draws its candidates from the streams itself.
+Arms of an experiment (the filter modes of an iterative run, the (delta, r)
+cells of a landscape) reuse the same stream keys — common random numbers —
+which makes between-arm comparisons conservative when paired with per-arm
+standard errors. Each round's row streams are read once, into one block of
+uniforms that every arm shares: a direct arm reads each row's first n_k
+uniforms and an unfiltered arm the first of them; a REJECT arm draws its
+candidates from the streams itself. The closed forms are in :mod:`verisynth.theory`.
 """
 from __future__ import annotations
 
@@ -27,41 +28,16 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (
-    KIND_ITERATE_1D,
-    KIND_ITERATE_LINREG,
-    KIND_LANDSCAPE,
-    ExperimentConfig,
-)
-from .errors import (
-    ConfigError,
-    DegenerateIntervalError,
-    InsufficientRoundsError,
-)
-from .gaussian1d import (
-    ONE_DIRECTION,
-    Gaussian1DConfig,
-    initial_mean,
-    one_step_mse_prediction_1d,
-)
-from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound
-from .linreg import (
-    Dataset,
-    LinRegConfig,
-    SpectralDesign,
-    baseline_mse,
-    ols_fit,
-    one_step_prediction,
-    spectral_design,
-)
-from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, StreamRows, derive_stream
-from .verifier import (
-    Interval1D,
-    KnowledgeBall,
-    contraction_rate,
-    interval_bounds_1d,
-    long_term_bound,
-)
+from .config import KIND_ITERATE_1D, KIND_ITERATE_LINREG, KIND_LANDSCAPE, ExperimentConfig
+from .errors import ConfigError, DegenerateIntervalError, InsufficientRoundsError
+from .gaussian1d import ONE_DIRECTION, Gaussian1DConfig, initial_mean
+from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound, first_uniforms
+from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
+from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
+from .theory import (baseline_mse, contraction_rate, long_term_bound, one_step_gain,
+                     one_step_mse_prediction_1d, one_step_prediction)
+from .truncnorm import Bounds
+from .verifier import Interval1D, KnowledgeBall
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -157,14 +133,6 @@ def _round_rows(streams: KeyedStreams, block: range, rounds: int, p: int):
             yield k, chunk_streams[i]
 
 
-def _uniforms(rows: StreamRows, width: int) -> np.ndarray:
-    """The first ``width`` uniforms of every row's stream, one row each."""
-    uniforms = np.empty((rows.keys.shape[0], width))
-    for row in range(uniforms.shape[0]):
-        rows.stream(row).random(out=uniforms[row])
-    return uniforms
-
-
 def _real_estimates(streams: KeyedStreams, block: range, fit: Callable) -> np.ndarray:
     """Each replication's real-data fit, drawn from its (rep, 0, 0) stream, one row each."""
     real = streams.derive(_keys(block, range(1), range(1)))[0]
@@ -180,32 +148,47 @@ def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
         covariates, signal + config.sigma * rng.standard_normal(covariates.shape[0])))
 
 
-def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign,
-              verifier: KnowledgeBall | Interval1D, per_dir: np.ndarray, fit: Callable,
+def _arm_rounds(config: ExperimentConfig, design: SpectralDesign,
+                verifier: KnowledgeBall | Interval1D, per_dir: np.ndarray) -> tuple[dict, np.ndarray]:
+    """An iterate config's round per arm, and the uniforms per row its arms
+    share in each round: n_k with a direct arm, else 1 with an unfiltered arm."""
+    rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
+              for arm in config.arms}
+    if FILTER_DIRECT in rounds:
+        return rounds, per_dir
+    return rounds, np.full_like(per_dir, int(FILTER_NONE in rounds))
+
+
+def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, rounds: dict,
+              per_dir: np.ndarray, widths: np.ndarray, fit: Callable,
               record: Callable) -> None:
-    """Retrain each replication's real-data fit in every arm, passing each block's
-    estimates to ``record(arm, slots, k, estimates)`` at round 0 and every round k."""
+    """Retrain each replication's real-data fit through every arm's round
+    ``rounds[arm]``, passing each block's estimates to
+    ``record(arm, slots, k, estimates)`` at round 0 and every round k.
+
+    Round k draws ``per_dir[k - 1]`` per direction; every arm shares its rows'
+    first ``widths[k - 1]`` uniforms. No arm's estimates outlive the last round.
+    """
     p = design.dimension
-    arm_rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
-                  for arm in config.arms}
-    direct, unfiltered = FILTER_DIRECT in config.arms, FILTER_NONE in config.arms
+    last = per_dir.size
 
     def simulate(block: range) -> None:
         slots = slice(block.start - 1, block.stop - 1)
         streams = KeyedStreams(config.master_seed)
         theta_hat = _real_estimates(streams, block, fit)
-        estimates = dict.fromkeys(config.arms, theta_hat)
-        for arm in config.arms:
+        estimates = dict.fromkeys(rounds, theta_hat)
+        for arm in rounds:
             record(arm, slots, 0, theta_hat)
-        for k, round_k in _round_rows(streams, block, per_dir.size, p):
-            n_k = int(per_dir[k - 1])
+        for k, round_k in _round_rows(streams, block, last, p):
+            n_k, width = int(per_dir[k - 1]), int(widths[k - 1])
             uniforms = None
-            if direct or unfiltered:
-                uniforms = _uniforms(round_k, n_k if direct else 1)
-            for arm, arm_round in arm_rounds.items():
-                estimates[arm] = arm_round(estimates[arm], n_k, round_k.stream,
-                                           round_k.label, uniforms)
-                record(arm, slots, k, estimates[arm])
+            if width:
+                uniforms = first_uniforms(round_k.stream, round_k.keys.shape[0], width)
+            for arm, arm_round in rounds.items():
+                theta_k = arm_round(estimates[arm], n_k, round_k.stream, round_k.label,
+                                    uniforms)
+                record(arm, slots, k, theta_k)
+                estimates[arm] = theta_k if k < last else None
 
     blocks = _blocks(config.replications, threads, p * int(per_dir.max(initial=1)))
     _run_blocks(simulate, blocks, threads)
@@ -241,22 +224,17 @@ def _landscape_theory(
     """
     theta = np.asarray(config.true_theta, dtype=float)
     direction = bias_direction(config)
-    base = baseline_mse(design, config.sigma)
     cells = []
     for delta in config.delta_values:
         for radius in config.r_values:
             ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
             try:
-                one_step = one_step_prediction(design, theta, ball, config.sigma, config.n1)
-                # both MSEs scale with sigma^2: where that underflows to 0 the
-                # ratio is NaN, as it is where it overflows
-                ratio = (0.5 * math.log(base / one_step) if base > 0.0 and one_step > 0.0
-                         else math.nan)
+                one_step, ratio = one_step_gain(design, theta, ball, config.sigma, config.n1)
             except DegenerateIntervalError:
                 ball, one_step, ratio = None, math.nan, math.nan
             cells.append((ball, {"delta": delta, "r": radius,
                                  "one_step_mse": one_step, "theory_log_ratio": ratio}))
-    return base, cells
+    return baseline_mse(design, config.sigma), cells
 
 
 def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
@@ -272,37 +250,33 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     theta = np.asarray(config.true_theta, dtype=float)
     design, fit = _real_data(config)
     _, cells = _landscape_theory(config, design)
-    reps, p = config.replications, config.dimension
+    reps = config.replications
 
     degenerate = np.array([ball is None for ball, _ in cells])
-    cell_rounds = [
-        None if ball is None else BlockRound(design, LinRegConfig(ball, config.sigma))
-        for ball, _ in cells
-    ]
     norm0 = np.empty(reps)
     norm1 = np.full((len(cells), reps), math.nan)
 
-    def simulate(block: range) -> None:
-        slots = slice(block.start - 1, block.stop - 1)
-        streams = KeyedStreams(config.master_seed)
-        theta_hat = _real_estimates(streams, block, fit)
-        norm0[slots] = _norms(theta_hat - theta)
-        # every cell's round draws from the same (rep, 1, j) streams, so every
-        # cell reads the same uniforms
-        round1 = streams.derive(_keys(block, range(1, 2), range(1, p + 1)))[0]
-        uniforms = _uniforms(round1, config.n1)
-        for i, cell_round in enumerate(cell_rounds):
-            if cell_round is None:
-                continue
+    def cell_round(i: int, ball: KnowledgeBall) -> Callable:
+        # a replication whose acceptance region has no mass makes the cell degenerate
+        block_round = BlockRound(design, LinRegConfig(ball, config.sigma))
+
+        def advance(theta_hat: np.ndarray, *args) -> np.ndarray:
             try:
-                theta1 = cell_round(theta_hat, config.n1, round1.stream, round1.label,
-                                    uniforms)
+                return block_round(theta_hat, *args)
             except DegenerateIntervalError:
                 degenerate[i] = True
-                continue
-            norm1[i, slots] = _norms(theta1 - theta)
+                return np.full_like(theta_hat, math.nan)
+        return advance
 
-    _run_blocks(simulate, _blocks(reps, threads, p * config.n1), threads)
+    def record(i: int, slots: slice, k: int, estimates: np.ndarray) -> None:
+        # round 0 is the real-data fit, the same for every cell
+        (norm1[i] if k else norm0)[slots] = _norms(estimates - theta)
+
+    # the cells are the arms of one round: every cell's round draws from the
+    # same (rep, 1, j) streams, so every cell reads the same uniforms
+    rounds = {i: cell_round(i, ball) for i, (ball, _) in enumerate(cells) if ball is not None}
+    per_dir = np.array([config.n1])
+    _run_arms(config, threads, design, rounds, per_dir, per_dir, fit, record)
 
     rows = []
     for i, (_, cell) in enumerate(cells):
@@ -363,7 +337,8 @@ def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
         sq_star[arm][slots, k] = np.sum((estimates - theta) ** 2, axis=1)
         sq_center[arm][slots, k] = np.sum((estimates - ball.center) ** 2, axis=1)
 
-    _run_arms(config, threads, design, ball, per_dir, fit, record)
+    rounds, widths = _arm_rounds(config, design, ball, per_dir)
+    _run_arms(config, threads, design, rounds, per_dir, widths, fit, record)
 
     rows = []
     for arm in config.arms:
@@ -420,12 +395,16 @@ def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
     def record(arm: str, slots: slice, k: int, means: np.ndarray) -> None:
         estimates[slots, k] = means[:, 0]
 
-    _run_arms(config, threads, ONE_DIRECTION, interval, per_dir,
+    rounds, widths = _arm_rounds(config, ONE_DIRECTION, interval, per_dir)
+    _run_arms(config, threads, ONE_DIRECTION, rounds, per_dir, widths,
               lambda rng: initial_mean(problem, rng), record)
 
     est_mean, est_se = _mean_se(estimates)
     if math.isfinite(interval.midpoint):
-        sq_mean, sq_se = _mean_se((estimates - interval.midpoint) ** 2)
+        # a midpoint beyond ~1e154 from the estimates squares to inf, its
+        # value, and the spread of such infinities is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_mean, sq_se = _mean_se((estimates - interval.midpoint) ** 2)
     else:
         sq_mean = sq_se = np.full(k_rounds + 1, math.nan)
 
@@ -490,15 +469,14 @@ def theory_summary(config: ExperimentConfig) -> dict:
         design = spectral_design(design_matrix(config))
         ball, per_dir, theory = _linreg_theory(config, design)
         bounds = theory.pop("bounds")
-        theta = np.asarray(config.true_theta, dtype=float)
         return {"experiment": config.kind, **theory,
-                "one_step_mse": one_step_prediction(design, theta, ball, config.sigma,
-                                                    int(per_dir[0])),
+                "one_step_mse": one_step_prediction(design, config.true_theta, ball,
+                                                    config.sigma, int(per_dir[0])),
                 "final_round_bound": bounds[-1]}
     if config.kind == KIND_ITERATE_1D:
         interval, per_dir, theory = _gaussian1d_theory(config)
         bounds = theory.pop("bounds")
-        at_truth = interval_bounds_1d(interval, config.true_mean, config.sigma)
+        at_truth = Bounds(*interval.bounds(None, config.true_mean, config.sigma))
         out = {"experiment": config.kind, **theory,
                "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
                    at_truth, config.n0, int(per_dir[0]))}

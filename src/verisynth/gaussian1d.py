@@ -7,17 +7,13 @@ verifier's interval (a, b):
     mean_{k+1} = mean_k + sigma * average of n_k draws of
                  Z | Z in ((a - mean_k)/sigma, (b - mean_k)/sigma).
 
-In standardized coordinates the conditional-expectation map is
-T(x) = x + m1(alpha - x, beta - x); its slope is the shifted variance factor
-v(x) = m2(alpha - x, beta - x), so for a finite interval the dynamics contract
-toward the interval midpoint at rate rho = m2 of the centered interval. The
-closed-form one-step risk implemented here and the k-round contraction bound
-(:func:`verisynth.verifier.long_term_bound`) quantify that picture.
+A round is the p = 1 case of the retraining kernel (direction v = 1). Its
+closed forms, the one-step risk, the infinite-sample update map and the
+contraction toward the interval midpoint, are in :mod:`verisynth.theory`.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +21,10 @@ import numpy as np
 from .errors import InvalidBoundsError, VerisynthError
 from .kernel import FILTER_DIRECT, FILTER_REJECT, BlockRound
 from .linreg import LinRegConfig, SpectralDesign
-from .truncnorm import Bounds, std_moments
 from .verifier import Interval1D
 
 #: the spectral design of the p = 1 problem: one direction, v = 1
 ONE_DIRECTION = SpectralDesign(np.ones(1), np.ones((1, 1)))
-
-
-class RegimeWarning(UserWarning):
-    """The closed-form prediction is being used outside its accuracy regime."""
 
 
 @dataclass(frozen=True)
@@ -125,35 +116,6 @@ def run_iterations(config: Gaussian1DConfig, rng: np.random.Generator) -> Trajec
             raise type(exc)(f"retraining round {k}: {exc}") from exc
     dist = np.abs(means - mid) if math.isfinite(mid) else np.full_like(means, math.nan)
     return Trajectory1D(np.arange(config.rounds + 1), means, dist)
-
-
-def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:
-    """Closed-form one-step MSE of the retrained mean, in units of sigma^2.
-
-    ``bounds`` is the standardized verifier interval relative to the true mean.
-    The expansion is accurate when n1 > n0 >= 100; outside that regime the
-    value is still returned but a RegimeWarning is emitted.
-    """
-    if n0 < 1 or n1 < 1:
-        raise InvalidBoundsError(f"sample counts must be >= 1, got n0={n0}, n1={n1}")
-    if not (n1 > n0 >= 100):
-        warnings.warn(
-            f"prediction derived for n1 > n0 >= 100; called with n0={n0}, n1={n1}",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    m = std_moments(bounds)
-    return float(m.m2 / n1 + m.m1 ** 2 + (m.m2 ** 2 + m.m3 * m.m1) / n0)
-
-
-def retraining_map(bounds: Bounds, x: float) -> float:
-    """Deterministic infinite-sample update T(x) = x + m1(bounds shifted by x)."""
-    return x + std_moments(bounds.shifted(x)).m1
-
-
-def retraining_map_slope(bounds: Bounds, x: float) -> float:
-    """Slope of the deterministic update, identically the shifted variance factor."""
-    return std_moments(bounds.shifted(x)).m2
 
 
 def hitting_time(trajectory: Trajectory1D, level: float, direction: str = "down") -> int | None:

@@ -99,6 +99,17 @@ def generate_and_verify(
     return (kept - mean) / sigma
 
 
+def first_uniforms(streams: Callable, rows: int, width: int) -> np.ndarray:
+    """Each row's first ``width`` uniforms from ``streams(row)``, in row order."""
+    uniforms = np.empty((rows, width))
+    for row in range(rows):
+        if width == 1:  # one plain random() call: all a row's stream must offer
+            uniforms[row] = streams(row).random()
+        else:
+            streams(row).random(out=uniforms[row])
+    return uniforms
+
+
 def _row_means(x: np.ndarray) -> np.ndarray:
     # the sum and division of ndarray.mean(axis=-1), without its Python wrapper
     return np.add.reduce(x, axis=-1) / x.shape[-1]
@@ -139,10 +150,8 @@ class BlockRound:
         try:
             if mode == FILTER_NONE:
                 if uniforms is None:
-                    first = np.array([streams(row).random() for row in range(rows)])
-                else:
-                    first = uniforms[:, 0]
-                means = normal_quantile(np.maximum(first, MIN_UNIFORM)) / math.sqrt(n_k)
+                    uniforms = first_uniforms(streams, rows, 1)
+                means = normal_quantile(np.maximum(uniforms[:, 0], MIN_UNIFORM)) / math.sqrt(n_k)
             else:
                 limits = verifier.bounds(self.units, theta, sigma).reshape(2, -1)
                 block = Truncations(limits)
@@ -168,9 +177,7 @@ class BlockRound:
                         # the scalar definitions raise this row's error (invalid or degenerate)
                         acceptance_probability(Bounds(*limits[:, row]))
                     if uniforms is None:
-                        uniforms = np.empty((rows, n_k))
-                        for row in range(rows):
-                            streams(row).random(out=uniforms[row])
+                        uniforms = first_uniforms(streams, rows, n_k)
                     means = _row_means(block.inverse_cdf(uniforms))
         except VerisynthError as exc:
             if label is None:

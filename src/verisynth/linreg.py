@@ -10,9 +10,9 @@ a per-direction coordinate, and reassembles
 
 Because the directions are orthonormal, each coordinate evolves exactly like
 the scalar mean-retraining process with bounds given by the verifier geometry,
-which is what makes the closed-form one-step risk below and the k-round
-contraction bound (:func:`verisynth.verifier.long_term_bound`) exact
-statements about this simulator.
+which is what makes the closed forms of :mod:`verisynth.theory` (the OLS and
+one-step risks, the k-round contraction bound) exact statements about this
+simulator.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
-from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT, BlockRound
-from .truncnorm import std_moments
-from .verifier import Interval1D, KnowledgeBall, direction_bounds
+from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, BlockRound
+from .verifier import Interval1D, KnowledgeBall
 
 
 @dataclass(frozen=True)
@@ -157,38 +156,3 @@ def retrain_round(
         theta_hat[None, :], n_k, streams.__getitem__, lambda j: f"direction {j}"
     )
     return new_theta[0]
-
-
-def baseline_mse(design: SpectralDesign, sigma: float) -> float:
-    """Exact OLS risk conditional on the design: sigma^2 * sum_j mu_j^-2."""
-    return float(sigma * sigma * np.sum(design.singular_values ** -2.0))
-
-
-def one_step_prediction(
-    design: SpectralDesign,
-    true_theta: np.ndarray,
-    ball: KnowledgeBall,
-    sigma: float,
-    n1: int,
-) -> float:
-    """Closed-form E||theta_1 - true_theta||^2 after one verified retraining round.
-
-    Per direction, with standardized acceptance bounds evaluated at the true
-    parameter, the risk contribution is m2/n1 + m1^2 + (m1 m3 + m2^2)/mu_j^2,
-    all scaled by sigma^2. Raises DegenerateIntervalError when some direction's
-    acceptance region carries no mass.
-    """
-    if n1 < 1:
-        raise InvalidBoundsError(f"n1 must be >= 1, got {n1}")
-    true_theta = np.asarray(true_theta, dtype=float)
-    if true_theta.shape != (design.dimension,):
-        raise DimensionMismatchError(
-            f"true_theta shape {true_theta.shape} vs design dimension {design.dimension}"
-        )
-    total = 0.0
-    for j in range(design.dimension):
-        bounds = direction_bounds(ball, design.directions[j], true_theta, sigma)
-        m = std_moments(bounds)
-        mu_sq = float(design.singular_values[j]) ** 2
-        total += m.m2 / n1 + m.m1 ** 2 + (m.m1 * m.m3 + m.m2 ** 2) / mu_sq
-    return float(sigma * sigma * total)

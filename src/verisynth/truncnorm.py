@@ -182,20 +182,19 @@ def _oriented_moments(a: float, b: float) -> tuple[float, float, float]:
             # w underflows (b == inf included): in double precision this is the
             # half-line (a, inf), and the finite-b forms below would cancel
             dnm = ga
-            m1 = 1.0 / dnm
-            r2 = -a / dnm
-            q = (a * a - 1.0) / dnm
+            numerators = 1.0, -a, a * a - 1.0
         else:
             gb = _mills(b)
             # 1 - w computed via expm1 so narrow intervals keep full precision
             one_minus_w = -math.expm1(log_w)
             dnm = (ga - gb) + gb * one_minus_w
-            m1 = one_minus_w / dnm
-            r2 = ((b - a) - b * one_minus_w) / dnm
-            q = ((a - b) * (a + b) + (b * b - 1.0) * one_minus_w) / dnm
-        # degeneracy check in log space (Z = phi(a) * dnm)
+            numerators = (one_minus_w, (b - a) - b * one_minus_w,
+                          (a - b) * (a + b) + (b * b - 1.0) * one_minus_w)
+        # degeneracy check in log space (Z = phi(a) * dnm), before the ratios
+        # over dnm, which overflow first
         if -0.5 * a * a - _LOG_SQRT_2PI + math.log(dnm) < math.log(MIN_ACCEPTANCE):
             raise DegenerateIntervalError(f"acceptance probability underflows for bounds ({a}, {b})")
+        m1, r2, q = (x / dnm for x in numerators)
     else:
         # interval straddles 0 (or reaches it): the plain ratios are stable
         ndtr = _special().ndtr

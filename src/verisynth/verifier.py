@@ -1,4 +1,4 @@
-"""Verifier geometry: acceptance rule, induced truncation bounds, contraction theory.
+"""Verifier geometry: the acceptance rule and the truncation bounds it induces.
 
 A verifier holds an approximate parameter vector (the ball center) and accepts
 a candidate pair (x, y) when the residual against its own model is small:
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError, NonUnitDirectionError
-from .truncnorm import Bounds, std_moments
+from .truncnorm import Bounds
 
 #: |  ||v|| - 1 | below this is treated as exactly unit
 UNIT_NORM_TOL = 1e-10
@@ -180,45 +180,3 @@ def interval_bounds_1d(interval: Interval1D, generator_mean: float, sigma: float
     if not sigma > 0.0:
         raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
     return Bounds(*interval.bounds(None, generator_mean, sigma))
-
-
-def contraction_rate(verifier: KnowledgeBall | Interval1D, sigma: float) -> float:
-    """Per-round contraction factor rho of the verified retraining dynamics.
-
-    rho equals the variance of a standard normal truncated to the symmetric
-    interval of standardized half-width ``verifier.half_width / sigma``; it
-    lies in (0, 1], approaching 0 for a maximally selective verifier and 1
-    for a vacuous one (a wide verifier rounds to exactly 1). A half-line has
-    no contraction rate.
-    """
-    if not sigma > 0.0:
-        raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
-    halfwidth = verifier.half_width / sigma
-    if not math.isfinite(halfwidth):
-        raise InvalidBoundsError("contraction rate requires a finite half-width")
-    return std_moments(Bounds(-halfwidth, halfwidth)).m2
-
-
-def long_term_bound(
-    rho: float, initial_sq_error: float, schedule: np.ndarray, k: int, scale: float = 1.0
-) -> float:
-    """k-round contraction bound on the squared distance to the verifier's center.
-
-    Evaluates rho^(2k) * initial_sq_error + scale * sum_{j<k} rho^(2(k-j)-1) / n_j
-    for a contraction rate rho in (0, 1] and per-direction counts n_j. The 1-D
-    problem uses scale 1 in standardized units (multiply by sigma^2); the
-    regression problem passes scale = p * sigma^2. At rho = 1 (a vacuous
-    verifier) it is the unfiltered random walk, initial + scale * sum 1/n_j.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise InvalidBoundsError(f"rho must lie in (0, 1], got {rho}")
-    if initial_sq_error < 0.0:
-        raise InvalidBoundsError("initial squared error must be >= 0")
-    schedule = np.asarray(schedule, dtype=float)
-    if k < 0 or k > schedule.size:
-        raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
-    if k == 0:
-        return float(initial_sq_error)
-    j = np.arange(k)
-    noise = np.sum(rho ** (2 * (k - j) - 1) / schedule[:k])
-    return float(rho ** (2 * k) * initial_sq_error + scale * noise)

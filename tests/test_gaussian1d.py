@@ -14,8 +14,10 @@ from verisynth import (
     Gaussian1DConfig,
     Interval1D,
     InvalidBoundsError,
+    KnowledgeBall,
     MaxAttemptsError,
     RegimeWarning,
+    SpectralDesign,
     Trajectory1D,
     acceptance_probability,
     hitting_time,
@@ -23,6 +25,7 @@ from verisynth import (
     interval_bounds_1d,
     long_term_bound,
     one_step_mse_prediction_1d,
+    one_step_prediction,
     retrain_step,
     retraining_map,
     retraining_map_slope,
@@ -185,6 +188,23 @@ class TestOneStepPrediction:
         pred = one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0, n1)
         se = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - pred) < 3 * se
+
+    # the 1-D mean is the p = 1 regression whose one singular value is sqrt(n0),
+    # and a ball (c, r, 0) along v = 1 is the interval (c - r, c + r)
+    @pytest.mark.parametrize("center,radius,mean,sigma,n0,n1", [
+        (0.3, 1.0, 0.0, 1.0, 100, 400),
+        (-1.2, 0.5, 0.4, 2.0, 150, 1000),
+        (2.5, 2.0, -0.5, 0.7, 200, 201),
+        (0.0, 0.05, 0.0, 1.0, 1000, 5000),
+        (4.0, 1.5, 1.0, 1.0, 100, 150),
+    ])
+    def test_equals_the_p1_regression_prediction(self, center, radius, mean, sigma, n0, n1):
+        bounds = interval_bounds_1d(Interval1D(center - radius, center + radius), mean, sigma)
+        scalar = sigma ** 2 * one_step_mse_prediction_1d(bounds, n0, n1)
+        design = SpectralDesign(np.array([math.sqrt(n0)]), np.array([[1.0]]))
+        ball = KnowledgeBall(np.array([center]), radius, 0.0)
+        regression = one_step_prediction(design, np.array([mean]), ball, sigma, n1)
+        assert regression == pytest.approx(scalar, rel=1e-12)
 
 
 class TestLongTermBound:

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -27,12 +28,14 @@ from verisynth import (
     config_from_mapping,
     contraction_rate,
     derive_stream,
+    design_matrix,
     estimate_contraction,
     load_config,
     long_term_bound,
     resolve_ball,
     run_iterative,
     run_landscape,
+    spectral_design,
     theory_summary,
     write_config,
     write_csv,
@@ -537,6 +540,21 @@ class TestConfigParsing:
             assert code in (0, 1, 2)
             assert len(errors) == (code != 0)
 
+    # stored examples above whose theory or run once overflowed a numpy scalar
+    @pytest.mark.parametrize("mapping", [
+        landscape_mapping(problem={"dimension": 3, "true_theta": [1.0, 1.0, 1.0],
+                                   "sigma": 1e-300, "n0": 40}),
+        oned_mapping(interval={"lower": -1.0, "upper": 1.6e288}),
+    ], ids=["landscape-sigma-1e-300", "interval-upper-1.6e288"])
+    def test_extreme_configs_raise_no_runtime_warning(self, tmp_path, mapping):
+        path = tmp_path / "extreme.yaml"
+        write_config(config_from_mapping(mapping), str(path))
+        command = COMMAND_FOR_KIND[mapping["experiment"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for argv in (["theory"], [command, "--reps", "1", "--out", str(tmp_path / "out")]):
+                assert main(argv + ["--config", str(path)]) == 0
+
     @pytest.mark.parametrize("text,message", [
         ("interval: {lower: -1.0, upper: 1.0e17}",
          "interval.upper must be a number, got '1.0e17' (YAML 1.1 reads an exponent "
@@ -735,6 +753,22 @@ class TestRunners:
         assert math.isnan(by_delta[60.0]["log_ratio_mean"])
         assert math.isnan(by_delta[60.0]["theory_log_ratio"])
 
+    # at delta = 37.3 the band has mass at the truth but none for some
+    # replication's noisier fit: the cell's row drops its theory value too
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_landscape_cell_degenerate_for_a_replication(self, threads, split_blocks):
+        raw = landscape_mapping(replications=12, master_seed=1, problem={
+            "dimension": 3, "true_theta": [1.0, -0.5, 2.0], "sigma": 1.0, "n0": 8})
+        raw["landscape"] = {"delta_values": [0.0, 37.3], "r_values": [0.3], "n1": 20,
+                            "sigma_c": 0.0}
+        config = config_from_mapping(raw)
+        assert math.isfinite(theory_summary(config)["cells"][1]["theory_log_ratio"])
+        ok, degenerate = run_landscape(config, threads=threads)
+        assert ok["status"] == "ok" and math.isfinite(ok["theory_log_ratio"])
+        assert degenerate["status"] == "degenerate"
+        assert all(math.isnan(degenerate[key])
+                   for key in ("log_ratio_mean", "log_ratio_se", "theory_log_ratio"))
+
     def test_trajectory_rows(self):
         config = config_from_mapping(linreg_mapping())
         rows = run_iterative(config)
@@ -878,6 +912,25 @@ class TestTheorySummary:
         assert summary["baseline_mse"] > 0
         assert len(summary["cells"]) == 4
         assert all(math.isfinite(c["theory_log_ratio"]) for c in summary["cells"])
+
+    # both MSEs carry sigma^2, which underflows to 0 at sigma = 1e-300: the
+    # ratio is formed from the risks in units of sigma^2
+    def test_landscape_ratio_is_free_of_sigma(self):
+        def cells(sigma):
+            problem = {"dimension": 3, "true_theta": [1.0, 1.0, 1.0], "sigma": sigma, "n0": 40}
+            return theory_summary(config_from_mapping(landscape_mapping(problem=problem)))["cells"]
+
+        s = spectral_design(design_matrix(config_from_mapping(landscape_mapping())))
+        mu_sq_inv = s.singular_values ** -2.0
+        # bands ~1e299 standard deviations wide: m1 = 0, m2 = 1, m3 = 0
+        expected = 0.5 * math.log(np.sum(mu_sq_inv) / np.sum(1.0 / 60 + mu_sq_inv))
+        live = [(tiny, small) for tiny, small in zip(cells(1e-300), cells(1e-100))
+                if not math.isnan(tiny["one_step_mse"])]
+        assert len(live) == 3
+        for tiny, small in live:
+            assert math.isfinite(tiny["theory_log_ratio"])
+            assert tiny["theory_log_ratio"] == small["theory_log_ratio"]
+            assert tiny["theory_log_ratio"] == pytest.approx(expected, rel=1e-12)
 
     def test_linreg_summary(self):
         summary = theory_summary(config_from_mapping(linreg_mapping()))

@@ -1,5 +1,6 @@
 """Truncated-normal moments, sampling, and the quadrature oracle."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ class TestStdMoments:
             std_moments(Bounds(40.0, 41.0))
         with pytest.raises(DegenerateIntervalError):
             std_moments(Bounds(-math.inf, -40.0))
+
+    # the one-tail ratios over a normalizer of ~1e-299 would overflow first
+    @pytest.mark.parametrize("bounds", [Bounds(1e299, 3e300), Bounds(-3e300, -1e299),
+                                        Bounds(1e200, math.inf)])
+    def test_degenerate_deep_tail_raises_before_any_overflow(self, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateIntervalError):
+                std_moments(bounds)
 
     @settings(max_examples=150, deadline=None)
     @given(
