@@ -29,10 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .config import KIND_ITERATE_1D, KIND_ITERATE_LINREG, KIND_LANDSCAPE, ExperimentConfig
-from .errors import ConfigError, DegenerateIntervalError, InsufficientRoundsError
-from .gaussian1d import ONE_DIRECTION, Gaussian1DConfig, initial_mean
+from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsError,
+                     InvalidBoundsError)
+from .gaussian1d import ONE_DIRECTION, initial_mean
 from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound, first_uniforms
 from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
+from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
 from .theory import (baseline_mse, contraction_rate, long_term_bound, one_step_gain,
                      one_step_mse_prediction_1d, one_step_prediction)
@@ -143,20 +145,9 @@ def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
     """The spectral design of the experiment's covariates, and the OLS fit of
     real responses at them whose noise a replication's stream draws."""
     covariates = design_matrix(config)
-    signal = covariates @ np.asarray(config.true_theta, dtype=float)
+    theta = np.asarray(config.true_theta, dtype=float)
     return spectral_design(covariates), lambda rng: ols_fit(Dataset(
-        covariates, signal + config.sigma * rng.standard_normal(covariates.shape[0])))
-
-
-def _arm_rounds(config: ExperimentConfig, design: SpectralDesign,
-                verifier: KnowledgeBall | Interval1D, per_dir: np.ndarray) -> tuple[dict, np.ndarray]:
-    """An iterate config's round per arm, and the uniforms per row its arms
-    share in each round: n_k with a direct arm, else 1 with an unfiltered arm."""
-    rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
-              for arm in config.arms}
-    if FILTER_DIRECT in rounds:
-        return rounds, per_dir
-    return rounds, np.full_like(per_dir, int(FILTER_NONE in rounds))
+        covariates, covariates @ theta + config.sigma * rng.standard_normal(covariates.shape[0])))
 
 
 def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, rounds: dict,
@@ -257,20 +248,23 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     norm1 = np.full((len(cells), reps), math.nan)
 
     def cell_round(i: int, ball: KnowledgeBall) -> Callable:
-        # a replication whose acceptance region has no mass makes the cell degenerate
+        # a replication whose acceptance region has no mass, or whose band
+        # collapses to one double, makes the cell degenerate
         block_round = BlockRound(design, LinRegConfig(ball, config.sigma))
 
         def advance(theta_hat: np.ndarray, *args) -> np.ndarray:
             try:
                 return block_round(theta_hat, *args)
-            except DegenerateIntervalError:
+            except (DegenerateIntervalError, InvalidBoundsError):
                 degenerate[i] = True
                 return np.full_like(theta_hat, math.nan)
         return advance
 
     def record(i: int, slots: slice, k: int, estimates: np.ndarray) -> None:
-        # round 0 is the real-data fit, the same for every cell
-        (norm1[i] if k else norm0)[slots] = _norms(estimates - theta)
+        # round 0 is the real-data fit, the same for every cell; an error
+        # beyond ~1e154 has an inf norm (set here: a worker has its own errstate)
+        with np.errstate(over="ignore"):
+            (norm1[i] if k else norm0)[slots] = _norms(estimates - theta)
 
     # the cells are the arms of one round: every cell's round draws from the
     # same (rep, 1, j) streams, so every cell reads the same uniforms
@@ -305,117 +299,41 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# iterative retraining (linear regression)
+# iterative retraining: the 1-D mean is the regression problem at p = 1
 
 
-def _linreg_theory(config: ExperimentConfig,
-                   design: SpectralDesign) -> tuple[KnowledgeBall, np.ndarray, dict]:
-    """An iterate_linreg config's verifier ball, its per-direction counts and
-    its closed forms: the contraction rate, the OLS baseline MSE,
-    E||theta_0 - center||^2 and the k-round bound for k = 0..K."""
-    ball = resolve_ball(config)
-    per_dir = config.schedule.per_direction_counts(config.dimension)
-    base = baseline_mse(design, config.sigma)
-    init = base + float(np.sum((ball.center - np.asarray(config.true_theta, dtype=float)) ** 2))
-    rho = contraction_rate(ball, config.sigma)
-    scale = config.dimension * config.sigma * config.sigma
-    bounds = [long_term_bound(rho, init, per_dir, k, scale) for k in range(per_dir.size + 1)]
-    return ball, per_dir, {"rho": rho, "baseline_mse": base,
-                           "initial_expected_sq_center": init, "bounds": bounds}
-
-
-def _run_iterative_linreg(config: ExperimentConfig, threads: int) -> list[dict]:
-    theta = np.asarray(config.true_theta, dtype=float)
+def _iterate_problem(config: ExperimentConfig) -> tuple:
+    """An iterate config's spectral design, real-data fit, verifier, true
+    parameter, verifier center and real-data baseline MSE. The 1-D mean is
+    the case p = 1: direction v = 1, the mean of n0 draws, the interval and
+    its midpoint, and baseline sigma^2 / n0."""
+    if config.kind == KIND_ITERATE_1D:
+        interval = Interval1D(config.interval_lower, config.interval_upper)
+        return (ONE_DIRECTION, lambda rng: initial_mean(config, rng), interval,
+                np.array([config.true_mean]), np.array([interval.midpoint]),
+                config.sigma ** 2 / config.n0)
     design, fit = _real_data(config)
-    ball, per_dir, theory = _linreg_theory(config, design)
-    reps, k_rounds = config.replications, per_dir.size
-
-    sq_star = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
-    sq_center = {arm: np.empty((reps, k_rounds + 1)) for arm in config.arms}
-
-    def record(arm: str, slots: slice, k: int, estimates: np.ndarray) -> None:
-        sq_star[arm][slots, k] = np.sum((estimates - theta) ** 2, axis=1)
-        sq_center[arm][slots, k] = np.sum((estimates - ball.center) ** 2, axis=1)
-
-    rounds, widths = _arm_rounds(config, design, ball, per_dir)
-    _run_arms(config, threads, design, rounds, per_dir, widths, fit, record)
-
-    rows = []
-    for arm in config.arms:
-        if arm == FILTER_NONE:
-            rho, bounds = math.nan, [math.nan] * (k_rounds + 1)
-        else:
-            rho, bounds = theory["rho"], theory["bounds"]
-        star_mean, star_se = _mean_se(sq_star[arm])
-        center_mean, center_se = _mean_se(sq_center[arm])
-        for k in range(k_rounds + 1):
-            rows.append({
-                "arm": arm, "round": k,
-                "n_k_per_direction": 0 if k == 0 else int(per_dir[k - 1]),
-                "dist_theta_star_mean": float(star_mean[k]),
-                "dist_theta_star_se": float(star_se[k]),
-                "dist_center_mean": float(center_mean[k]),
-                "dist_center_se": float(center_se[k]),
-                "theory_bound": bounds[k], "rho": rho, "n_reps": reps,
-            })
-    return rows
+    ball = resolve_ball(config)
+    return (design, fit, ball, np.asarray(config.true_theta, dtype=float), ball.center,
+            baseline_mse(design, config.sigma))
 
 
-# ---------------------------------------------------------------------------
-# iterative retraining (1-D Gaussian mean)
-
-
-def _gaussian1d_theory(config: ExperimentConfig) -> tuple[Interval1D, np.ndarray, dict]:
-    """An iterate_1d config's interval, its per-round counts and its closed
-    forms: the contraction rate, the fixed point (the interval midpoint) and
-    the k-round bound on the squared distance to it for k = 0..K. A half-line
-    has no fixed point and does not contract, so all three are NaN there."""
-    interval = Interval1D(config.interval_lower, config.interval_upper)
-    per_dir = config.schedule.per_direction_counts(1)
-    midpoint = interval.midpoint
-    if not math.isfinite(midpoint):
-        return interval, per_dir, {"rho": math.nan, "fixed_point": midpoint,
-                                   "bounds": [math.nan] * (per_dir.size + 1)}
-    rho = contraction_rate(interval, config.sigma)
-    try:
-        init_std = 1.0 / config.n0 + ((config.true_mean - midpoint) / config.sigma) ** 2
-    except OverflowError:  # a midpoint beyond ~1e154 standard deviations: no bound
-        init_std = math.inf
-    bounds = [config.sigma ** 2 * long_term_bound(rho, init_std, per_dir, k)
-              for k in range(per_dir.size + 1)]
-    return interval, per_dir, {"rho": rho, "fixed_point": midpoint, "bounds": bounds}
-
-
-def _run_iterative_1d(config: ExperimentConfig, threads: int) -> list[dict]:
-    interval, per_dir, theory = _gaussian1d_theory(config)
-    reps, k_rounds = config.replications, per_dir.size
-    problem = Gaussian1DConfig(config.true_mean, config.sigma, interval, config.n0, per_dir)
-    estimates = np.empty((reps, k_rounds + 1))
-
-    def record(arm: str, slots: slice, k: int, means: np.ndarray) -> None:
-        estimates[slots, k] = means[:, 0]
-
-    rounds, widths = _arm_rounds(config, ONE_DIRECTION, interval, per_dir)
-    _run_arms(config, threads, ONE_DIRECTION, rounds, per_dir, widths,
-              lambda rng: initial_mean(problem, rng), record)
-
-    est_mean, est_se = _mean_se(estimates)
-    if math.isfinite(interval.midpoint):
-        # a midpoint beyond ~1e154 from the estimates squares to inf, its
-        # value, and the spread of such infinities is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq_mean, sq_se = _mean_se((estimates - interval.midpoint) ** 2)
-    else:
-        sq_mean = sq_se = np.full(k_rounds + 1, math.nan)
-
-    return [{
-        "round": k, "n_k": 0 if k == 0 else int(per_dir[k - 1]),
-        "mean_estimate_mean": float(est_mean[k]),
-        "mean_estimate_se": float(est_se[k]),
-        "dist_midpoint_mean": float(sq_mean[k]),
-        "dist_midpoint_se": float(sq_se[k]),
-        "theory_bound": theory["bounds"][k], "n_reps": reps,
-    } for k in range(k_rounds + 1)]
+def _iterate_theory(config: ExperimentConfig,
+                    problem: tuple) -> tuple[np.ndarray, float, float, list[float]]:
+    """An iterate problem's per-direction counts, contraction rate,
+    E||theta_0 - center||^2 and k-round bound on the squared distance to the
+    center for k = 0..K. A half-line has no center and does not contract, so
+    its rate and bounds are NaN."""
+    design, _, verifier, theta, center, baseline = problem
+    per_dir = config.schedule.per_direction_counts(design.dimension)
+    with np.errstate(over="ignore"):  # a center beyond ~1e154 from the truth: no bound
+        init = baseline + float(np.sum((center - theta) ** 2))
+    if not np.all(np.isfinite(center)):
+        return per_dir, math.nan, init, [math.nan] * (per_dir.size + 1)
+    rho = contraction_rate(verifier, config.sigma)
+    scale = theta.size * config.sigma * config.sigma
+    return per_dir, rho, init, [long_term_bound(rho, init, per_dir, k, scale)
+                                for k in range(per_dir.size + 1)]
 
 
 def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
@@ -426,11 +344,52 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     columns hold mean SQUARED distances so they are directly comparable to the
     contraction bound.
     """
-    if config.kind == KIND_ITERATE_LINREG:
-        return _run_iterative_linreg(config, threads)
-    if config.kind == KIND_ITERATE_1D:
-        return _run_iterative_1d(config, threads)
-    raise ConfigError(f"run_iterative needs an iterate config, got {config.kind}")
+    if config.kind not in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
+        raise ConfigError(f"run_iterative needs an iterate config, got {config.kind}")
+    one_d = config.kind == KIND_ITERATE_1D
+    problem = _iterate_problem(config)
+    design, fit, verifier, theta, center, _ = problem
+    per_dir, rho, _, bounds = _iterate_theory(config, problem)
+    reps, k_rounds = config.replications, per_dir.size
+
+    # per (replication, round, arm): the squared distances to the truth and
+    # the center, or at 1-D the estimate, whose distance is squared after the run
+    kept = {arm: np.empty((1 if one_d else 2, reps, k_rounds + 1)) for arm in config.arms}
+
+    def record(arm: str, slots: slice, k: int, estimates: np.ndarray) -> None:
+        if one_d:
+            kept[arm][0, slots, k] = estimates[:, 0]
+        else:
+            kept[arm][0, slots, k] = np.sum((estimates - theta) ** 2, axis=1)
+            kept[arm][1, slots, k] = np.sum((estimates - center) ** 2, axis=1)
+
+    rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
+              for arm in config.arms}
+    # the uniforms per row the arms share: n_k with a direct arm, else 1 with an unfiltered arm
+    widths = per_dir if FILTER_DIRECT in rounds else np.full_like(
+        per_dir, int(FILTER_NONE in rounds))
+    _run_arms(config, threads, design, rounds, per_dir, widths, fit, record)
+
+    rows, columns = [], columns_for(config.kind)
+    for arm in config.arms:
+        first = kept[arm][0]
+        if not one_d:
+            stats = (*_mean_se(first), *_mean_se(kept[arm][1]))
+        elif math.isfinite(center[0]):
+            # a midpoint beyond ~1e154 from the estimates squares to inf, its
+            # value, and the spread of such infinities is NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                stats = (*_mean_se(first), *_mean_se((first - center[0]) ** 2))
+        else:
+            stats = (*_mean_se(first), *[np.full(k_rounds + 1, math.nan)] * 2)
+        unfiltered = arm == FILTER_NONE
+        for k in range(k_rounds + 1):
+            values = (k, 0 if k == 0 else int(per_dir[k - 1]),
+                      *(float(stat[k]) for stat in stats), math.nan if unfiltered else bounds[k])
+            if not one_d:  # trajectory.csv: the arm first, rho after the bound
+                values = (arm, *values, math.nan if unfiltered else rho)
+            rows.append(dict(zip(columns, (*values, reps))))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +424,21 @@ def theory_summary(config: ExperimentConfig) -> dict:
         base, cells = _landscape_theory(config, spectral_design(design_matrix(config)))
         return {"experiment": config.kind, "baseline_mse": base,
                 "cells": [cell for _, cell in cells]}
+    if config.kind not in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
+        raise ConfigError(f"unknown experiment kind {config.kind}")
+    problem = _iterate_problem(config)
+    design, _, verifier, theta, _, baseline = problem
+    per_dir, rho, init, bounds = _iterate_theory(config, problem)
+    n1 = int(per_dir[0])
     if config.kind == KIND_ITERATE_LINREG:
-        design = spectral_design(design_matrix(config))
-        ball, per_dir, theory = _linreg_theory(config, design)
-        bounds = theory.pop("bounds")
-        return {"experiment": config.kind, **theory,
-                "one_step_mse": one_step_prediction(design, config.true_theta, ball,
-                                                    config.sigma, int(per_dir[0])),
+        return {"experiment": config.kind, "rho": rho, "baseline_mse": baseline,
+                "initial_expected_sq_center": init,
+                "one_step_mse": one_step_prediction(design, theta, verifier, config.sigma, n1),
                 "final_round_bound": bounds[-1]}
-    if config.kind == KIND_ITERATE_1D:
-        interval, per_dir, theory = _gaussian1d_theory(config)
-        bounds = theory.pop("bounds")
-        at_truth = Bounds(*interval.bounds(None, config.true_mean, config.sigma))
-        out = {"experiment": config.kind, **theory,
-               "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
-                   at_truth, config.n0, int(per_dir[0]))}
-        if math.isfinite(interval.midpoint):
-            out["final_round_bound"] = bounds[-1]
-        return out
-    raise ConfigError(f"unknown experiment kind {config.kind}")
+    at_truth = Bounds(*verifier.bounds(None, config.true_mean, config.sigma))
+    out = {"experiment": config.kind, "rho": rho, "fixed_point": verifier.midpoint,
+           "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
+               at_truth, config.n0, n1)}
+    if math.isfinite(verifier.midpoint):
+        out["final_round_bound"] = bounds[-1]
+    return out

@@ -77,7 +77,10 @@ class Trajectory1D:
 
 
 def initial_mean(config: Gaussian1DConfig, rng: np.random.Generator) -> float:
-    """Real-data estimate: mean of n0 i.i.d. N(true_mean, sigma^2) draws."""
+    """Real-data estimate: mean of n0 i.i.d. N(true_mean, sigma^2) draws.
+
+    Reads only ``true_mean``, ``sigma`` and ``n0`` of ``config``, which may
+    also be an iterate_1d ExperimentConfig."""
     draws = config.true_mean + config.sigma * rng.standard_normal(config.n0)
     return float(draws.mean())
 

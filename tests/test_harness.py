@@ -1,5 +1,6 @@
 """Experiment harness: schedules, stream derivation, configs, files, CLI."""
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -32,6 +33,7 @@ from verisynth import (
     estimate_contraction,
     load_config,
     long_term_bound,
+    output_basename,
     resolve_ball,
     run_iterative,
     run_landscape,
@@ -386,6 +388,24 @@ SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 COMMAND_FOR_KIND = {"landscape": "landscape", "iterate_linreg": "iterate",
                     "iterate_1d": "gaussian1d"}
 
+# sha256 of each shipped config's `theory` stdout and of the CSV of a --reps 3
+# run, recorded from hand-checked outputs: a change to either is a change of
+# published numbers and must be declared, not re-pinned in passing
+SHIPPED_DIGESTS = {
+    "gaussian1d_convergence": (
+        "aa4e5f036d02bdc37449675e458d986ef89434a3b28610ea10349c782d43b347",
+        "68e744a22a9d76d678567b0357c4d89351f5e05ca815658058f6f510df2d6d15"),
+    "gaussian1d_divergence": (
+        "48a3a34835cde17e013aaa02ef6bcfcaf8e36958b6ef6df5dbc7ae5a263792ef",
+        "07c4884075f6b5db8b50ef575183dc44296a888904a0dd1edc1254284a8c1d0a"),
+    "iterate_linear_growth": (
+        "21b3d6a3c78eb48ea179d339bd26c7a226507c42f24362a127f30a4929ef536d",
+        "99c663856b833d1cd3083b67e1a004272892c67bc606003702e48fe10e4c2cc2"),
+    "landscape": (
+        "24c3b1ef107bcadf69bbc323aab0abea7671a44245ea7670a7e93955bc8c01ad",
+        "9239932d3f236888c14c1e97bb715f64493d93861da991005687e4d10c203d2e"),
+}
+
 
 class TestSchedule:
     def test_fixed(self):
@@ -546,13 +566,16 @@ class TestConfigParsing:
                                    "sigma": 1e-300, "n0": 40}),
         oned_mapping(interval={"lower": -1.0, "upper": 1.6e288}),
     ], ids=["landscape-sigma-1e-300", "interval-upper-1.6e288"])
-    def test_extreme_configs_raise_no_runtime_warning(self, tmp_path, mapping):
+    def test_extreme_configs_raise_no_runtime_warning(self, tmp_path, mapping, split_blocks):
         path = tmp_path / "extreme.yaml"
         write_config(config_from_mapping(mapping), str(path))
         command = COMMAND_FOR_KIND[mapping["experiment"]]
+        out = ["--out", str(tmp_path / "out")]
+        # two workers: a worker thread does not share the caller's numpy errstate
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for argv in (["theory"], [command, "--reps", "1", "--out", str(tmp_path / "out")]):
+            for argv in (["theory"], [command, "--reps", "1", *out],
+                         [command, "--reps", "4", "--threads", "2", *out]):
                 assert main(argv + ["--config", str(path)]) == 0
 
     @pytest.mark.parametrize("text,message", [
@@ -769,6 +792,25 @@ class TestRunners:
         assert all(math.isnan(degenerate[key])
                    for key in ("log_ratio_mean", "log_ratio_se", "theory_log_ratio"))
 
+    # at |theta| = 1.85e169 one double spans every cell's band for every
+    # replication, and the real fit's error norm overflows
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_landscape_band_collapsed_in_floating_point(self, tmp_path, threads, split_blocks):
+        raw = landscape_mapping(replications=3, problem={
+            "dimension": 3, "true_theta": [1.85e169] * 3, "sigma": 1.0, "n0": 40})
+        raw["landscape"] = {"delta_values": [0.0, 1.0], "r_values": [0.5, 1.0], "n1": 10}
+        path = tmp_path / "collapsed.yaml"
+        write_config(config_from_mapping(raw), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["landscape", "--config", str(path), "--threads", str(threads),
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "landscape.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["degenerate"] * 4
+        assert all(row[key] == "nan" for row in rows
+                   for key in ("log_ratio_mean", "log_ratio_se", "theory_log_ratio"))
+
     def test_trajectory_rows(self):
         config = config_from_mapping(linreg_mapping())
         rows = run_iterative(config)
@@ -967,6 +1009,18 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 0
         assert main(["theory", "--config", str(path)]) == 0
         assert "experiment:" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_outputs_are_pinned(self, path, tmp_path, capsys):
+        theory, table = SHIPPED_DIGESTS[path.stem]
+        assert main(["theory", "--config", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == theory
+        kind = yaml.safe_load(path.read_text())["experiment"]
+        assert main([COMMAND_FOR_KIND[kind], "--config", str(path), "--reps", "3",
+                     "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / f"{output_basename(kind)}.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == table
 
     def test_validate_rejects_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
