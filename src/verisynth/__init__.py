@@ -39,14 +39,7 @@ from .experiments import (
     run_landscape,
     theory_summary,
 )
-from .gaussian1d import (
-    Gaussian1DConfig,
-    Trajectory1D,
-    hitting_time,
-    initial_mean,
-    retrain_step,
-    run_iterations,
-)
+from .gaussian1d import hitting_time, initial_mean, retrain_step
 from .kernel import FILTER_REJECT
 from .linreg import (
     Dataset,
@@ -109,8 +102,7 @@ __all__ = [
     "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
     "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bound",
     # 1-D dynamics
-    "Gaussian1DConfig", "Trajectory1D", "initial_mean",
-    "retrain_step", "run_iterations", "hitting_time",
+    "initial_mean", "retrain_step", "hitting_time",
     # linear regression dynamics
     "FILTER_REJECT", "Dataset", "SpectralDesign", "LinRegConfig",
     "ols_fit", "spectral_design", "retrain_round",

@@ -36,7 +36,7 @@ from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound, first_uniforms
 from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
-from .theory import (baseline_mse, contraction_rate, long_term_bound, one_step_gain,
+from .theory import (baseline_mse, contraction_rate, long_term_bounds, one_step_gain,
                      one_step_mse_prediction_1d, one_step_prediction)
 from .truncnorm import Bounds
 from .verifier import Interval1D, KnowledgeBall
@@ -332,8 +332,7 @@ def _iterate_theory(config: ExperimentConfig,
         return per_dir, math.nan, init, [math.nan] * (per_dir.size + 1)
     rho = contraction_rate(verifier, config.sigma)
     scale = theta.size * config.sigma * config.sigma
-    return per_dir, rho, init, [long_term_bound(rho, init, per_dir, k, scale)
-                                for k in range(per_dir.size + 1)]
+    return per_dir, rho, init, long_term_bounds(rho, init, per_dir, scale).tolist()
 
 
 def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:

@@ -109,25 +109,37 @@ def contraction_rate(verifier, sigma: float) -> float:
     return std_moments(Bounds(-halfwidth, halfwidth)).m2
 
 
-def long_term_bound(rho: float, initial_sq_error: float, schedule: np.ndarray, k: int,
-                    scale: float = 1.0) -> float:
-    """k-round contraction bound on the squared distance to the verifier's center.
+def long_term_bounds(rho: float, initial_sq_error: float, schedule: np.ndarray,
+                     scale: float = 1.0) -> np.ndarray:
+    """k-round contraction bounds on the squared distance to the verifier's
+    center, for k = 0..len(schedule).
 
-    Evaluates rho^(2k) * initial_sq_error + scale * sum_{j<k} rho^(2(k-j)-1) / n_j
+    Entry k is rho^(2k) * initial_sq_error + scale * sum_{j<k} rho^(2(k-j)-1) / n_j
     for a contraction rate rho in (0, 1] and per-direction counts n_j. The 1-D
     problem uses scale 1 in standardized units (multiply by sigma^2); the
     regression problem passes scale = p * sigma^2. At rho = 1 (a vacuous
     verifier) it is the unfiltered random walk, initial + scale * sum 1/n_j.
+    The odd powers of rho are taken once for all K rounds, not once per round.
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidBoundsError(f"rho must lie in (0, 1], got {rho}")
     if initial_sq_error < 0.0:
         raise InvalidBoundsError("initial squared error must be >= 0")
     schedule = np.asarray(schedule, dtype=float)
+    rounds = schedule.size
+    odd = rho ** (2 * np.arange(rounds, 0, -1) - 1)  # rho^(2K-1), ..., rho^3, rho
+    bounds = np.empty(rounds + 1)
+    bounds[0] = initial_sq_error
+    for k in range(1, rounds + 1):
+        bounds[k] = rho ** (2 * k) * initial_sq_error + scale * np.sum(
+            odd[rounds - k:] / schedule[:k])
+    return bounds
+
+
+def long_term_bound(rho: float, initial_sq_error: float, schedule: np.ndarray, k: int,
+                    scale: float = 1.0) -> float:
+    """The k-round entry of :func:`long_term_bounds` on the first k counts of ``schedule``."""
+    schedule = np.asarray(schedule, dtype=float)
     if k < 0 or k > schedule.size:
         raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
-    if k == 0:
-        return float(initial_sq_error)
-    j = np.arange(k)
-    noise = np.sum(rho ** (2 * (k - j) - 1) / schedule[:k])
-    return float(rho ** (2 * k) * initial_sq_error + scale * noise)
+    return float(long_term_bounds(rho, initial_sq_error, schedule[:k], scale)[k])

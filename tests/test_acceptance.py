@@ -21,7 +21,6 @@ from scipy.special import log_ndtr, ndtr
 from verisynth import (
     Bounds,
     Dataset,
-    Gaussian1DConfig,
     Interval1D,
     KnowledgeBall,
     LinRegConfig,
@@ -36,7 +35,7 @@ from verisynth import (
     retrain_round,
     retraining_map,
     retraining_map_slope,
-    run_iterations,
+    retrain_step,
     run_iterative,
     run_landscape,
     spectral_design,
@@ -44,7 +43,7 @@ from verisynth import (
     write_config,
 )
 from verisynth.cli import main
-from verisynth.gaussian1d import step_block
+from verisynth.gaussian1d import ONE_DIRECTION
 from verisynth.kernel import BlockRound
 from verisynth.seeding import KeyedStreams
 
@@ -391,25 +390,41 @@ C9_SEED = 1109
 
 def escape_config(k_rounds=2000, upper=1.0, n0=100, n=50):
     """Criterion 9's process: the half-line verifier (-inf, upper], true mean 0, sigma 1."""
-    return Gaussian1DConfig(
-        true_mean=0.0, sigma=1.0, interval=Interval1D(-math.inf, upper),
-        n0=n0, schedule=np.full(k_rounds, n),
-    )
+    return config_from_mapping({
+        "experiment": "iterate_1d", "replications": 1, "master_seed": C9_SEED,
+        "problem": {"true_mean": 0.0, "sigma": 1.0, "n0": n0},
+        "interval": {"lower": -math.inf, "upper": upper},
+        "schedule": {"kind": "fixed", "start": n, "rounds": k_rounds},
+    })
+
+
+def escape_round(config):
+    """One round of the escape: the p = 1 regression round on the half-line."""
+    return LinRegConfig(Interval1D(config.interval_lower, config.interval_upper), config.sigma)
 
 
 def escape_means(config, seeds):
     """(seeds x rounds + 1) means; all seeds advance as one block, seed rep
     on its own stream (rep, 0, 0), first for its real data, then every round."""
     rngs = [derive_stream(C9_SEED, rep, 0, 0) for rep in range(1, seeds + 1)]
+    block_round = BlockRound(ONE_DIRECTION, escape_round(config))
     means = [np.array([initial_mean(config, rng) for rng in rngs])]
-    for n_k in config.schedule:
-        means.append(step_block(means[-1], config, int(n_k), rngs.__getitem__))
+    for n_k in config.schedule.counts():
+        means.append(block_round(means[-1][:, None], int(n_k), rngs.__getitem__)[:, 0])
     return np.stack(means, axis=1)
+
+
+def escape_loop(config, rng):
+    """One seed's means, round by round on its one stream."""
+    round_config, means = escape_round(config), [initial_mean(config, rng)]
+    for n_k in config.schedule.counts():
+        means.append(retrain_step(means[-1], round_config, int(n_k), rng))
+    return means
 
 
 def test_criterion_09_block_path_equals_seed_loop():
     config, seeds = escape_config(), 20
-    loop = np.array([run_iterations(config, derive_stream(C9_SEED, rep, 0, 0)).means
+    loop = np.array([escape_loop(config, derive_stream(C9_SEED, rep, 0, 0))
                      for rep in range(1, seeds + 1)])
     assert np.array_equal(escape_means(config, seeds), loop)
 

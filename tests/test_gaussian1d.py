@@ -1,5 +1,6 @@
-"""Scalar retraining dynamics: deterministic map, one-step MSE, bounds, trajectories."""
+"""Scalar retraining dynamics: deterministic map, one-step MSE, bounds, hitting times."""
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,17 +10,16 @@ from scipy.stats import ks_2samp
 
 from verisynth import (
     Bounds,
-    DegenerateIntervalError,
     FILTER_REJECT,
-    Gaussian1DConfig,
     Interval1D,
     InvalidBoundsError,
     KnowledgeBall,
+    LinRegConfig,
     MaxAttemptsError,
     RegimeWarning,
     SpectralDesign,
-    Trajectory1D,
     acceptance_probability,
+    config_from_mapping,
     hitting_time,
     initial_mean,
     interval_bounds_1d,
@@ -29,25 +29,21 @@ from verisynth import (
     retrain_step,
     retraining_map,
     retraining_map_slope,
-    run_iterations,
     sample_truncated,
     std_moments,
+    theory_summary,
 )
 from verisynth.kernel import generate_and_verify
+from verisynth.theory import long_term_bounds
+
+from test_kernel import Untouchable
 
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
 
-def make_config(**kw):
-    base = dict(
-        true_mean=0.0,
-        sigma=1.0,
-        interval=Interval1D(-1.0, 1.0),
-        n0=100,
-        schedule=np.array([200]),
-    )
-    base.update(kw)
-    return Gaussian1DConfig(**base)
+def make_config(interval=Interval1D(-1.0, 1.0), sigma=1.0, filter_mode="direct"):
+    """A 1-D round: the p = 1 regression round with an interval verifier."""
+    return LinRegConfig(interval, sigma, filter_mode)
 
 
 class TestRetrainingMap:
@@ -84,33 +80,16 @@ class TestRetrainingMap:
             assert retraining_map_slope(bounds, float(x)) <= mid_slope + 1e-12
 
 
-class TestConfigValidation:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidBoundsError):
-            make_config(sigma=0.0)
-        with pytest.raises(InvalidBoundsError):
-            make_config(n0=0)
-        with pytest.raises(InvalidBoundsError):
-            make_config(schedule=np.array([5, 3]))  # decreasing
-        with pytest.raises(InvalidBoundsError):
-            make_config(schedule=np.array([0]))
-        with pytest.raises(InvalidBoundsError):
-            make_config(filter_mode="none")
-
-    def test_empty_schedule_allowed(self):
-        assert make_config(schedule=np.array([], dtype=int)).rounds == 0
-
-
 class TestRetrainStep:
     def test_filter_modes_agree_in_distribution(self):
         # the two mechanisms draw from the same truncated law
         config = make_config(interval=Interval1D(-0.5, 2.0), filter_mode=FILTER_REJECT)
         current = 0.3
         n = 100_000
-        bounds = interval_bounds_1d(config.interval, current, config.sigma)
+        bounds = interval_bounds_1d(config.ball, current, config.sigma)
         direct = sample_truncated(bounds, n, np.random.default_rng(11))
         rejected = generate_and_verify(
-            current, config.sigma, config.interval.accepts, acceptance_probability(bounds), n,
+            current, config.sigma, config.ball.accepts, acceptance_probability(bounds), n,
             np.random.default_rng(12)
         )
         stat = ks_2samp(direct, rejected).statistic
@@ -120,7 +99,7 @@ class TestRetrainStep:
         config = make_config(interval=Interval1D(0.0, 3.0))
         current = 0.5
         n = 200_000
-        bounds = interval_bounds_1d(config.interval, current, config.sigma)
+        bounds = interval_bounds_1d(config.ball, current, config.sigma)
         m = std_moments(bounds)
         new = retrain_step(current, config, n, np.random.default_rng(21))
         target = retraining_map(Bounds(0.0, 3.0), current)
@@ -144,6 +123,12 @@ class TestRetrainStep:
     def test_invalid_count(self):
         with pytest.raises(InvalidBoundsError):
             retrain_step(0.0, make_config(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["direct", "reject", "none"])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimate_fails_before_any_draw(self, mode, mean):
+        with pytest.raises(InvalidBoundsError, match="theta_hat must be finite"):
+            retrain_step(mean, make_config(filter_mode=mode), 5, Untouchable())
 
 
 class TestOneStepPrediction:
@@ -177,12 +162,16 @@ class TestOneStepPrediction:
     @pytest.mark.parametrize("n1", [200, 1000])
     def test_monte_carlo_agreement(self, n1):
         mu, sigma, n0, reps = 0.0, 1.0, 100, 5000
-        config = make_config(true_mean=mu, sigma=sigma, n0=n0,
-                             schedule=np.array([n1]))
+        problem = config_from_mapping({
+            "experiment": "iterate_1d", "replications": reps, "master_seed": 0,
+            "problem": {"true_mean": mu, "sigma": sigma, "n0": n0},
+            "interval": {"lower": -1.0, "upper": 1.0},
+            "schedule": {"kind": "fixed", "start": n1, "rounds": 1}})
+        config = make_config(sigma=sigma)
         rng = np.random.default_rng(50 + n1)
         sq = np.empty(reps)
         for i in range(reps):
-            m0 = initial_mean(config, rng)
+            m0 = initial_mean(problem, rng)
             m1 = retrain_step(m0, config, n1, rng)
             sq[i] = ((m1 - mu) / sigma) ** 2
         pred = one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0, n1)
@@ -228,6 +217,31 @@ class TestLongTermBound:
     def test_k_zero_returns_initial(self):
         assert long_term_bound(0.3, 2.5, np.array([10]), 0) == 2.5
 
+    def test_every_round_equals_its_definition(self):
+        # rho^(2k) underflows to 0 from k = 162 on; every entry is still the sum as defined
+        rho, init, scale = 0.1, 3.0, 2.5
+        schedule = np.arange(1, 301) * 7
+        bounds = long_term_bounds(rho, init, schedule, scale)
+        assert bounds.size == schedule.size + 1 and rho ** (2 * 300) == 0.0
+        for k in range(schedule.size + 1):
+            j = np.arange(k)
+            defined = (rho ** (2 * k) * init
+                       + scale * np.sum(rho ** (2 * (k - j) - 1) / schedule[:k]) if k else init)
+            assert bounds[k] == defined
+            assert long_term_bound(rho, init, schedule, k, scale) == defined
+
+    def test_long_schedule_is_fast(self):
+        config = config_from_mapping({
+            "experiment": "iterate_1d", "replications": 1, "master_seed": 0,
+            "problem": {"true_mean": 0.0, "sigma": 1.0, "n0": 100},
+            "interval": {"lower": -1.0, "upper": 1.0},
+            "schedule": {"kind": "fixed", "start": 200, "rounds": 20_000}})
+        start = time.perf_counter()
+        summary = theory_summary(config)
+        elapsed = time.perf_counter() - start
+        assert math.isfinite(summary["final_round_bound"])
+        assert elapsed < 5.0, f"theory of 20,000 rounds took {elapsed:.1f} s"
+
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
             long_term_bound(1.5, 1.0, np.array([10]), 1)
@@ -239,59 +253,18 @@ class TestLongTermBound:
             long_term_bound(0.5, 1.0, np.array([10]), 2)
 
 
-class TestTrajectories:
-    def test_zero_rounds(self):
-        config = make_config(schedule=np.array([], dtype=int))
-        traj = run_iterations(config, np.random.default_rng(61))
-        assert len(traj) == 1
-        assert traj.rounds.tolist() == [0]
-
-    def test_shapes_counts_and_distances(self):
-        config = make_config(schedule=np.array([50, 60, 70]))
-        traj = run_iterations(config, np.random.default_rng(62))
-        assert len(traj) == 4
-        assert traj.rounds.tolist() == [0, 1, 2, 3]
-        assert np.allclose(traj.dist_midpoint, np.abs(traj.means - 0.0))
-
-    def test_semi_infinite_midpoint_distance_is_nan(self):
-        config = make_config(interval=Interval1D(-math.inf, 1.0),
-                             schedule=np.array([50]))
-        traj = run_iterations(config, np.random.default_rng(63))
-        assert np.all(np.isnan(traj.dist_midpoint))
-        assert np.all(np.isfinite(traj.means))
-
-    def test_contraction_toward_biased_interval(self):
-        # interval far from the true mean: estimates drift into it
-        config = make_config(interval=Interval1D(4.0, 6.0), n0=400,
-                             schedule=np.full(60, 400))
-        traj = run_iterations(config, np.random.default_rng(64))
-        assert abs(traj.means[0]) < 0.5
-        assert abs(traj.means[-1] - 5.0) < 0.2
-
-    def test_round_error_annotation(self):
-        config = make_config(interval=Interval1D(50.0, 51.0),
-                             schedule=np.array([10]))
-        with pytest.raises(DegenerateIntervalError, match="retraining round 1"):
-            run_iterations(config, np.random.default_rng(65))
-
-
 class TestHittingTime:
-    def make_traj(self, means):
-        means = np.asarray(means, dtype=float)
-        k = means.size
-        return Trajectory1D(np.arange(k), means, np.abs(means))
-
     def test_downward_crossing(self):
-        assert hitting_time(self.make_traj([0.0, -5.0, -12.0]), -10.0) == 2
+        assert hitting_time(np.array([0.0, -5.0, -12.0]), -10.0) == 2
 
     def test_never_crosses(self):
-        assert hitting_time(self.make_traj([0.0, -5.0, -12.0]), -20.0) is None
+        assert hitting_time(np.array([0.0, -5.0, -12.0]), -20.0) is None
 
     def test_upward_crossing(self):
-        traj = self.make_traj([0.0, 5.0, 12.0])
-        assert hitting_time(traj, 10.0, direction="up") == 2
-        assert hitting_time(traj, 0.0, direction="up") == 0
+        means = np.array([0.0, 5.0, 12.0])
+        assert hitting_time(means, 10.0, direction="up") == 2
+        assert hitting_time(means, 0.0, direction="up") == 0
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            hitting_time(self.make_traj([0.0]), 1.0, direction="sideways")
+            hitting_time(np.array([0.0]), 1.0, direction="sideways")

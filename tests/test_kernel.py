@@ -18,7 +18,6 @@ from scipy.stats import kstest
 from verisynth import (
     Dataset,
     DegenerateIntervalError,
-    Gaussian1DConfig,
     Interval1D,
     KnowledgeBall,
     LinRegConfig,
@@ -245,16 +244,15 @@ def test_step_equals_scalar_definition():
         upper = lower + float(rng.choice([0.05, 1.0, 3.0, math.inf]))
         if mode == "reject" and not math.isfinite(upper):
             upper = 2.0
-        config = Gaussian1DConfig(0.0, 1.3, Interval1D(lower, upper), 10, np.array([5]),
-                                  filter_mode=mode)
+        config = LinRegConfig(Interval1D(lower, upper), 1.3, filter_mode=mode)
         mean = float(rng.uniform(-2.0, 2.0))
         n_k = int(rng.integers(1, 60))
         if mode == "direct":
-            bounds = interval_bounds_1d(config.interval, mean, config.sigma)
+            bounds = interval_bounds_1d(config.ball, mean, config.sigma)
             noise = sample_truncated(bounds, n_k, np.random.default_rng(case))
         else:
-            noise = generate_and_verify(mean, config.sigma, config.interval.accepts,
-                                        mass_of(config.interval, mean, config.sigma), n_k,
+            noise = generate_and_verify(mean, config.sigma, config.ball.accepts,
+                                        mass_of(config.ball, mean, config.sigma), n_k,
                                         np.random.default_rng(case))
         expected = mean + config.sigma * float(noise.mean())
         assert retrain_step(mean, config, n_k, np.random.default_rng(case)) == expected
@@ -372,7 +370,7 @@ def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval,
     # with 1,000 attempts per sample the line lies at probability 1e-3: about
     # 2.7e-3 on (2.5, 2.7) and 3.8e-4 on (3.0, 3.1) at mean 0, sigma 1
     monkeypatch.setattr(kernel, "MAX_REJECT_ATTEMPTS_PER_SAMPLE", 1000)
-    config = Gaussian1DConfig(0.0, 1.0, interval, 10, np.array([5]), filter_mode="reject")
+    config = LinRegConfig(interval, 1.0, filter_mode="reject")
     if fails:
         with pytest.raises(MaxAttemptsError, match="below 1 in the budget of 1000"):
             retrain_step(0.0, config, 5, Untouchable())
@@ -475,11 +473,10 @@ def reference_1d(config):
     """(estimate mean, estimate se, midpoint sq mean, midpoint sq se) per round."""
     interval = Interval1D(config.interval_lower, config.interval_upper)
     per_dir = config.schedule.per_direction_counts(1)
-    cfg = Gaussian1DConfig(config.true_mean, config.sigma, interval, config.n0, per_dir,
-                           filter_mode=config.arms[0])
+    cfg = LinRegConfig(interval, config.sigma, filter_mode=config.arms[0])
     est = np.empty((config.replications, per_dir.size + 1))
     for rep in range(1, config.replications + 1):
-        mean = initial_mean(cfg, derive_stream(config.master_seed, rep, 0, 0))
+        mean = initial_mean(config, derive_stream(config.master_seed, rep, 0, 0))
         est[rep - 1, 0] = mean
         for k in range(1, per_dir.size + 1):
             mean = retrain_step(mean, cfg, int(per_dir[k - 1]),

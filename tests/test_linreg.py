@@ -9,7 +9,6 @@ from verisynth import (
     Dataset,
     DegenerateIntervalError,
     DimensionMismatchError,
-    Gaussian1DConfig,
     Interval1D,
     InvalidBoundsError,
     KnowledgeBall,
@@ -156,8 +155,7 @@ class TestRetrainRound:
             for j in range(2):
                 interval = Interval1D(center[j] - (radius + slack),
                                       center[j] + (radius + slack))
-                cfg1 = Gaussian1DConfig(0.0, sigma, interval, 10,
-                                        np.array([64]), filter_mode=mode)
+                cfg1 = LinRegConfig(interval, sigma, filter_mode=mode)
                 scalar = retrain_step(theta_hat[j], cfg1, 64,
                                       np.random.default_rng(900 + j))
                 assert new_theta[j] == scalar
