@@ -32,9 +32,7 @@ from .errors import (
     VerisynthError,
 )
 from .experiments import (
-    design_matrix,
     estimate_contraction,
-    resolve_ball,
     run_iterative,
     run_landscape,
     theory_summary,
@@ -63,7 +61,7 @@ from .theory import (
     RegimeWarning,
     baseline_mse,
     contraction_rate,
-    long_term_bound,
+    long_term_bounds,
     one_step_mse_prediction_1d,
     one_step_prediction,
     retraining_map,
@@ -82,7 +80,6 @@ from .verifier import (
     default_slack,
     direction_bounds,
     interval_bounds_1d,
-    verify_point,
 )
 
 __all__ = [
@@ -96,11 +93,11 @@ __all__ = [
     "Bounds", "std_moments", "quadrature_moments",
     "sample_truncated", "acceptance_probability",
     # verifier geometry
-    "KnowledgeBall", "Interval1D", "verify_point",
+    "KnowledgeBall", "Interval1D",
     "direction_bounds", "interval_bounds_1d", "default_slack",
     # closed-form theory
     "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
-    "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bound",
+    "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bounds",
     # 1-D dynamics
     "initial_mean", "retrain_step", "hitting_time",
     # linear regression dynamics
@@ -111,7 +108,6 @@ __all__ = [
     "write_config", "config_from_mapping",
     "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D",
     "run_landscape", "run_iterative", "estimate_contraction", "theory_summary",
-    "design_matrix", "resolve_ball",
     "write_csv", "write_json",
     "LANDSCAPE_COLUMNS", "TRAJECTORY_COLUMNS", "GAUSSIAN1D_COLUMNS",
     "output_basename",

@@ -36,9 +36,9 @@ from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound, first_uniforms
 from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
-from .theory import (baseline_mse, contraction_rate, long_term_bounds, one_step_gain,
-                     one_step_mse_prediction_1d, one_step_prediction)
-from .truncnorm import Bounds
+from .theory import (baseline_mse, contraction_rate, long_term_bounds,
+                     one_step_mse_prediction_1d, one_step_prediction, one_step_predictions)
+from .truncnorm import Bounds, libm
 from .verifier import Interval1D, KnowledgeBall
 
 STATUS_OK = "ok"
@@ -215,16 +215,14 @@ def _landscape_theory(
     """
     theta = np.asarray(config.true_theta, dtype=float)
     direction = bias_direction(config)
-    cells = []
-    for delta in config.delta_values:
-        for radius in config.r_values:
-            ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
-            try:
-                one_step, ratio = one_step_gain(design, theta, ball, config.sigma, config.n1)
-            except DegenerateIntervalError:
-                ball, one_step, ratio = None, math.nan, math.nan
-            cells.append((ball, {"delta": delta, "r": radius,
-                                 "one_step_mse": one_step, "theory_log_ratio": ratio}))
+    grid = [(delta, radius) for delta in config.delta_values for radius in config.r_values]
+    balls = [KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
+             for delta, radius in grid]
+    one_step, ratio = one_step_predictions(design, theta, balls, config.sigma, config.n1)
+    cells = [(None if math.isnan(mse) else ball,
+              {"delta": delta, "r": radius, "one_step_mse": float(mse),
+               "theory_log_ratio": float(log_ratio)})
+             for ball, (delta, radius), mse, log_ratio in zip(balls, grid, one_step, ratio)]
     return baseline_mse(design, config.sigma), cells
 
 
@@ -287,7 +285,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
                        - 2.0 * cov[0, 1] / (m0 * m1)) / reps
                 se = math.sqrt(max(var, 0.0))
             else:
-                logs = np.log(norm0 / norm1[i])
+                logs = libm(math.log, norm0 / norm1[i])
                 mean, se = (float(v) for v in _mean_se(logs))
         rows.append({
             "delta": cell["delta"], "r": cell["r"], "sigma_c": config.sigma_c,

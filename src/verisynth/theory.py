@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError
-from .truncnorm import Bounds, std_moments
+from .truncnorm import Bounds, Truncations, libm, one_value, std_moments
 from .verifier import unit_directions
 
 
@@ -23,13 +23,15 @@ class RegimeWarning(UserWarning):
     """The closed-form prediction is being used outside its accuracy regime."""
 
 
-def _risk(limits, precisions, n1: int) -> float:
-    """One-step risk in units of sigma^2, from each direction's standardized
-    bounds (lower row, upper row) and real-data precision mu^2."""
+def _risk(limits: np.ndarray, precisions, n1: int) -> np.ndarray:
+    """One-step risk in units of sigma^2 of each verifier, from its directions'
+    standardized bounds (``limits`` of shape (2, ..., p), lower and upper
+    stacked) and real-data precisions mu^2; NaN where a band carries no mass."""
+    m1, m2, m3 = Truncations(limits).moments()
+    terms = m2 / n1 + m1 ** 2 + (m1 * m3 + m2 ** 2) / precisions
     total = 0.0
-    for lower, upper, mu_sq in zip(*limits, precisions):
-        m = std_moments(Bounds(lower, upper))
-        total += m.m2 / n1 + m.m1 ** 2 + (m.m1 * m.m3 + m.m2 ** 2) / mu_sq
+    for j in range(terms.shape[-1]):  # one direction at a time, not a pairwise sum
+        total = total + terms[..., j]
     return total
 
 
@@ -38,33 +40,34 @@ def baseline_mse(design, sigma: float) -> float:
     return float(sigma * sigma * np.sum(design.singular_values ** -2.0))
 
 
-def _one_step_risk(design, true_theta: np.ndarray, ball, sigma: float, n1: int) -> float:
+def one_step_predictions(design, true_theta: np.ndarray, balls, sigma: float,
+                         n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form E||theta_1 - true_theta||^2 after one verified retraining
+    round for each verifier in ``balls``, and the predicted log ratio
+    0.5 log(baseline_mse / it), formed in units of sigma^2 so that it holds
+    where sigma^2 underflows or overflows; both NaN for a verifier with an
+    acceptance region at the true parameter that carries no mass."""
     if n1 < 1:
         raise InvalidBoundsError(f"n1 must be >= 1, got {n1}")
     if not sigma > 0.0:
         raise InvalidBoundsError(f"sigma must be positive, got {sigma}")
     true_theta = np.asarray(true_theta, dtype=float)
-    if true_theta.shape != (design.dimension,) or ball.dimension != design.dimension:
-        raise DimensionMismatchError(f"true_theta shape {true_theta.shape} and ball dimension "
-                                     f"{ball.dimension} vs design dimension {design.dimension}")
-    limits = ball.bounds(unit_directions(design.directions), true_theta[None], sigma)
-    return _risk(limits[:, 0], [float(s) ** 2 for s in design.singular_values], n1)
+    dimensions = sorted({ball.dimension for ball in balls})
+    if true_theta.shape != (design.dimension,) or dimensions != [design.dimension]:
+        raise DimensionMismatchError(f"true_theta shape {true_theta.shape} and ball dimensions "
+                                     f"{dimensions} vs design dimension {design.dimension}")
+    units = unit_directions(design.directions)
+    limits = np.stack([ball.bounds(units, true_theta[None], sigma)[:, 0] for ball in balls], axis=1)
+    risk = _risk(limits, design.singular_values ** 2, n1)
+    with np.errstate(over="ignore"):  # an MSE beyond the largest double is inf
+        return sigma * sigma * risk, 0.5 * libm(math.log, baseline_mse(design, 1.0) / risk)
 
 
 def one_step_prediction(design, true_theta: np.ndarray, ball, sigma: float, n1: int) -> float:
-    """Closed-form E||theta_1 - true_theta||^2 after one verified retraining
-    round. Raises DegenerateIntervalError when some direction's acceptance
-    region at the true parameter carries no mass."""
-    return float(sigma * sigma * _one_step_risk(design, true_theta, ball, sigma, n1))
-
-
-def one_step_gain(design, true_theta: np.ndarray, ball, sigma: float,
-                  n1: int) -> tuple[float, float]:
-    """:func:`one_step_prediction` and the predicted log error-reduction ratio
-    0.5 log(baseline_mse / it), formed from both risks in units of sigma^2,
-    so that it holds where sigma^2 underflows or overflows."""
-    risk = _one_step_risk(design, true_theta, ball, sigma, n1)
-    return float(sigma * sigma * risk), 0.5 * math.log(baseline_mse(design, 1.0) / risk)
+    """:func:`one_step_predictions` of one verifier. Raises DegenerateIntervalError
+    when some direction's acceptance region at the true parameter carries no mass."""
+    return one_value(one_step_predictions(design, true_theta, [ball], sigma, n1)[0],
+                     "an acceptance region at the true parameter")
 
 
 def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:
@@ -79,17 +82,25 @@ def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:
     if not (n1 > n0 >= 100):
         warnings.warn(f"prediction derived for n1 > n0 >= 100; called with n0={n0}, n1={n1}",
                       RegimeWarning, stacklevel=2)
-    return float(_risk(([bounds.lower], [bounds.upper]), [n0], n1))
+    return one_value(_risk(np.array([[bounds.lower], [bounds.upper]]), n0, n1), f"bounds {bounds}")
 
 
-def retraining_map(bounds: Bounds, x: float) -> float:
+def _shifted_moment(bounds: Bounds, x, which: int):
+    """Moment ``which`` of ``bounds`` shifted by x: for each x of an array in
+    one engine call (NaN where the band carries no mass), or for one float x."""
+    shifts = np.atleast_1d(np.asarray(x, dtype=float))
+    moment = Truncations(np.array([bounds.lower - shifts, bounds.upper - shifts])).moments()[which]
+    return moment if np.ndim(x) else one_value(moment, f"bounds {bounds} shifted by {x}")
+
+
+def retraining_map(bounds: Bounds, x):
     """Deterministic infinite-sample update T(x) = x + m1(bounds shifted by x)."""
-    return x + std_moments(bounds.shifted(x)).m1
+    return x + _shifted_moment(bounds, x, 0)
 
 
-def retraining_map_slope(bounds: Bounds, x: float) -> float:
+def retraining_map_slope(bounds: Bounds, x):
     """Slope of the deterministic update, identically the shifted variance factor."""
-    return std_moments(bounds.shifted(x)).m2
+    return _shifted_moment(bounds, x, 1)
 
 
 def contraction_rate(verifier, sigma: float) -> float:
@@ -127,19 +138,10 @@ def long_term_bounds(rho: float, initial_sq_error: float, schedule: np.ndarray,
         raise InvalidBoundsError("initial squared error must be >= 0")
     schedule = np.asarray(schedule, dtype=float)
     rounds = schedule.size
-    odd = rho ** (2 * np.arange(rounds, 0, -1) - 1)  # rho^(2K-1), ..., rho^3, rho
+    odd = libm(math.pow, rho, 2.0 * np.arange(rounds, 0, -1) - 1.0)  # rho^(2K-1), ..., rho
     bounds = np.empty(rounds + 1)
     bounds[0] = initial_sq_error
     for k in range(1, rounds + 1):
         bounds[k] = rho ** (2 * k) * initial_sq_error + scale * np.sum(
             odd[rounds - k:] / schedule[:k])
     return bounds
-
-
-def long_term_bound(rho: float, initial_sq_error: float, schedule: np.ndarray, k: int,
-                    scale: float = 1.0) -> float:
-    """The k-round entry of :func:`long_term_bounds` on the first k counts of ``schedule``."""
-    schedule = np.asarray(schedule, dtype=float)
-    if k < 0 or k > schedule.size:
-        raise InvalidBoundsError(f"k must lie in [0, len(schedule)], got {k}")
-    return float(long_term_bounds(rho, initial_sq_error, schedule[:k], scale)[k])

@@ -1,4 +1,5 @@
-"""Standard-normal interval truncation: moments, sampling, quadrature cross-check.
+"""Standard-normal interval truncation: one engine for masses, moments and
+sampling, and a quadrature cross-check.
 
 Everything here is expressed for a standard normal Z conditioned on an interval
 (lower, upper); callers shift and scale. The key quantities are the first three
@@ -10,26 +11,28 @@ central moments of the conditioned variable,
                                   and the truncation is numerically invisible)
     m3 = E[(Z - m1)^3 | Z in I]  (third central moment)
 
-The textbook ratios phi/Phi cancel catastrophically when the interval sits deep
-in one tail, so :func:`std_moments` routes one-tail intervals through a scaled
-form built on erfcx (the scaled complementary error function): with
-g(z) = Phi_c(z)/phi(z) (the Mills ratio) and w = exp((lower^2 - upper^2)/2),
-every needed ratio reduces to combinations of g and (1 - w), which stay in
-floating-point range for arbitrarily deep tails.
+The one engine, :class:`Truncations`, works on a block of intervals in a
+reflected frame where every lower bound is below 0; :func:`std_moments` is its
+one-row call. The textbook ratios phi/Phi cancel catastrophically deep in one
+tail, so an interval with upper <= 0 there takes a scaled form on its mirror
+image (a, b) built on erfcx: with g(z) = Phi_c(z)/phi(z) (the Mills ratio) and
+w = exp((a^2 - b^2)/2), every ratio is a combination of g and (1 - w). Its
+exp, expm1 and power are libm's (:func:`libm`), so the moments have the same
+bits on every CPU.
 
-Accuracy domain, measured against the quadrature oracle on random intervals
-with acceptance probability >= 1e-300: at width >= 1 the absolute error is
-below ~5e-13 in m1 and m2 and ~3e-11 in m3 (its largest once |bounds| > 15).
-Narrower bands lose digits to differences of nearly equal terms, roughly
-1e-15/width in m1, 1e-14/width in m2 and 3e-13/width in m3. As m2 is about
-width^2/12, it is ~10% off at width 1e-4 and can turn negative below ~5e-5:
-(2, 2.00001) gives m2 = 1.4e-10 against 8.3e-12.
+Accuracy domain, measured against the quadrature oracle and 60-digit
+arithmetic on random intervals with acceptance probability >= 1e-300: at
+width >= 1 the absolute error is below ~5e-13 in m1 and m2 and ~3e-11 in m3
+(its largest once |bounds| > 15); from width 0.1 to 1, m2 keeps 9 digits or
+more. Below NARROW_WIDTH, where m2 = 1 - r2 - m1^2 (about width^2/12) would
+cancel, a Gauss-Legendre rule on the band keeps m2 to 1e-15 relative at any
+centre: 3.333332888888912e-07 on (-0.001, 0.001), where the series
+h^2/3 - (2 + 3c^2) h^4/45 of the band c +- h gives 3.33333288888889e-07.
 Finite bounds may be as large as any double: where the mass beyond a bound
 underflows (w = 0 on the one-tail path, phi(bound) = 0 on the straddling
 one), the moments are exactly those of the half-line. For lower bounds 0 to 20
 and upper bounds 50 to 1e300, reflections included, the error is below 1e-13.
-
-Sampling is one inverse CDF for every non-degenerate interval (:class:`Truncations`).
+Sampling is one inverse CDF for every non-degenerate interval.
 """
 from __future__ import annotations
 
@@ -43,14 +46,24 @@ from .errors import DegenerateIntervalError, InvalidBoundsError, QuadratureError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 #: acceptance probabilities below this raise DegenerateIntervalError
 MIN_ACCEPTANCE = 1e-300
-#: narrowest standardized acceptance width a config may ask for: a narrower
-#: band keeps less than about 4 digits of m2 (see the accuracy domain above)
+#: narrowest standardized acceptance width a config may ask for. The moments
+#: stay accurate below it (see NARROW_WIDTH); a band at the floor accepts at
+#: most about 4e-4 of the candidates, some 2,500 per kept REJECT sample
 MIN_STD_WIDTH = 1e-3
+#: bands narrower than this (in standard deviations) take their moments from
+#: the 12-point Gauss-Legendre rule on the band: the nodes and weights on
+#: (0, 1) of numpy.polynomial.legendre.leggauss(12), mirrored about 0
+NARROW_WIDTH = 0.1
+_HALF_NODES = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+               0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_HALF_WEIGHTS = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                 0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+_LEGENDRE_NODES = np.array([-x for x in _HALF_NODES[::-1]] + list(_HALF_NODES))
+_LEGENDRE_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
 #: every interval draws by inverse CDF; only the benchmark tracer reads this,
 #: splitting its sampler-branch label at this acceptance probability
 INVERSE_CDF_MIN_PROB = 1e-3
@@ -110,22 +123,41 @@ def normal_quantile(uniforms: np.ndarray) -> np.ndarray:
     return _special().ndtri(uniforms)
 
 
-def _mills(z: float) -> float:
-    """Mills ratio Phi_c(z)/phi(z), stable for all z not far below 0."""
-    return _SQRT_HALF_PI * _special().erfcx(z / _SQRT2)
+def libm(fn, *args) -> np.ndarray:
+    """``fn`` of :mod:`math` on each element of ``args``: numpy's own exp,
+    expm1, log and power differ from libm in the last bit on CPUs with
+    AVX-512, and pinned outputs hang on those bits. An argument ``fn`` refuses
+    takes numpy's value, which is then exact (0, inf, -inf or NaN)."""
+    def one(*values):
+        try:
+            return fn(*values)
+        except (OverflowError, ValueError):
+            return float(getattr(np, fn.__name__)(*values))
+
+    with np.errstate(all="ignore"):  # libm raises the flags of what math refused
+        return np.frompyfunc(one, len(args), 1)(*args).astype(float)
+
+
+def one_value(values: np.ndarray, what: str) -> float:
+    """The value of a one-row engine result; NaN there means a band without
+    mass, which raises DegenerateIntervalError naming ``what``."""
+    value = values.item()
+    if math.isnan(value):
+        raise DegenerateIntervalError(f"acceptance probability underflows for {what}")
+    return value
 
 
 class Truncations:
     """A block of truncation intervals of a standard normal.
 
-    ``limits`` has shape (2, n): row 0 holds the lower bounds, row 1 the
-    upper. Intervals with lower >= 0 are handled reflected to (-upper,
-    -lower), so that deep right-tail masses keep their relative accuracy and
-    inverse-CDF uniforms live near 0, where ndtri keeps it too. After the
-    reflection a draw at z <= 0 resolves to within 2^-52 * Phi(z)/phi(z) <
-    3e-16 whatever the mass, and a low-mass interval that reaches z > 0 is a
-    narrow band around 0; so one inverse CDF serves every interval down to
-    MIN_ACCEPTANCE.
+    ``limits`` has shape (2, ...), lower bounds over upper (a flat (2, n) for
+    :meth:`inverse_cdf`). Intervals with lower >= 0 are handled reflected to
+    (-upper, -lower), so that every lower bound is below 0, deep right-tail
+    masses keep their relative accuracy and inverse-CDF uniforms live near 0,
+    where ndtri keeps it too. After the reflection a draw at z <= 0 resolves
+    to within 2^-52 * Phi(z)/phi(z) < 3e-16 whatever the mass, and a low-mass
+    interval that reaches z > 0 is a narrow band around 0; so one inverse CDF
+    serves every interval down to MIN_ACCEPTANCE.
     ``mass`` is each interval's acceptance probability, not checked for
     degeneracy; an invalid interval (lower >= upper) has mass <= 0.
     """
@@ -156,6 +188,53 @@ class Truncations:
             np.negative(x, out=x, where=self.flip[:, None])
         return x
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Central moments (m1, m2, m3) of every interval, NaN where its mass
+        is below MIN_ACCEPTANCE: the scaled erfcx form in one tail (upper <= 0
+        in the reflected frame), the plain ratios across 0, and a
+        Gauss-Legendre rule on a band narrower than NARROW_WIDTH."""
+        lo, hi = self.limits
+        with np.errstate(all="ignore"):
+            # one tail, on the mirror image (a, b) with 0 <= a < b
+            a, b = mirror = -self.limits[::-1]
+            ga, gb = _SQRT_HALF_PI * _special().erfcx(mirror / _SQRT2)
+            log_w = 0.5 * (a - b) * (a + b)
+            # 1 - w computed via expm1 so narrow intervals keep full precision
+            one_minus_w = -libm(math.expm1, log_w)
+            # w underflows (b = inf included): the half-line (a, inf) in doubles
+            half_line = libm(math.exp, log_w) == 0.0
+            dnm = np.where(half_line, ga, (ga - gb) + gb * one_minus_w)
+            tail_m1 = np.where(half_line, 1.0, one_minus_w) / dnm
+            tail_r2 = np.where(half_line, -a, (b - a) - b * one_minus_w) / dnm
+            tail_q = np.where(half_line, a * a - 1.0,
+                              (a - b) * (a + b) + (b * b - 1.0) * one_minus_w) / dnm
+            # straddling 0: a bound whose density underflows (an infinite one
+            # included) adds no term; its square may itself overflow there
+            pa, pb = density = libm(math.exp, -0.5 * self.limits * self.limits) / _SQRT_2PI
+            apa, bpb = np.where(density > 0.0, self.limits * density, 0.0)
+            t_lo, t_hi = np.where(density > 0.0, (self.limits * self.limits - 1.0) * density, 0.0)
+            tail = hi <= 0.0
+            m1 = np.where(tail, -tail_m1, (pa - pb) / self.mass)
+            r2 = np.where(tail, tail_r2, (bpb - apa) / self.mass)
+            q = np.where(tail, -tail_q, (t_lo - t_hi) / self.mass)
+            m2 = 1.0 - r2 - m1 * m1
+            m3 = q + 3.0 * m1 * r2 + 2.0 * libm(math.pow, m1, 3.0)
+            narrow = (hi - lo < NARROW_WIDTH) & (self.mass >= MIN_ACCEPTANCE)
+            if np.count_nonzero(narrow):
+                # z = c + t on (c - h, c + h), weighted by phi(c + t) / phi(c)
+                n_lo, n_hi = self.limits[:, narrow]
+                c = 0.5 * (n_lo + n_hi)
+                t = (0.5 * (n_hi - n_lo))[:, None] * _LEGENDRE_NODES
+                w = _LEGENDRE_WEIGHTS * libm(math.exp, -t * (c[:, None] + 0.5 * t))
+                w /= np.sum(w, axis=-1, keepdims=True)
+                shift = np.sum(w * t, axis=-1)
+                d = t - shift[:, None]
+                m1[narrow] = c + shift
+                m2[narrow] = np.sum(w * d * d, axis=-1)
+                m3[narrow] = np.sum(w * d * d * d, axis=-1)
+            sign = np.where(self.flip, -1.0, 1.0)
+            return tuple(np.where(self.mass >= MIN_ACCEPTANCE, [sign * m1, m2, sign * m3], np.nan))
+
 
 def acceptance_probability(bounds: Bounds) -> float:
     """P(lower < Z < upper) for standard normal Z, computed cancellation-safely.
@@ -172,62 +251,11 @@ def acceptance_probability(bounds: Bounds) -> float:
     return p
 
 
-def _oriented_moments(a: float, b: float) -> tuple[float, float, float]:
-    """Moments for an interval with b > 0 (a may be any value below b)."""
-    if a >= 0.0:
-        # one-tail interval: scaled-erfcx path, exact for arbitrarily deep tails
-        ga = _mills(a)
-        log_w = 0.5 * (a - b) * (a + b)
-        if math.exp(log_w) == 0.0:
-            # w underflows (b == inf included): in double precision this is the
-            # half-line (a, inf), and the finite-b forms below would cancel
-            dnm = ga
-            numerators = 1.0, -a, a * a - 1.0
-        else:
-            gb = _mills(b)
-            # 1 - w computed via expm1 so narrow intervals keep full precision
-            one_minus_w = -math.expm1(log_w)
-            dnm = (ga - gb) + gb * one_minus_w
-            numerators = (one_minus_w, (b - a) - b * one_minus_w,
-                          (a - b) * (a + b) + (b * b - 1.0) * one_minus_w)
-        # degeneracy check in log space (Z = phi(a) * dnm), before the ratios
-        # over dnm, which overflow first
-        if -0.5 * a * a - _LOG_SQRT_2PI + math.log(dnm) < math.log(MIN_ACCEPTANCE):
-            raise DegenerateIntervalError(f"acceptance probability underflows for bounds ({a}, {b})")
-        m1, r2, q = (x / dnm for x in numerators)
-    else:
-        # interval straddles 0 (or reaches it): the plain ratios are stable
-        ndtr = _special().ndtr
-        z_mass = float(ndtr(b)) - float(ndtr(a))
-        if z_mass < MIN_ACCEPTANCE:
-            raise DegenerateIntervalError(f"acceptance probability underflows for bounds ({a}, {b})")
-        # a bound whose density underflows (infinite ones included) adds no
-        # term; b * b may itself overflow there
-        pa = _phi(a)
-        pb = _phi(b)
-        bpb = b * pb if pb else 0.0
-        apa = a * pa if pa else 0.0
-        t_hi = (b * b - 1.0) * pb if pb else 0.0
-        t_lo = (a * a - 1.0) * pa if pa else 0.0
-        m1 = (pa - pb) / z_mass
-        r2 = (bpb - apa) / z_mass
-        q = (t_lo - t_hi) / z_mass
-    m2 = 1.0 - r2 - m1 * m1
-    m3 = q + 3.0 * m1 * r2 + 2.0 * m1 ** 3
-    return m1, m2, m3
-
-
 def std_moments(bounds: Bounds) -> Moments:
-    """Central moments (m1, m2, m3) of a standard normal truncated to ``bounds``."""
-    a, b = bounds.lower, bounds.upper
-    if a == -math.inf and b == math.inf:
-        return Moments(0.0, 1.0, 0.0)
-    if b <= 0.0:
-        # reflect into the right half; m1 and m3 are odd under reflection
-        m1, m2, m3 = _oriented_moments(-b, -a)
-        return Moments(-m1, m2, -m3)
-    m1, m2, m3 = _oriented_moments(a, b)
-    return Moments(m1, m2, m3)
+    """Central moments (m1, m2, m3) of a standard normal truncated to ``bounds``,
+    the one-row call of :meth:`Truncations.moments`."""
+    moments = Truncations(np.array([[bounds.lower], [bounds.upper]])).moments()
+    return Moments(*(one_value(m, f"bounds ({bounds.lower}, {bounds.upper})") for m in moments))
 
 
 def sample_truncated(bounds: Bounds, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -77,7 +77,11 @@ class KnowledgeBall:
         return np.add.outer([-self.half_width, self.half_width], offset) / sigma
 
     def acceptance(self, direction: np.ndarray):
-        """The acceptance test, vectorized over responses at covariate x = direction."""
+        """The acceptance test, vectorized over responses at covariate x = direction;
+        the boundary is accepted."""
+        if np.shape(direction) != (self.dimension,):
+            raise DimensionMismatchError(f"covariate has shape {np.shape(direction)}, "
+                                         f"verifier expects ({self.dimension},)")
         halfwidth = self.radius * float(np.linalg.norm(direction)) + self.slack
         center_proj = float(direction @ self.center)
         return lambda y: np.abs(y - center_proj) <= halfwidth
@@ -125,16 +129,6 @@ class Interval1D:
     def acceptance(self, direction):
         """The acceptance test along the direction v = 1: :meth:`accepts`."""
         return self.accepts
-
-
-def verify_point(ball: KnowledgeBall, x: np.ndarray, y: float) -> bool:
-    """Acceptance decision for one candidate pair; the boundary is accepted."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ball.dimension,):
-        raise DimensionMismatchError(
-            f"covariate has shape {x.shape}, verifier expects ({ball.dimension},)"
-        )
-    return bool(ball.acceptance(x)(float(y)))
 
 
 def _as_unit(direction: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 
 from verisynth import (
     Bounds,
+    DegenerateIntervalError,
     FILTER_REJECT,
     Interval1D,
     InvalidBoundsError,
@@ -23,7 +24,7 @@ from verisynth import (
     hitting_time,
     initial_mean,
     interval_bounds_1d,
-    long_term_bound,
+    long_term_bounds,
     one_step_mse_prediction_1d,
     one_step_prediction,
     retrain_step,
@@ -34,7 +35,6 @@ from verisynth import (
     theory_summary,
 )
 from verisynth.kernel import generate_and_verify
-from verisynth.theory import long_term_bounds
 
 from test_kernel import Untouchable
 
@@ -78,6 +78,16 @@ class TestRetrainingMap:
         assert mid_slope == pytest.approx(M2_SYM1, abs=1e-12)
         for x in np.linspace(-6, 6, 25):
             assert retraining_map_slope(bounds, float(x)) <= mid_slope + 1e-12
+
+    def test_array_call_matches_scalar_calls(self):
+        bounds = Bounds(-1.0, 3.0)
+        xs = np.array([-40.0, -2.0, 0.5, 1.0, 7.0, 40.0])
+        inside = xs[1:-1]
+        assert list(retraining_map(bounds, inside)) == [retraining_map(bounds, x) for x in inside]
+        slopes = retraining_map_slope(Bounds(40.0, 41.0), xs)
+        assert math.isnan(slopes[0]) and slopes[-1] == retraining_map_slope(Bounds(40.0, 41.0), 40.0)
+        with pytest.raises(DegenerateIntervalError):
+            retraining_map_slope(Bounds(40.0, 41.0), -40.0)
 
 
 class TestRetrainStep:
@@ -203,7 +213,7 @@ class TestLongTermBound:
         expected = rho ** (2 * k) * init
         for j in range(k):
             expected += rho ** (2 * (k - j) - 1) / schedule[j]
-        got = long_term_bound(rho, init, schedule, k)
+        got = long_term_bounds(rho, init, schedule)[k]
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(6.667614e-3, abs=1e-8)
 
@@ -211,11 +221,11 @@ class TestLongTermBound:
         rho, n = 0.5, 100
         schedule = np.full(400, n)
         limit = rho / (n * (1 - rho ** 2))
-        assert long_term_bound(rho, 1.0, schedule, 400) == pytest.approx(
+        assert long_term_bounds(rho, 1.0, schedule)[400] == pytest.approx(
             limit, rel=1e-12)
 
     def test_k_zero_returns_initial(self):
-        assert long_term_bound(0.3, 2.5, np.array([10]), 0) == 2.5
+        assert long_term_bounds(0.3, 2.5, np.array([10]))[0] == 2.5
 
     def test_every_round_equals_its_definition(self):
         # rho^(2k) underflows to 0 from k = 162 on; every entry is still the sum as defined
@@ -228,7 +238,6 @@ class TestLongTermBound:
             defined = (rho ** (2 * k) * init
                        + scale * np.sum(rho ** (2 * (k - j) - 1) / schedule[:k]) if k else init)
             assert bounds[k] == defined
-            assert long_term_bound(rho, init, schedule, k, scale) == defined
 
     def test_long_schedule_is_fast(self):
         config = config_from_mapping({
@@ -244,13 +253,11 @@ class TestLongTermBound:
 
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(1.5, 1.0, np.array([10]), 1)
+            long_term_bounds(1.5, 1.0, np.array([10]))
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(0.0, 1.0, np.array([10]), 1)
+            long_term_bounds(0.0, 1.0, np.array([10]))
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(0.5, -1.0, np.array([10]), 1)
-        with pytest.raises(InvalidBoundsError):
-            long_term_bound(0.5, 1.0, np.array([10]), 2)
+            long_term_bounds(0.5, -1.0, np.array([10]))
 
 
 class TestHittingTime:

@@ -29,12 +29,10 @@ from verisynth import (
     config_from_mapping,
     contraction_rate,
     derive_stream,
-    design_matrix,
     estimate_contraction,
     load_config,
-    long_term_bound,
+    long_term_bounds,
     output_basename,
-    resolve_ball,
     run_iterative,
     run_landscape,
     spectral_design,
@@ -278,29 +276,29 @@ REJECT_ROWS = [
         arms=["direct", "reject"],
     ), [
         "'direct' 0 0 0.07975101447264585 0.014748771616443399 0.39736808528489037 "
-        "0.08407542267881916 0.3334611757727749 3.333332346810991e-07 3",
+        "0.08407542267881916 0.3334611757727749 3.333332888888912e-07 3",
         "'direct' 1 2 0.24968234669944658 0.00027873811598062707 1.756689788181599e-06 "
-        "5.103777430391048e-07 1.3333329757756163e-06 3.333332346810991e-07 3",
+        "5.103777430391048e-07 1.3333331926067967e-06 3.333332888888912e-07 3",
         "'direct' 2 2 0.24993097556107927 9.705306512799864e-05 1.2239976104426699e-06 "
-        "3.134814017602879e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "3.134814017602879e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'direct' 3 2 0.25041007700044615 0.00035183012191696174 1.9964613499292703e-06 "
-        "7.450989025836583e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "7.450989025836583e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'direct' 4 2 0.25037076204644726 9.693355205181498e-05 1.8181530439283945e-06 "
-        "1.472403722478828e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "1.472403722478828e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'direct' 5 2 0.2501033297730926 0.0002671219108095264 1.296175688109587e-06 "
-        "1.7933353722440107e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "1.7933353722440107e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'reject' 0 0 0.07975101447264585 0.014748771616443399 0.39736808528489037 "
-        "0.08407542267881916 0.3334611757727749 3.333332346810991e-07 3",
+        "0.08407542267881916 0.3334611757727749 3.333332888888912e-07 3",
         "'reject' 1 2 0.24982925893732624 0.00032434984170968484 1.619093971922573e-06 "
-        "5.808667227309365e-07 1.3333329757756163e-06 3.333332346810991e-07 3",
+        "5.808667227309365e-07 1.3333331926067967e-06 3.333332888888912e-07 3",
         "'reject' 2 2 0.24980081186227862 0.00022979313942223388 1.9163613538979852e-06 "
-        "2.3440293956007902e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "2.3440293956007902e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'reject' 3 2 0.24979477402109476 0.00014291588855764128 6.534513770595593e-07 "
-        "1.801681818592583e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "1.801681818592583e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'reject' 4 2 0.24976876752646415 0.00018286311179823488 1.1497605934886451e-06 "
-        "3.5403761963832403e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "3.5403761963832403e-07 1.333333155555713e-06 3.333332888888912e-07 3",
         "'reject' 5 2 0.24970747871001828 0.000107782072496809 1.705572564986383e-06 "
-        "4.6100116226596537e-07 1.3333329387245446e-06 3.333332346810991e-07 3",
+        "4.6100116226596537e-07 1.333333155555713e-06 3.333332888888912e-07 3",
     ], id="selective_reject"),
     pytest.param(oned_mapping(interval={"lower": 1.0, "upper": 1.5}, arms=["reject"]), [
         "0 0 -0.06409067410043677 0.023302061669170974 1.727920271913808 "
@@ -400,7 +398,7 @@ SHIPPED_DIGESTS = {
         "07c4884075f6b5db8b50ef575183dc44296a888904a0dd1edc1254284a8c1d0a"),
     "iterate_linear_growth": (
         "21b3d6a3c78eb48ea179d339bd26c7a226507c42f24362a127f30a4929ef536d",
-        "99c663856b833d1cd3083b67e1a004272892c67bc606003702e48fe10e4c2cc2"),
+        "461be61f1adc1af9de61551a3d11af976b6526a3f349d4a7c6433c73dbff590f"),
     "landscape": (
         "24c3b1ef107bcadf69bbc323aab0abea7671a44245ea7670a7e93955bc8c01ad",
         "9239932d3f236888c14c1e97bb715f64493d93861da991005687e4d10c203d2e"),
@@ -701,7 +699,7 @@ class TestConfigParsing:
 
     def test_resolve_ball_delta_form(self):
         config = config_from_mapping(linreg_mapping())
-        ball = resolve_ball(config)
+        ball = experiments.resolve_ball(config)
         offset = np.asarray(ball.center) - np.asarray(config.true_theta)
         assert np.linalg.norm(offset) == pytest.approx(0.5, rel=1e-12)
 
@@ -823,7 +821,7 @@ class TestRunners:
         assert all(math.isnan(r["rho"]) for r in none)
         assert all(math.isfinite(r["theory_bound"]) for r in direct)
         assert direct[0]["rho"] == pytest.approx(
-            contraction_rate(resolve_ball(config), config.sigma))
+            contraction_rate(experiments.resolve_ball(config), config.sigma))
         # both arms share round 0 (same real data)
         assert direct[0]["dist_center_mean"] == none[0]["dist_center_mean"]
 
@@ -928,8 +926,7 @@ class TestEstimateContraction:
     def test_noiseless_bound_sequence(self):
         rho, n, k_max = 0.9, 10 ** 9, 40
         schedule = np.full(k_max, n)
-        sq = np.array([long_term_bound(rho, 1.0, schedule, k)
-                       for k in range(k_max + 1)])
+        sq = long_term_bounds(rho, 1.0, schedule)
         est = estimate_contraction(np.arange(k_max + 1), sq)
         assert abs(est - rho) / rho < 0.05
 
@@ -962,7 +959,7 @@ class TestTheorySummary:
             problem = {"dimension": 3, "true_theta": [1.0, 1.0, 1.0], "sigma": sigma, "n0": 40}
             return theory_summary(config_from_mapping(landscape_mapping(problem=problem)))["cells"]
 
-        s = spectral_design(design_matrix(config_from_mapping(landscape_mapping())))
+        s = spectral_design(experiments.design_matrix(config_from_mapping(landscape_mapping())))
         mu_sq_inv = s.singular_values ** -2.0
         # bands ~1e299 standard deviations wide: m1 = 0, m2 = 1, m3 = 0
         expected = 0.5 * math.log(np.sum(mu_sq_inv) / np.sum(1.0 / 60 + mu_sq_inv))

@@ -27,12 +27,10 @@ from verisynth import (
     acceptance_probability,
     config_from_mapping,
     derive_stream,
-    design_matrix,
     direction_bounds,
     interval_bounds_1d,
     ols_fit,
     one_step_prediction,
-    resolve_ball,
     retrain_round,
     run_iterative,
     run_landscape,
@@ -40,6 +38,7 @@ from verisynth import (
     spectral_design,
 )
 from verisynth import kernel
+from verisynth.experiments import design_matrix, resolve_ball
 from verisynth.gaussian1d import ONE_DIRECTION, initial_mean, retrain_step
 from verisynth.kernel import BlockRound, generate_and_verify
 from verisynth.seeding import MAX_INDEX, KeyedStreams

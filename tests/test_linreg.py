@@ -17,7 +17,7 @@ from verisynth import (
     SpectralDesign,
     baseline_mse,
     contraction_rate,
-    long_term_bound,
+    long_term_bounds,
     ols_fit,
     one_step_prediction,
     retrain_round,
@@ -25,6 +25,7 @@ from verisynth import (
 )
 from verisynth.gaussian1d import retrain_step
 from verisynth.kernel import BlockRound
+from verisynth.theory import one_step_predictions
 
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
@@ -266,6 +267,17 @@ class TestOneStepPrediction:
         with pytest.raises(DegenerateIntervalError):
             one_step_prediction(d, np.zeros(2), ball, 1.0, 100)
 
+    def test_many_balls_in_one_call(self):
+        d = SpectralDesign(np.array([3.0, 2.0, 1.5]), np.linalg.qr(np.ones((3, 3)) + np.eye(3))[0])
+        theta = np.array([0.2, -0.4, 1.0])
+        balls = [KnowledgeBall(theta + shift, radius, 0.1)
+                 for shift in (0.0, 0.7, -1.3, 100.0) for radius in (0.05, 0.5, 2.0)]
+        mse, log_ratio = one_step_predictions(d, theta, balls, 0.8, 50)
+        for ball, one, ratio in zip(balls[:9], mse, log_ratio):
+            assert one == one_step_prediction(d, theta, ball, 0.8, 50)
+            assert ratio == pytest.approx(0.5 * math.log(baseline_mse(d, 0.8) / one), rel=1e-14)
+        assert np.all(np.isnan(mse[9:])) and np.all(np.isnan(log_ratio[9:]))
+
     def test_validation(self):
         d = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
         ball = KnowledgeBall(np.zeros(2), 1.0, 0.0)
@@ -298,7 +310,7 @@ class TestLongTermBound:
         return contraction_rate(KnowledgeBall(np.zeros(8), 1.0, 0.0), 1.0)  # M2_SYM1
 
     def test_k_zero(self):
-        assert long_term_bound(self.rho(), 5.0, np.array([10]), 0, 8.0) == 5.0
+        assert long_term_bounds(self.rho(), 5.0, np.array([10]), 8.0)[0] == 5.0
 
     def test_matches_explicit_summation(self):
         rho, p, sigma, init, k = M2_SYM1, 8, 1.0, 8.0, 30
@@ -306,18 +318,16 @@ class TestLongTermBound:
         expected = rho ** (2 * k) * init
         for j in range(k):
             expected += p * sigma ** 2 * rho ** (2 * (k - j) - 1) / schedule[j]
-        got = long_term_bound(self.rho(), init, schedule, k, p * sigma * sigma)
+        got = long_term_bounds(self.rho(), init, schedule, p * sigma * sigma)[k]
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_constant_schedule_limit(self):
         rho, p, n = M2_SYM1, 8, 100
         schedule = np.full(300, n)
         limit = p * rho / (n * (1 - rho ** 2))
-        assert long_term_bound(self.rho(), 3.0, schedule, 300, float(p)) == \
+        assert long_term_bounds(self.rho(), 3.0, schedule, float(p))[300] == \
             pytest.approx(limit, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
-            long_term_bound(self.rho(), -1.0, np.array([10]), 1, 8.0)
-        with pytest.raises(InvalidBoundsError):
-            long_term_bound(self.rho(), 1.0, np.array([10]), 2, 8.0)
+            long_term_bounds(self.rho(), -1.0, np.array([10]), 8.0)

@@ -16,6 +16,7 @@ from verisynth import (
     sample_truncated,
     std_moments,
 )
+from verisynth.truncnorm import MIN_ACCEPTANCE, NARROW_WIDTH, Truncations, libm
 
 # Frozen independent values: half-normal closed forms and quadrature-derived
 # constants for reference intervals.
@@ -156,6 +157,102 @@ class TestStdMoments:
             assert all(math.isfinite(v) for v in (closed.m1, closed.m2, closed.m3))
             assert closed.m3 == pytest.approx(quadrature_moments(b).m3, abs=1e-12)
             assert closed == std_moments(half_line)
+
+
+#: one block through every branch of the moment engine: straddling rows and
+#: rows in each tail, a bound at 0 on either side, half-lines, the whole line,
+#: rows at +-38, narrow bands, huge finite bounds and rows without mass
+ENGINE_ROWS = [
+    (-1.0, 2.0), (-3.0, 0.5), (2.0, 4.0), (-6.0, -5.0), (10.0, 11.0), (-25.0, -24.0),
+    (0.0, 1.5), (-2.0, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+    (3.0, math.inf), (-math.inf, -3.0), (-math.inf, 1.0), (-1.0, math.inf),
+    (-math.inf, math.inf), (37.0, 38.0), (-38.0, -37.0), (-38.0, 38.0),
+    (-0.001, 0.001), (2.0, 2.00001), (-13.494040413493568, -13.494037880362619),
+    (-1.0, 1e300), (0.5, 1e154), (-1e300, -20.0),
+    (38.0, 39.0), (40.0, 41.0), (-math.inf, -40.0), (1e299, 3e300), (-3e300, -1e299),
+]
+ENGINE_DEGENERATE = 5  # the last rows carry less than MIN_ACCEPTANCE
+
+
+class TestMomentEngine:
+    def test_block_rows_equal_one_row_calls(self):
+        limits = np.array(ENGINE_ROWS).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            block = np.array(Truncations(limits).moments())
+            rows = [np.array(Truncations(limits[:, i:i + 1]).moments())[:, 0]
+                    for i in range(limits.shape[1])]
+            grid = np.array(Truncations(limits.reshape(2, -1, 1)).moments())
+        assert np.array_equal(block, np.array(rows).T, equal_nan=True)
+        assert np.array_equal(block, grid[..., 0], equal_nan=True)
+        assert np.all(np.isnan(block[:, -ENGINE_DEGENERATE:]))
+        assert np.all(np.isfinite(block[:, :-ENGINE_DEGENERATE]))
+        assert np.all(Truncations(limits).mass[-ENGINE_DEGENERATE:] < MIN_ACCEPTANCE)
+
+    def test_std_moments_is_the_one_row_call(self):
+        block = np.array(Truncations(np.array(ENGINE_ROWS).T).moments())
+        for (lower, upper), column in zip(ENGINE_ROWS[:-ENGINE_DEGENERATE], block.T):
+            m = std_moments(Bounds(lower, upper))
+            assert (m.m1, m.m2, m.m3) == tuple(column)
+        for lower, upper in ENGINE_ROWS[-ENGINE_DEGENERATE:]:
+            with pytest.raises(DegenerateIntervalError):
+                std_moments(Bounds(lower, upper))
+
+    def test_libm_gives_the_bits_of_math(self):
+        x = np.random.default_rng(5).uniform(-40.0, 5.0, 2000)
+        assert list(libm(math.exp, x)) == [math.exp(v) for v in x]
+        assert list(libm(math.expm1, x)) == [math.expm1(v) for v in x]
+        assert list(libm(math.log, np.abs(x))) == [math.log(abs(v)) for v in x]
+        assert list(libm(math.pow, 0.97, x)) == [0.97 ** v for v in x]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exps = libm(math.exp, np.array([1000.0, -math.inf, math.nan]))
+            logs = libm(math.log, np.array([0.0, -1.0, math.inf]))
+        assert exps[0] == math.inf and exps[1] == 0.0 and math.isnan(exps[2])
+        assert logs[0] == -math.inf and math.isnan(logs[1]) and logs[2] == math.inf
+
+
+class TestNarrowBands:
+    def test_series_value_of_a_centred_band(self):
+        # m2 = h^2/3 - (2 + 3c^2) h^4/45 + O(h^6) for the band c +- h
+        h = 0.001
+        assert std_moments(Bounds(-h, h)).m2 == pytest.approx(
+            h * h / 3 - 2 * h ** 4 / 45, rel=1e-13)
+
+    @pytest.mark.parametrize("bounds", [
+        Bounds(-0.001, 0.001), Bounds(2.0, 2.00001),
+        Bounds(-13.494040413493568, -13.494037880362619)])
+    def test_oracle(self, bounds):
+        closed = std_moments(bounds)
+        oracle = quadrature_moments(bounds)
+        assert closed.m1 == pytest.approx(oracle.m1, abs=1e-12)
+        assert closed.m2 == pytest.approx(oracle.m2, rel=1e-8)
+
+    def test_m2_positive_on_a_grid(self):
+        widths = np.logspace(-6, -2, 41)
+        centres = np.linspace(-30.0, 30.0, 121)
+        c, w = np.meshgrid(centres, widths)
+        limits = np.array([c - w / 2, c + w / 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            truncations = Truncations(limits)
+            m1, m2, _ = truncations.moments()
+        live = truncations.mass >= MIN_ACCEPTANCE
+        assert np.count_nonzero(live) > 0.9 * live.size
+        assert np.array_equal(np.isnan(m2), ~live)
+        assert np.all(m2[live] > 0.0)
+        # a log-concave density has at most the variance of the uniform
+        width = limits[1] - limits[0]
+        assert np.all(m2[live] <= width[live] ** 2 / 12 * (1 + 1e-12))
+        assert np.all((limits[0][live] <= m1[live]) & (m1[live] <= limits[1][live]))
+
+    def test_branch_edge(self):
+        # the rule and the closed form agree where the band stops being narrow
+        for lower in (0.0, 1.0, 5.0, -12.0):
+            inside = std_moments(Bounds(lower, lower + NARROW_WIDTH * (1 - 1e-9)))
+            outside = std_moments(Bounds(lower, lower + NARROW_WIDTH))
+            assert inside.m2 == pytest.approx(outside.m2, rel=1e-8)
+            assert inside.m3 == pytest.approx(outside.m3, rel=1e-6, abs=1e-15)
 
 
 class TestDerivativeIdentities:

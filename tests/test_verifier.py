@@ -18,9 +18,8 @@ from verisynth import (
     default_slack,
     direction_bounds,
     interval_bounds_1d,
-    long_term_bound,
+    long_term_bounds,
     std_moments,
-    verify_point,
 )
 
 
@@ -58,17 +57,17 @@ class TestVerifyPoint:
         self.e1 = np.array([1.0, 0.0, 0.0])
 
     def test_inside_accepts(self):
-        assert verify_point(self.ball, self.e1, 0.5)
+        assert self.ball.acceptance(self.e1)(0.5)
 
     def test_boundary_accepts(self):
-        assert verify_point(self.ball, self.e1, 1.0)
+        assert self.ball.acceptance(self.e1)(1.0)
 
     def test_just_outside_rejects(self):
-        assert not verify_point(self.ball, self.e1, 1.0 + 1e-9)
+        assert not self.ball.acceptance(self.e1)(1.0 + 1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            verify_point(self.ball, np.array([1.0, 0.0]), 0.0)
+            self.ball.acceptance(np.array([1.0, 0.0]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -79,10 +78,10 @@ class TestVerifyPoint:
             r, sc = rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0)
             resid = rng.normal() * 2.0
             y = float(x @ center) + resid
-            base = verify_point(KnowledgeBall(center, r, sc), x, y)
+            base = KnowledgeBall(center, r, sc).acceptance(x)(y)
             for c in (0.25, 3.0, 1e4):
                 scaled_y = float(x @ center) + c * resid
-                scaled = verify_point(KnowledgeBall(center, c * r, c * sc), x, scaled_y)
+                scaled = KnowledgeBall(center, c * r, c * sc).acceptance(x)(scaled_y)
                 assert scaled == base
 
 
@@ -121,7 +120,7 @@ class TestDirectionBounds:
             direction_bounds(ball, v * 1.01, np.zeros(2), 1.0)
 
     def test_acceptance_event_equivalence(self):
-        # verify_point accepts y = v.theta_hat + sigma*xi  iff  xi is inside
+        # the ball accepts y = v.theta_hat + sigma*xi  iff  xi is inside
         # direction_bounds, exactly, sample by sample
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -135,7 +134,7 @@ class TestDirectionBounds:
             b = direction_bounds(ball, v, theta_hat, sigma)
             xi = rng.normal(size=400) * 2.0
             y = float(v @ theta_hat) + sigma * xi
-            accepted = np.array([verify_point(ball, v, float(yi)) for yi in y])
+            accepted = ball.acceptance(v)(y)
             inside = (xi >= b.lower) & (xi <= b.upper)
             assert np.array_equal(accepted, inside)
 
@@ -229,9 +228,11 @@ class TestLongTermBound:
     )
     @example(rho=1.0, init=0.5, scale=2.0, schedule=[10, 20, 40])  # the unfiltered walk
     def test_one_round_recurrence(self, rho, init, scale, schedule):
-        previous = long_term_bound(rho, init, schedule, 0, scale)
+        bounds = long_term_bounds(rho, init, schedule, scale)
+        previous = bounds[0]
         for k in range(1, len(schedule) + 1):
-            bound = long_term_bound(rho, init, schedule, k, scale)
+            bound = long_term_bounds(rho, init, schedule[:k], scale)[k]
+            assert bound == bounds[k]
             recurrence = rho * rho * previous + scale * rho / schedule[k - 1]
             assert math.isclose(bound, recurrence, rel_tol=1e-12)
             previous = bound
