@@ -8,107 +8,67 @@ samplers, the verifier geometry, the exact 1-D and block-design regression
 retraining dynamics, closed-form risk predictions and contraction bounds, and
 a deterministic Monte Carlo experiment harness.
 """
-from ._version import __version__
-from .config import (
-    KIND_ITERATE_1D,
-    KIND_ITERATE_LINREG,
-    KIND_LANDSCAPE,
-    ExperimentConfig,
-    config_from_mapping,
-    load_config,
-    write_config,
-)
-from .errors import (
-    ConfigError,
-    DegenerateIntervalError,
-    DimensionMismatchError,
-    InsufficientRoundsError,
-    InvalidBoundsError,
-    MaxAttemptsError,
-    NonUnitDirectionError,
-    QuadratureError,
-    RankDeficientError,
-    SeedSpaceError,
-    VerisynthError,
-)
-from .experiments import (
-    estimate_contraction,
-    run_iterative,
-    run_landscape,
-    theory_summary,
-)
-from .gaussian1d import hitting_time, initial_mean, retrain_step
-from .kernel import FILTER_REJECT
-from .linreg import (
-    Dataset,
-    LinRegConfig,
-    SpectralDesign,
-    ols_fit,
-    retrain_round,
-    spectral_design,
-)
-from .output import (
-    GAUSSIAN1D_COLUMNS,
-    LANDSCAPE_COLUMNS,
-    TRAJECTORY_COLUMNS,
-    output_basename,
-    write_csv,
-    write_json,
-)
-from .schedules import Schedule
-from .seeding import derive_stream
-from .theory import (
-    RegimeWarning,
-    baseline_mse,
-    contraction_rate,
-    long_term_bounds,
-    one_step_mse_prediction_1d,
-    one_step_prediction,
-    retraining_map,
-    retraining_map_slope,
-)
-from .truncnorm import (
-    Bounds,
-    acceptance_probability,
-    quadrature_moments,
-    sample_truncated,
-    std_moments,
-)
-from .verifier import (
-    Interval1D,
-    KnowledgeBall,
-    default_slack,
-    direction_bounds,
-    interval_bounds_1d,
-)
+import importlib
 
-__all__ = [
-    "__version__",
+from ._version import __version__
+
+#: the home module of every exported name, in ``__all__`` order. A name is
+#: imported on first use (PEP 562), so that ``import verisynth`` and the
+#: CLI's config checks load neither numpy nor scipy
+_HOMES = {
     # errors
-    "VerisynthError", "InvalidBoundsError", "DegenerateIntervalError",
-    "QuadratureError", "DimensionMismatchError", "NonUnitDirectionError",
-    "RankDeficientError", "MaxAttemptsError", "InsufficientRoundsError",
-    "SeedSpaceError", "ConfigError",
+    **dict.fromkeys((
+        "VerisynthError", "InvalidBoundsError", "DegenerateIntervalError",
+        "QuadratureError", "DimensionMismatchError", "NonUnitDirectionError",
+        "RankDeficientError", "MaxAttemptsError", "InsufficientRoundsError",
+        "SeedSpaceError", "ConfigError"), "errors"),
     # truncated-normal core
-    "Bounds", "std_moments", "quadrature_moments",
-    "sample_truncated", "acceptance_probability",
+    **dict.fromkeys((
+        "Bounds", "std_moments", "quadrature_moments",
+        "sample_truncated", "acceptance_probability"), "truncnorm"),
     # verifier geometry
-    "KnowledgeBall", "Interval1D",
-    "direction_bounds", "interval_bounds_1d", "default_slack",
+    **dict.fromkeys((
+        "KnowledgeBall", "Interval1D", "direction_bounds", "interval_bounds_1d"), "verifier"),
+    "default_slack": "config",
     # closed-form theory
-    "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
-    "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bounds",
+    **dict.fromkeys((
+        "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
+        "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bounds"),
+        "theory"),
     # 1-D dynamics
-    "initial_mean", "retrain_step", "hitting_time",
+    **dict.fromkeys(("initial_mean", "retrain_step", "hitting_time"), "gaussian1d"),
     # linear regression dynamics
-    "FILTER_REJECT", "Dataset", "SpectralDesign", "LinRegConfig",
-    "ols_fit", "spectral_design", "retrain_round",
+    "FILTER_REJECT": "config",
+    **dict.fromkeys((
+        "Dataset", "SpectralDesign", "LinRegConfig",
+        "ols_fit", "spectral_design", "retrain_round"), "linreg"),
     # harness
-    "Schedule", "derive_stream", "ExperimentConfig", "load_config",
-    "write_config", "config_from_mapping",
-    "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D",
-    "run_landscape", "run_iterative", "estimate_contraction", "theory_summary",
-    "write_csv", "write_json",
-    "LANDSCAPE_COLUMNS", "TRAJECTORY_COLUMNS", "GAUSSIAN1D_COLUMNS",
-    "output_basename",
-]
+    "Schedule": "schedules",
+    "derive_stream": "seeding",
+    **dict.fromkeys((
+        "ExperimentConfig", "load_config", "write_config", "config_from_mapping",
+        "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D"), "config"),
+    **dict.fromkeys((
+        "run_landscape", "run_iterative", "estimate_contraction", "theory_summary"),
+        "experiments"),
+    **dict.fromkeys((
+        "write_csv", "write_json",
+        "LANDSCAPE_COLUMNS", "TRAJECTORY_COLUMNS", "GAUSSIAN1D_COLUMNS",
+        "output_basename"), "output"),
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,14 @@ identical for any value),
 ``--format csv|json`` (default csv).
 
 Exit codes: 0 success, 1 runtime failure (e.g. a degenerate experiment),
-2 usage or config errors, an ``--out`` that cannot hold the result included.
+2 usage or config errors, an ``--out`` that cannot hold the result included,
+and a ``--seed`` below 0 or a ``--reps`` or ``--threads`` below 1 in every
+subcommand.
+
+The runners, and with them numpy, are imported from ``experiments`` only
+when a run or ``theory`` first asks for one (scipy follows at the first
+truncated-normal call), so ``validate``, ``--help``, ``--version`` and a
+config error load neither numpy nor scipy.
 """
 from __future__ import annotations
 
@@ -34,14 +41,24 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, VerisynthError
-from .experiments import run_iterative, run_landscape, theory_summary
 from .output import columns_for, output_basename, write_csv, write_json
+
+#: the runners, served by :func:`__getattr__`: importing ``experiments`` loads
+#: numpy, which reading and checking a config does not need
+_RUNNERS = ("run_iterative", "run_landscape", "theory_summary")
 
 _KIND_BY_COMMAND = {
     "landscape": KIND_LANDSCAPE,
     "iterate": KIND_ITERATE_LINREG,
     "gaussian1d": KIND_ITERATE_1D,
 }
+
+
+def __getattr__(name: str):
+    if name in _RUNNERS:
+        from . import experiments
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +97,8 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("--seed must be >= 0")
     if args.reps is not None and args.reps < 1:
         raise ConfigError("--reps must be >= 1")
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     return config.with_overrides(master_seed=args.seed, replications=args.reps)
 
 
@@ -115,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    # the runners are looked up on this module, where a caller may replace them
+    runners = sys.modules[__name__]
     try:
         config = _load(args)
         if args.command == "validate":
@@ -122,7 +143,7 @@ def _run(args: argparse.Namespace) -> int:
                   f"master_seed {config.master_seed}")
             return 0
         if args.command == "theory":
-            _print_theory(theory_summary(config))
+            _print_theory(runners.theory_summary(config))
             return 0
         wanted = _KIND_BY_COMMAND[args.command]
         if config.kind != wanted:
@@ -130,13 +151,11 @@ def _run(args: argparse.Namespace) -> int:
                 f"subcommand {args.command!r} needs an experiment of kind "
                 f"{wanted!r}, got {config.kind!r}"
             )
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         path = _output_path(config, args)
         if config.kind == KIND_LANDSCAPE:
-            rows = run_landscape(config, threads=args.threads)
+            rows = runners.run_landscape(config, threads=args.threads)
         else:
-            rows = run_iterative(config, threads=args.threads)
+            rows = runners.run_iterative(config, threads=args.threads)
         os.makedirs(args.out, exist_ok=True)
         if args.format == "csv":
             write_csv(path, rows, columns_for(config.kind))

@@ -18,7 +18,8 @@ its reader and its default. The parser, the presence checks of
 ``ExperimentConfig`` and ``to_mapping`` each loop over it; value ranges are
 checked in ``ExperimentConfig`` alone.
 
-Unknown keys anywhere are hard errors naming the full dotted path. The only
+Unknown keys anywhere are hard errors naming the full dotted path, and so
+are keys given twice in one mapping of a file. The only
 defaulted fields are ``arms`` ([direct]), the verifier slack (``ball.slack`` /
 ``landscape.sigma_c``, defaulting to sqrt(2/pi)*sigma), ``schedule.unit``
 (total), and ``landscape.log_ratio_of_means`` (false); loading resolves them,
@@ -33,11 +34,7 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .errors import ConfigError
-from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE
 from .schedules import KIND_FIXED, SCHEDULE_KINDS, SCHEDULE_UNITS, UNIT_TOTAL, Schedule
-from .seeding import MAX_INDEX
-from .truncnorm import MIN_STD_WIDTH
-from .verifier import default_slack
 
 KIND_LANDSCAPE = "landscape"
 KIND_ITERATE_LINREG = "iterate_linreg"
@@ -48,6 +45,29 @@ EXPERIMENT_KINDS = (KIND_LANDSCAPE, KIND_ITERATE_LINREG, KIND_ITERATE_1D)
 MAX_ROUND_NOISE = 2 ** 24
 #: most floats the per-replication results of one run may hold
 MAX_RESULT_FLOATS = 2 ** 28
+
+# The names below are the numerical modules' own, kept here so that reading
+# and checking a config imports neither numpy nor scipy.
+
+#: how the verifier filters a round's candidates: draw from the truncation
+#: itself, generate and reject, or not at all
+FILTER_DIRECT = "direct"
+FILTER_REJECT = "reject"
+FILTER_NONE = "none"
+FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
+
+#: inclusive upper bound on each stream index (and on the master seed)
+MAX_INDEX = 2 ** 63 - 1
+
+#: narrowest standardized acceptance width a config may ask for. The moments
+#: stay accurate below it (see truncnorm.NARROW_WIDTH); a band at the floor
+#: accepts at most about 4e-4 of the candidates, some 2,500 per kept REJECT sample
+MIN_STD_WIDTH = 1e-3
+
+
+def default_slack(sigma: float) -> float:
+    """Default verifier slack: the mean absolute Gaussian residual sqrt(2/pi)*sigma."""
+    return math.sqrt(2.0 / math.pi) * sigma
 
 
 @dataclass(frozen=True)
@@ -397,11 +417,39 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _refuse_repeated_keys(node: yaml.Node, path: str, seen: set[int]) -> None:
+    """Raise ConfigError on a mapping key given twice anywhere under ``node``."""
+    if id(node) in seen:  # an alias of a node already checked
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key_node, value_node in node.value:
+            key = path
+            if isinstance(key_node, yaml.ScalarNode):
+                key = f"{path}.{key_node.value}" if path else key_node.value
+                _check(key not in keys, f"config key {key!r} is given twice, the second "
+                       f"time on line {key_node.start_mark.line + 1}")
+                keys.add(key)
+            _refuse_repeated_keys(value_node, key, seen)
+    elif isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _refuse_repeated_keys(item, f"{path}[{i}]", seen)
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a repeated mapping key where PyYAML keeps the last."""
+
+    def construct_document(self, node):
+        _refuse_repeated_keys(node, "", set())
+        return super().construct_document(node)
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

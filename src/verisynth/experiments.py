@@ -28,11 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .config import KIND_ITERATE_1D, KIND_ITERATE_LINREG, KIND_LANDSCAPE, ExperimentConfig
+from .config import (FILTER_DIRECT, FILTER_NONE, KIND_ITERATE_1D, KIND_ITERATE_LINREG,
+                     KIND_LANDSCAPE, ExperimentConfig)
 from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsError,
                      InvalidBoundsError)
 from .gaussian1d import ONE_DIRECTION, initial_mean
-from .kernel import FILTER_DIRECT, FILTER_NONE, BlockRound, first_uniforms
+from .kernel import BlockRound, first_uniforms
 from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream

@@ -33,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import FILTER_NONE, FILTER_REJECT
 from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
 from .truncnorm import (
     MIN_ACCEPTANCE,
@@ -43,11 +44,6 @@ from .truncnorm import (
     normal_quantile,
 )
 from .verifier import unit_directions
-
-FILTER_DIRECT = "direct"
-FILTER_REJECT = "reject"
-FILTER_NONE = "none"
-FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
 
 #: REJECT-mode attempt budget per needed sample
 MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6

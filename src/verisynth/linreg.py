@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import FILTER_DIRECT, FILTER_MODES, FILTER_NONE
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
-from .kernel import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, BlockRound
+from .kernel import BlockRound
 from .verifier import Interval1D, KnowledgeBall
 
 

@@ -7,9 +7,8 @@ p covariate directions, minimum 1 each) or directly per direction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidBoundsError
 
@@ -73,12 +72,16 @@ class Schedule:
         Counts never fall, so no round asks for more, up to that rounding.
         """
         if self.kind == KIND_GEOMETRIC:
-            with np.errstate(over="ignore"):
-                return self.start * np.power(float(self.end_or_ratio), self.rounds - 1)
+            try:
+                return self.start * math.pow(self.end_or_ratio, self.rounds - 1)
+            except OverflowError:
+                return math.inf
         return self.start if self.kind == KIND_FIXED else self.end_or_ratio
 
     def counts(self) -> np.ndarray:
         """The raw length-``rounds`` sequence, in this schedule's own unit."""
+        import numpy as np  # not at module level: reading a config needs no numpy
+
         k = self.rounds
         if self.kind == KIND_FIXED:
             seq = np.full(k, self.start, dtype=int)
@@ -102,4 +105,4 @@ class Schedule:
         seq = self.counts()
         if self.unit == UNIT_PER_DIRECTION:
             return seq
-        return np.maximum(seq // dimension, 1)
+        return (seq // dimension).clip(min=1)

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import MAX_INDEX
 from .errors import SeedSpaceError
-
-#: inclusive upper bound on each stream index (and on the master seed)
-MAX_INDEX = 2 ** 63 - 1
 
 #: reserved experiment-level keys (replication 0)
 DESIGN_KEY = (0, 0, 0)

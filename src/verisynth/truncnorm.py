@@ -50,10 +50,6 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 #: acceptance probabilities below this raise DegenerateIntervalError
 MIN_ACCEPTANCE = 1e-300
-#: narrowest standardized acceptance width a config may ask for. The moments
-#: stay accurate below it (see NARROW_WIDTH); a band at the floor accepts at
-#: most about 4e-4 of the candidates, some 2,500 per kept REJECT sample
-MIN_STD_WIDTH = 1e-3
 #: bands narrower than this (in standard deviations) take their moments from
 #: the 12-point Gauss-Legendre rule on the band: the nodes and weights on
 #: (0, 1) of numpy.polynomial.legendre.leggauss(12), mirrored about 0

@@ -25,11 +25,6 @@ UNIT_NORM_TOL = 1e-10
 UNIT_NORM_RENORM_TOL = 1e-6
 
 
-def default_slack(sigma: float) -> float:
-    """Default verifier slack: the mean absolute Gaussian residual sqrt(2/pi)*sigma."""
-    return math.sqrt(2.0 / math.pi) * sigma
-
-
 @dataclass(frozen=True)
 class KnowledgeBall:
     """Region of parameter space the verifier treats as plausible.

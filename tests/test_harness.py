@@ -691,6 +691,32 @@ class TestConfigParsing:
             assert main(["validate", "--config", str(path)]) == 2
             assert "unknown config key 'problem.filter_mode'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("after,added,message", [
+        ("rounds: 3}\n", "replications: 7\n",
+         "config key 'replications' is given twice, the second time on line 11"),
+        ("n0: 30\n", "  sigma: 5.0\n",
+         "config key 'problem.sigma' is given twice, the second time on line 9"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, after, added, message):
+        # PyYAML itself keeps the last value of a repeated key
+        text = ("experiment: iterate_linreg\n"
+                "replications: 3\n"
+                "master_seed: 5\n"
+                "problem:\n"
+                "  dimension: 2\n"
+                "  true_theta: [1.0, -1.0]\n"
+                "  sigma: 1.0\n"
+                "  n0: 30\n"
+                "ball: {radius: 1.0, delta: 0.5}\n"
+                "schedule: {kind: linear, start: 40, end_or_ratio: 80, rounds: 3}\n")
+        path = tmp_path / "twice.yaml"
+        path.write_text(text.replace(after, after + added))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == message
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_overrides(self):
         config = config_from_mapping(linreg_mapping())
         changed = config.with_overrides(master_seed=99, replications=7)
@@ -1160,6 +1186,18 @@ class TestCli:
             assert main(["theory", "--config", path]) == 0
             out = capsys.readouterr().out
             assert "np.float64" not in out and "np.int64" not in out
+
+    @pytest.mark.parametrize("command", ["landscape", "iterate", "gaussian1d", "theory",
+                                         "validate"])
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--reps", "0"),
+                                            ("--threads", "0"), ("--threads", "-3")])
+    def test_bad_flag_exits_2_in_every_subcommand(self, tmp_path, capsys, monkeypatch,
+                                                  command, flag, value):
+        path = self.write(tmp_path, oned_mapping())
+        monkeypatch.setattr("verisynth.cli.run_iterative", None)  # the run must not start
+        assert main([command, "--config", path, flag, value, "--out", str(tmp_path)]) == 2
+        bound = 0 if flag == "--seed" else 1
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= {bound}\n")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
