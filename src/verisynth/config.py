@@ -146,6 +146,13 @@ class ExperimentConfig:
             _check(self.ball_radius + self.slack > 0.0, "ball.radius + ball.slack must be > 0")
             _check_width(2.0 * (self.ball_radius + self.slack) / self.sigma,
                          "2 (ball.radius + ball.slack) / problem.sigma")
+            # the band sits at the parameters' scale, where doubles are this far apart
+            scale = max(map(abs, (*self.true_theta, *(self.ball_center or ()))))
+            scale += self.ball_delta or 0.0
+            _check(self.ball_radius + self.slack > math.ulp(scale),
+                   f"ball.radius + ball.slack is {self.ball_radius + self.slack:.3g}, not above "
+                   f"the spacing of doubles {math.ulp(scale):.3g} at the scale {scale:.3g} of "
+                   f"problem.true_theta and ball.delta / ball.center: the band collapses")
         if self.kind == KIND_LANDSCAPE:
             _check(len(self.delta_values) > 0, "landscape.delta_values must be nonempty")
             _check(len(self.r_values) > 0, "landscape.r_values must be nonempty")

@@ -6,10 +6,10 @@ noise values xi from N(0, 1) as filtered by the verifier along v_j, and moves
 the coordinate to proj + sigma * mean(xi). The 1-D problem is the case p = 1,
 v = 1. :class:`BlockRound` advances a block of such rows at once:
 standardized bounds, acceptance masses and inverse-CDF draws are array
-operations over the block, and so is the unfiltered arm, whose mean of n_k
-N(0, 1) draws is exactly N(0, 1/n_k): one normal per row, the quantile of
-the row's first uniform over sqrt(n_k). Only the REJECT generate-and-verify
-loop draws row by row.
+operations over the block. The unfiltered arm is the whole-line truncation
+(-inf, inf): the mean of n_k N(0, 1) draws is exactly N(0, 1/n_k), so a row
+draws one normal by the same inverse CDF and divides it by sqrt(n_k). Only
+the REJECT generate-and-verify loop draws row by row.
 
 The generate-and-verify loop sizes each pass from the row's acceptance mass:
 a row still short of ``need`` samples draws ceil(need / mass) raw candidates,
@@ -35,15 +35,7 @@ import numpy as np
 
 from .config import FILTER_NONE, FILTER_REJECT
 from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
-from .truncnorm import (
-    MIN_ACCEPTANCE,
-    MIN_UNIFORM,
-    Bounds,
-    Truncations,
-    acceptance_probability,
-    normal_quantile,
-)
-from .verifier import unit_directions
+from .truncnorm import MIN_ACCEPTANCE, Bounds, Truncations, acceptance_probability
 
 #: REJECT-mode attempt budget per needed sample
 MAX_REJECT_ATTEMPTS_PER_SAMPLE = 10 ** 6
@@ -99,10 +91,7 @@ def first_uniforms(streams: Callable, rows: int, width: int) -> np.ndarray:
     """Each row's first ``width`` uniforms from ``streams(row)``, in row order."""
     uniforms = np.empty((rows, width))
     for row in range(rows):
-        if width == 1:  # one plain random() call: all a row's stream must offer
-            uniforms[row] = streams(row).random()
-        else:
-            streams(row).random(out=uniforms[row])
+        streams(row).random(out=uniforms[row])
     return uniforms
 
 
@@ -118,14 +107,13 @@ class BlockRound:
     Calling it with a (rows x p) block of estimates, a per-direction count
     ``n_k`` and the row streams returns the next block, reassembled from its
     spectral coordinates direction by direction in the same order as a
-    single estimate's round. ``uniforms``, when given, holds the first
-    uniforms of every row's stream, one row each, for rows whose streams are
-    their own: n_k columns for direct rows, at least one for unfiltered rows,
-    which read the first; REJECT rows ignore it and draw from their streams.
-    Without it a direct row draws n_k uniforms and an unfiltered row one. An
-    unfiltered row's first uniform u gives the mean ndtri(max(u, 2^-53)) /
-    sqrt(n_k). A VerisynthError is re-raised with ``label(row)`` of the
-    failing row.
+    single estimate's round. A direct row reads the first n_k uniforms of
+    its stream and an unfiltered row the first one, whose inverse CDF on the
+    whole line, ndtri(max(u, 2^-53)), over sqrt(n_k) is the row's mean;
+    REJECT rows draw from their streams. ``uniforms``, when given, holds
+    those first uniforms, one row each and at least as many columns as the
+    mode reads, for rows whose streams are their own. A VerisynthError is
+    re-raised with ``label(row)`` of the failing row.
     """
 
     def __init__(self, design, config):
@@ -134,7 +122,6 @@ class BlockRound:
                 f"ball dimension {config.ball.dimension} vs design dimension {design.dimension}"
             )
         self.directions = design.directions
-        self.units = unit_directions(design.directions)
         self.accept = [config.ball.acceptance(v) for v in design.directions]
         self.config = config
 
@@ -145,36 +132,36 @@ class BlockRound:
         row = 0
         try:
             if mode == FILTER_NONE:
-                if uniforms is None:
-                    uniforms = first_uniforms(streams, rows, 1)
-                means = normal_quantile(np.maximum(uniforms[:, 0], MIN_UNIFORM)) / math.sqrt(n_k)
+                # the whole line: a row's mean of n_k draws is one draw over sqrt(n_k)
+                limits, width, pooled = np.repeat([[-np.inf], [np.inf]], rows, axis=1), 1, n_k
             else:
-                limits = verifier.bounds(self.units, theta, sigma).reshape(2, -1)
-                block = Truncations(limits)
-                if mode == FILTER_REJECT:
-                    short = ~(block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE >= 1.0)
-                    if np.count_nonzero(short):
-                        row = int(np.argmax(short))
-                        raise MaxAttemptsError(
-                            f"REJECT acceptance probability {block.mass[row]:.3g} is below "
-                            f"1 in the budget of {MAX_REJECT_ATTEMPTS_PER_SAMPLE} attempts "
-                            f"per sample"
-                        )
-                    means = np.empty(rows)
-                    masses = block.mass.tolist()
-                    for row, mean in enumerate(proj.reshape(-1).tolist()):
-                        noise = generate_and_verify(mean, sigma, self.accept[row % p],
-                                                    masses[row], n_k, streams(row))
-                        means[row] = _row_means(noise)
-                else:
-                    healthy = block.mass >= MIN_ACCEPTANCE
-                    if np.count_nonzero(healthy) < rows:
-                        row = int(np.argmax(~healthy))
-                        # the scalar definitions raise this row's error (invalid or degenerate)
-                        acceptance_probability(Bounds(*limits[:, row]))
-                    if uniforms is None:
-                        uniforms = first_uniforms(streams, rows, n_k)
-                    means = _row_means(block.inverse_cdf(uniforms))
+                limits = verifier.bounds(self.directions, theta, sigma).reshape(2, -1)
+                width, pooled = n_k, 1
+            block = Truncations(limits)
+            if mode == FILTER_REJECT:
+                short = ~(block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE >= 1.0)
+                if np.count_nonzero(short):
+                    row = int(np.argmax(short))
+                    raise MaxAttemptsError(
+                        f"REJECT acceptance probability {block.mass[row]:.3g} is below "
+                        f"1 in the budget of {MAX_REJECT_ATTEMPTS_PER_SAMPLE} attempts "
+                        f"per sample"
+                    )
+                means = np.empty(rows)
+                masses = block.mass.tolist()
+                for row, mean in enumerate(proj.reshape(-1).tolist()):
+                    noise = generate_and_verify(mean, sigma, self.accept[row % p],
+                                                masses[row], n_k, streams(row))
+                    means[row] = _row_means(noise)
+            else:
+                healthy = block.mass >= MIN_ACCEPTANCE
+                if np.count_nonzero(healthy) < rows:
+                    row = int(np.argmax(~healthy))
+                    # the scalar definitions raise this row's error (invalid or degenerate)
+                    acceptance_probability(Bounds(*limits[:, row]))
+                if uniforms is None:
+                    uniforms = first_uniforms(streams, rows, width)
+                means = _row_means(block.inverse_cdf(uniforms[:, :width])) / math.sqrt(pooled)
         except VerisynthError as exc:
             if label is None:
                 raise

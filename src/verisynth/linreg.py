@@ -55,9 +55,10 @@ class Dataset:
 class SpectralDesign:
     """Singular values and right singular directions of the real design matrix.
 
-    ``directions`` holds v_j as rows (shape p x p), orthonormal within 1e-10,
-    ordered by descending singular value, each row sign-fixed so its
-    largest-magnitude entry is positive.
+    ``directions`` holds v_j as rows (shape p x p), orthonormal within 1e-10
+    (every entry of v v^T within 1e-10 of the identity's, so each row is a unit
+    vector within ``verifier.UNIT_NORM_TOL``), ordered by descending singular
+    value, each row sign-fixed so its largest-magnitude entry is positive.
     """
 
     singular_values: np.ndarray
@@ -73,7 +74,7 @@ class SpectralDesign:
             raise RankDeficientError("singular values must be finite and positive")
         if np.any(np.diff(s) > 0.0):
             raise InvalidBoundsError("singular values must be non-increasing")
-        if not np.allclose(v @ v.T, np.eye(p), atol=1e-10):
+        if not np.allclose(v @ v.T, np.eye(p), rtol=0.0, atol=1e-10):
             raise InvalidBoundsError("directions must be orthonormal within 1e-10")
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "directions", v)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError
 from .truncnorm import Bounds, Truncations, libm, one_value, std_moments
-from .verifier import unit_directions
 
 
 class RegimeWarning(UserWarning):
@@ -56,8 +55,8 @@ def one_step_predictions(design, true_theta: np.ndarray, balls, sigma: float,
     if true_theta.shape != (design.dimension,) or dimensions != [design.dimension]:
         raise DimensionMismatchError(f"true_theta shape {true_theta.shape} and ball dimensions "
                                      f"{dimensions} vs design dimension {design.dimension}")
-    units = unit_directions(design.directions)
-    limits = np.stack([ball.bounds(units, true_theta[None], sigma)[:, 0] for ball in balls], axis=1)
+    limits = np.stack([ball.bounds(design.directions, true_theta[None], sigma)[:, 0]
+                       for ball in balls], axis=1)
     risk = _risk(limits, design.singular_values ** 2, n1)
     with np.errstate(over="ignore"):  # an MSE beyond the largest double is inf
         return sigma * sigma * risk, 0.5 * libm(math.log, baseline_mse(design, 1.0) / risk)

@@ -32,7 +32,9 @@ Finite bounds may be as large as any double: where the mass beyond a bound
 underflows (w = 0 on the one-tail path, phi(bound) = 0 on the straddling
 one), the moments are exactly those of the half-line. For lower bounds 0 to 20
 and upper bounds 50 to 1e300, reflections included, the error is below 1e-13.
-Sampling is one inverse CDF for every non-degenerate interval.
+Sampling is one inverse CDF for every non-degenerate interval, the whole line
+(-inf, inf) included: there the mass is exactly 1 and cdf_lo 0, so a draw is
+ndtri(max(u, 2^-53)) bit for bit.
 """
 from __future__ import annotations
 
@@ -112,11 +114,6 @@ def _special():
     import scipy.special
 
     return scipy.special
-
-
-def normal_quantile(uniforms: np.ndarray) -> np.ndarray:
-    """The standard normal quantile Phi^-1(u) of each uniform."""
-    return _special().ndtri(uniforms)
 
 
 def libm(fn, *args) -> np.ndarray:

@@ -135,11 +135,6 @@ def _as_unit(direction: np.ndarray) -> np.ndarray:
     raise NonUnitDirectionError(f"direction norm {nrm!r} deviates from 1 beyond tolerance")
 
 
-def unit_directions(directions: np.ndarray) -> np.ndarray:
-    """Rows of ``directions`` checked for unit norm (renormalized within tolerance)."""
-    return np.array([_as_unit(v) for v in directions])
-
-
 def direction_bounds(
     ball: KnowledgeBall, direction: np.ndarray, generator_mean: np.ndarray, sigma: float
 ) -> Bounds:

@@ -91,6 +91,9 @@ def oned_mapping(**over):
     return raw
 
 
+#: a parameter scale at which doubles are 3.35e+153 apart
+COLLAPSED_THETA = {"dimension": 2, "true_theta": [1.85e169, 1.0], "sigma": 1.0, "n0": 30}
+
 #: configs that name a bad value, each with the field its error message names
 BAD_VALUES = [
     # YAML 1.1 reads 1e3 as a string and 1.0e+2 as a float
@@ -136,6 +139,10 @@ BAD_VALUES = [
     pytest.param(oned_mapping(problem={"true_mean": 1e21, "sigma": 1.0, "n0": 50}),
                  "(interval.lower - problem.true_mean) / problem.sigma",
                  id="interval-collapsed"),
+    # delta and the band are lost against true_theta: round 1 would find lower == upper
+    pytest.param(linreg_mapping(problem=COLLAPSED_THETA),
+                 "ball.radius + ball.slack is 1.8, not above the spacing of doubles",
+                 id="ball-collapsed"),
     pytest.param(linreg_mapping(problem={"dimension": 2, "true_theta": [1.0, -1.0],
                                          "sigma": 1.0, "n0": 1}),
                  "problem.n0", id="n0-below-dimension"),
@@ -1082,6 +1089,13 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_collapsed_ball_fails_theory(self, tmp_path, capsys):
+        # validate and the run are the BAD_VALUES case ball-collapsed
+        path = tmp_path / "collapsed.yaml"
+        path.write_text(yaml.safe_dump(linreg_mapping(problem=COLLAPSED_THETA)))
+        assert main(["theory", "--config", str(path)]) == 2
+        assert "the band collapses" in capsys.readouterr().err
 
     def test_vacuous_interval_bound_is_the_random_walk(self, tmp_path, capsys):
         # at sigma 1 the contraction rate of (-20, 20) rounds to exactly 1

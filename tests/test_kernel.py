@@ -168,8 +168,8 @@ def test_unfiltered_mean_is_a_normal_over_sqrt_n(n_k):
 
 
 class ZeroGenerator:
-    def random(self):
-        return 0.0
+    def random(self, out):
+        out[...] = 0.0
 
 
 def test_zero_first_uniform_gives_a_finite_estimate():
@@ -178,6 +178,36 @@ def test_zero_first_uniform_gives_a_finite_estimate():
     assert np.all(np.isfinite(given))
     assert given[0, 0] == given[1, 0] == special.ndtri(2.0 ** -53) / math.sqrt(7)
     assert np.array_equal(unfiltered_round(theta, 7, lambda row: ZeroGenerator()), given)
+
+
+class FixedUniforms:
+    """A row stream that hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, out):
+        out[...] = self.uniforms[:out.size]
+        del self.uniforms[:out.size]
+
+
+@pytest.mark.parametrize("n_k", [1, 7, 687])
+@pytest.mark.parametrize("source", ["own", "shared", "given"])
+def test_unfiltered_rows_are_the_normal_quantile_over_sqrt_n(n_k, source):
+    # the unfiltered arm is the whole-line inverse CDF: bit for bit the
+    # quantile of each row's first uniform over sqrt(n_k), the formula it
+    # was drawn by before it shared the one sampler
+    first = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 0.25, 0.975])
+    rows = first.size
+    # the block a direct arm shares: each row's first n_k uniforms
+    block = np.hstack([first[:, None], np.random.default_rng(n_k).random((rows, n_k - 1))])
+    streams = {"own": [FixedUniforms(u) for u in block].__getitem__,
+               "shared": lambda row, shared=FixedUniforms(first): shared,
+               "given": None}[source]
+    got = unfiltered_round(np.zeros((rows, 1)), n_k, streams,
+                           block if source == "given" else None)
+    expected = special.ndtri(np.maximum(first, 2.0 ** -53)) / math.sqrt(n_k)
+    assert np.array_equal(got[:, 0], expected)
 
 
 @pytest.mark.parametrize("interval", [Interval1D(-math.inf, 1.0), Interval1D(0.5, math.inf)])

@@ -119,6 +119,15 @@ class TestSpectralDesign:
         with pytest.raises(DimensionMismatchError):
             SpectralDesign(np.array([2.0, 1.0]), np.eye(3))
 
+    @pytest.mark.parametrize("excess", [4e-6, 5e-7])
+    def test_rows_off_unit_norm_are_refused(self, excess):
+        # every row must be a unit vector within 1e-10, not within allclose's
+        # default relative tolerance of 1e-5
+        directions = np.eye(2)
+        directions[0] *= 1.0 + excess
+        with pytest.raises(InvalidBoundsError):
+            SpectralDesign(np.array([2.0, 1.0]), directions)
+
 
 class TestConfigValidation:
     def test_sigma_zero_only_unfiltered(self):
