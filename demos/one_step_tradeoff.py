@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from verisynth import (
-    Dataset,
     KnowledgeBall,
     LinRegConfig,
     baseline_mse,
@@ -63,8 +62,8 @@ def main() -> None:
     config = LinRegConfig(ball, sigma)
     pred = one_step_prediction(design, theta, ball, sigma, n1)
     theta0 = np.array([
-        ols_fit(Dataset(covariates, covariates @ theta
-                        + sigma * derive_stream(args.seed, rep, 0, 0).standard_normal(n0)))
+        ols_fit(covariates, covariates @ theta
+                + sigma * derive_stream(args.seed, rep, 0, 0).standard_normal(n0))
         for rep in range(1, args.reps + 1)
     ])
     # replication rep draws direction j of its round from stream (rep, 1, j)

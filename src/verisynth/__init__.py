@@ -40,8 +40,8 @@ _HOMES = {
     # linear regression dynamics
     "FILTER_REJECT": "config",
     **dict.fromkeys((
-        "Dataset", "SpectralDesign", "LinRegConfig",
-        "ols_fit", "spectral_design", "retrain_round"), "linreg"),
+        "SpectralDesign", "LinRegConfig", "ols_fit", "spectral_design", "retrain_round"),
+        "linreg"),
     # harness
     "Schedule": "schedules",
     "derive_stream": "seeding",

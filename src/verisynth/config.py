@@ -59,6 +59,12 @@ FILTER_MODES = (FILTER_DIRECT, FILTER_REJECT, FILTER_NONE)
 #: inclusive upper bound on each stream index (and on the master seed)
 MAX_INDEX = 2 ** 63 - 1
 
+#: largest magnitude a config may give a number. A replication holds at most
+#: 2^24 real values and a run at most 2^28 replications, and a standard normal
+#: stays below 14 in magnitude, so the real responses, their least-squares
+#: sums, the mean of n0 draws and an interval's length and midpoint stay finite
+MAX_SCALE = 1e299
+
 #: narrowest standardized acceptance width a config may ask for. The moments
 #: stay accurate below it (see truncnorm.NARROW_WIDTH); a band at the floor
 #: accepts at most about 4e-4 of the candidates, some 2,500 per kept REJECT sample
@@ -113,6 +119,9 @@ class ExperimentConfig:
                 _check(value is None, f"{path} does not apply to {self.kind} experiments")
             elif default is not None:
                 _check(value is not None, f"missing required config key {path!r}")
+            for number in value if isinstance(value, tuple) else (value,):
+                _check(not (_is_number(number) and MAX_SCALE < abs(number) < math.inf),
+                       f"{path} must be at most {MAX_SCALE:g} in magnitude, got {number!r}")
         _check(self.replications >= 1, "replications must be >= 1")
         _check(0 <= self.master_seed <= MAX_INDEX,
                f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")

@@ -34,7 +34,7 @@ from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsErr
                      InvalidBoundsError)
 from .gaussian1d import ONE_DIRECTION, initial_mean
 from .kernel import BlockRound, first_uniforms
-from .linreg import Dataset, LinRegConfig, SpectralDesign, ols_fit, spectral_design
+from .linreg import LinRegConfig, SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
 from .theory import (baseline_mse, contraction_rate, long_term_bounds,
@@ -147,8 +147,8 @@ def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
     real responses at them whose noise a replication's stream draws."""
     covariates = design_matrix(config)
     theta = np.asarray(config.true_theta, dtype=float)
-    return spectral_design(covariates), lambda rng: ols_fit(Dataset(
-        covariates, covariates @ theta + config.sigma * rng.standard_normal(covariates.shape[0])))
+    return spectral_design(covariates), lambda rng: ols_fit(
+        covariates, covariates @ theta + config.sigma * rng.standard_normal(covariates.shape[0]))
 
 
 def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, rounds: dict,
@@ -192,13 +192,14 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _mean_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=axis)
+    """Mean and standard error; a mean past the largest double is inf and the
+    spread of infinities NaN, without a warning."""
     n = samples.shape[axis]
-    if n > 1:
-        se = samples.std(axis=axis, ddof=1) / math.sqrt(n)
-    else:
-        se = np.zeros_like(mean)
-    return mean, se
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=axis)
+        if n > 1:
+            return mean, samples.std(axis=axis, ddof=1) / math.sqrt(n)
+    return mean, np.zeros_like(mean)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +281,12 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             status = STATUS_OK
             if config.log_ratio_of_means:
                 m0, m1 = norm0.mean(), norm1[i].mean()
-                mean = math.log(m0 / m1)
-                cov = np.cov(norm0, norm1[i], ddof=1)
-                var = (cov[0, 0] / m0 ** 2 + cov[1, 1] / m1 ** 2
-                       - 2.0 * cov[0, 1] / (m0 * m1)) / reps
-                se = math.sqrt(max(var, 0.0))
+                mean, se = math.log(m0 / m1), 0.0
+                if reps > 1:
+                    cov = np.cov(norm0, norm1[i], ddof=1)
+                    var = (cov[0, 0] / m0 ** 2 + cov[1, 1] / m1 ** 2
+                           - 2.0 * cov[0, 1] / (m0 * m1)) / reps
+                    se = math.sqrt(max(var, 0.0))
             else:
                 logs = libm(math.log, norm0 / norm1[i])
                 mean, se = (float(v) for v in _mean_se(logs))
@@ -310,7 +312,7 @@ def _iterate_problem(config: ExperimentConfig) -> tuple:
         interval = Interval1D(config.interval_lower, config.interval_upper)
         return (ONE_DIRECTION, lambda rng: initial_mean(config, rng), interval,
                 np.array([config.true_mean]), np.array([interval.midpoint]),
-                config.sigma ** 2 / config.n0)
+                config.sigma * config.sigma / config.n0)
     design, fit = _real_data(config)
     ball = resolve_ball(config)
     return (design, fit, ball, np.asarray(config.true_theta, dtype=float), ball.center,
@@ -358,8 +360,10 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
         if one_d:
             kept[arm][0, slots, k] = estimates[:, 0]
         else:
-            kept[arm][0, slots, k] = np.sum((estimates - theta) ** 2, axis=1)
-            kept[arm][1, slots, k] = np.sum((estimates - center) ** 2, axis=1)
+            # a distance beyond ~1e154 squares to inf (set here: a worker has its own errstate)
+            with np.errstate(over="ignore"):
+                kept[arm][0, slots, k] = np.sum((estimates - theta) ** 2, axis=1)
+                kept[arm][1, slots, k] = np.sum((estimates - center) ** 2, axis=1)
 
     rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
               for arm in config.arms}
@@ -374,9 +378,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
         if not one_d:
             stats = (*_mean_se(first), *_mean_se(kept[arm][1]))
         elif math.isfinite(center[0]):
-            # a midpoint beyond ~1e154 from the estimates squares to inf, its
-            # value, and the spread of such infinities is NaN
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore"):  # a midpoint beyond ~1e154 squares to inf
                 stats = (*_mean_se(first), *_mean_se((first - center[0]) ** 2))
         else:
             stats = (*_mean_se(first), *[np.full(k_rounds + 1, math.nan)] * 2)
@@ -435,7 +437,7 @@ def theory_summary(config: ExperimentConfig) -> dict:
                 "final_round_bound": bounds[-1]}
     at_truth = Bounds(*verifier.bounds(None, config.true_mean, config.sigma))
     out = {"experiment": config.kind, "rho": rho, "fixed_point": verifier.midpoint,
-           "one_step_mse": config.sigma ** 2 * one_step_mse_prediction_1d(
+           "one_step_mse": config.sigma * config.sigma * one_step_mse_prediction_1d(
                at_truth, config.n0, n1)}
     if math.isfinite(verifier.midpoint):
         out["final_round_bound"] = bounds[-1]

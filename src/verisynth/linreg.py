@@ -28,30 +28,6 @@ from .verifier import Interval1D, KnowledgeBall
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """A regression sample: covariate rows and matching responses."""
-
-    covariates: np.ndarray
-    responses: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.responses, dtype=float)
-        if x.ndim != 2:
-            raise DimensionMismatchError(f"covariates must be 2-D, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise DimensionMismatchError(
-                f"responses shape {y.shape} does not match {x.shape[0]} covariate rows"
-            )
-        object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "responses", y)
-
-    @property
-    def dimension(self) -> int:
-        return self.covariates.shape[1]
-
-
-@dataclass(frozen=True)
 class SpectralDesign:
     """Singular values and right singular directions of the real design matrix.
 
@@ -102,13 +78,20 @@ class LinRegConfig:
             raise InvalidBoundsError("sigma must be > 0 (>= 0 allowed only in NONE mode)")
 
 
-def ols_fit(data: Dataset) -> np.ndarray:
-    """Least-squares estimate via orthogonal factorization; errors on rank deficiency."""
-    theta, _, rank, _ = np.linalg.lstsq(data.covariates, data.responses, rcond=None)
-    if rank < data.dimension:
-        raise RankDeficientError(
-            f"covariates have rank {rank} < dimension {data.dimension}"
+def ols_fit(covariates: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """Least-squares estimate of responses on covariate rows via orthogonal
+    factorization; errors on mismatched shapes and on rank deficiency."""
+    x = np.asarray(covariates, dtype=float)
+    y = np.asarray(responses, dtype=float)
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"covariates must be 2-D, got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise DimensionMismatchError(
+            f"responses shape {y.shape} does not match {x.shape[0]} covariate rows"
         )
+    theta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
+        raise RankDeficientError(f"covariates have rank {rank} < dimension {x.shape[1]}")
     return theta
 
 

@@ -20,7 +20,6 @@ from scipy.special import log_ndtr, ndtr
 
 from verisynth import (
     Bounds,
-    Dataset,
     Interval1D,
     KnowledgeBall,
     LinRegConfig,
@@ -144,8 +143,8 @@ def criterion_03_squared_errors(theta, covariates, design, configs, reps):
     (rep, 0, 0) and draws direction j of the round from (rep, 1, j), as in
     ``run_landscape``."""
     theta0 = np.array([
-        ols_fit(Dataset(covariates, covariates @ theta + SIGMA
-                        * derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)))
+        ols_fit(covariates, covariates @ theta
+                + SIGMA * derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0))
         for rep in range(1, reps + 1)
     ])
     keys = [(rep, 1, j) for rep in range(1, reps + 1) for j in range(1, P + 1)]
@@ -168,7 +167,7 @@ def test_criterion_03_block_path_equals_replication_loop():
     loop = np.empty((len(configs), reps))
     for rep in range(1, reps + 1):
         noise = derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)
-        theta0 = ols_fit(Dataset(covariates, covariates @ theta + SIGMA * noise))
+        theta0 = ols_fit(covariates, covariates @ theta + SIGMA * noise)
         for i, config in enumerate(configs):
             streams = [derive_stream(C3_SEED, rep, 1, j) for j in range(1, P + 1)]
             theta1 = retrain_round(theta0, design, config, C3_N1, streams)

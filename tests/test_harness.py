@@ -94,6 +94,11 @@ def oned_mapping(**over):
 #: a parameter scale at which doubles are 3.35e+153 apart
 COLLAPSED_THETA = {"dimension": 2, "true_theta": [1.85e169, 1.0], "sigma": 1.0, "n0": 30}
 
+#: the run settings, problem and schedule of the configs whose runs overflowed
+OVERFLOW_RUN = {"master_seed": 3, "replications": 2}
+HUGE_THETA = {"dimension": 2, "true_theta": 1e308, "sigma": 1.0, "n0": 20}
+FIXED_10X2 = {"kind": "fixed", "start": 10, "rounds": 2}
+
 #: configs that name a bad value, each with the field its error message names
 BAD_VALUES = [
     # YAML 1.1 reads 1e3 as a string and 1.0e+2 as a float
@@ -182,6 +187,20 @@ BAD_VALUES = [
     pytest.param(landscape_mapping(problem={"dimension": 100000, "true_theta": 1.0,
                                             "sigma": 1.0, "n0": 100000}),
                  "problem.n0", id="landscape-design-huge"),
+    # magnitudes past config.MAX_SCALE: the run would overflow
+    pytest.param(landscape_mapping(**OVERFLOW_RUN, problem=HUGE_THETA, landscape={
+        "delta_values": [0.0], "r_values": [0.5], "n1": 10}),
+                 "problem.true_theta must be at most 1e+299", id="landscape-responses-overflow"),
+    pytest.param(linreg_mapping(**OVERFLOW_RUN, problem=HUGE_THETA, ball={
+        "radius": 1e300, "delta": 0.5}, schedule=FIXED_10X2),
+                 "problem.true_theta must be at most 1e+299", id="ball-bounds-overflow"),
+    pytest.param(oned_mapping(**OVERFLOW_RUN, problem={"true_mean": 1e306, "sigma": 1.0,
+                                                       "n0": 1000},
+                              interval={"lower": 0.0, "upper": 2e306}, schedule=FIXED_10X2),
+                 "problem.true_mean must be at most 1e+299", id="real-mean-overflow"),
+    pytest.param(oned_mapping(**OVERFLOW_RUN, problem={"true_mean": 0.0, "sigma": 1.0, "n0": 20},
+                              interval={"lower": -1e308, "upper": 1e308}, schedule=FIXED_10X2),
+                 "interval.lower must be at most 1e+299", id="interval-length-overflow"),
 ]
 
 #: write_config's exact output: a writer that reorders keys still round-trips,
@@ -411,6 +430,18 @@ SHIPPED_DIGESTS = {
         "9239932d3f236888c14c1e97bb715f64493d93861da991005687e4d10c203d2e"),
 }
 
+BENCH_WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads")
+                         .glob("*.yaml"))
+
+# sha256 of the CSV of each benchmark workload's run as written, at any
+# thread count: the benchmark times these runs, so they must not change
+WORKLOAD_DIGESTS = {
+    "gaussian1d_long": "bd969c820fedd68389a29dbd12b431746fcf989d1e09d757fa4b34c1d80363f8",
+    "iterate_linreg": "a06dd533cf4a925f64c8618658b4b978ec3a980f259f0c9786ecbd7737f60727",
+    "landscape": "6046820fe8cf93aab1324c0bb9d57e93cdab44fe7c467dde3287887b06e3f1a7",
+    "selective_reject": "8b7465c1cce78a7a1c88f67ffe6f5c5486a772af8bffb31c30cf69e9f4e0a223",
+}
+
 
 class TestSchedule:
     def test_fixed(self):
@@ -565,12 +596,22 @@ class TestConfigParsing:
             assert code in (0, 1, 2)
             assert len(errors) == (code != 0)
 
-    # stored examples above whose theory or run once overflowed a numpy scalar
+    # stored examples above whose theory or run once overflowed a numpy scalar,
+    # a sigma whose square overflows a Python float, a center whose squared
+    # distance overflows, and the log of mean errors at one replication
     @pytest.mark.parametrize("mapping", [
         landscape_mapping(problem={"dimension": 3, "true_theta": [1.0, 1.0, 1.0],
                                    "sigma": 1e-300, "n0": 40}),
         oned_mapping(interval={"lower": -1.0, "upper": 1.6e288}),
-    ], ids=["landscape-sigma-1e-300", "interval-upper-1.6e288"])
+        oned_mapping(**OVERFLOW_RUN, problem={"true_mean": 0.0, "sigma": 1e200, "n0": 20},
+                     interval={"lower": 2.0, "upper": 4e200}, schedule=FIXED_10X2),
+        linreg_mapping(master_seed=3, problem={"dimension": 2, "true_theta": 1.0,
+                                               "sigma": 1.0, "n0": 20},
+                       ball={"radius": 1e156, "delta": 1e155}, schedule=FIXED_10X2),
+        landscape_mapping(landscape={"delta_values": [0.0, 1.0], "r_values": [0.6, 1.2],
+                                     "n1": 60, "log_ratio_of_means": True}),
+    ], ids=["landscape-sigma-1e-300", "interval-upper-1.6e288", "oned-sigma-1e200",
+            "linreg-far-center", "landscape-log-of-means"])
     def test_extreme_configs_raise_no_runtime_warning(self, tmp_path, mapping, split_blocks):
         path = tmp_path / "extreme.yaml"
         write_config(config_from_mapping(mapping), str(path))
@@ -949,6 +990,14 @@ class TestRunners:
         assert blocks(200, 64, 1000) == [range(1, 101), range(101, 201)]
         assert len(blocks(8, 1, experiments.BLOCK_ELEMENTS)) == 8
 
+    # both statistics follow _mean_se's rule: one replication has no spread
+    @pytest.mark.parametrize("of_means", [False, True], ids=["mean-of-logs", "log-of-means"])
+    def test_one_replication_landscape_se_is_zero(self, of_means):
+        raw = landscape_mapping(replications=1)
+        raw["landscape"]["log_ratio_of_means"] = of_means
+        rows = run_landscape(config_from_mapping(raw))
+        assert [row["log_ratio_se"] for row in rows] == [0.0] * 4
+
 
 class TestEstimateContraction:
     def test_exact_geometric_decay(self):
@@ -984,6 +1033,14 @@ class TestTheorySummary:
         assert summary["baseline_mse"] > 0
         assert len(summary["cells"]) == 4
         assert all(math.isfinite(c["theory_log_ratio"]) for c in summary["cells"])
+
+    # sigma ** 2 raises OverflowError on a Python float; sigma * sigma is inf
+    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
+    def test_oned_sigma_square_past_the_largest_double(self):
+        config = config_from_mapping(oned_mapping(
+            problem={"true_mean": 0.0, "sigma": 1e200, "n0": 20},
+            interval={"lower": 2.0, "upper": 4e200}))
+        assert theory_summary(config)["one_step_mse"] == math.inf
 
     # both MSEs carry sigma^2, which underflows to 0 at sigma = 1e-300: the
     # ratio is formed from the risks in units of sigma^2
@@ -1051,6 +1108,15 @@ class TestCli:
                      "--out", str(tmp_path)]) == 0
         csv_bytes = (tmp_path / f"{output_basename(kind)}.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == table
+
+    @pytest.mark.parametrize("path", BENCH_WORKLOADS, ids=lambda path: path.stem)
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_benchmark_workload_outputs_are_pinned(self, path, threads, tmp_path):
+        kind = yaml.safe_load(path.read_text())["experiment"]
+        assert main([COMMAND_FOR_KIND[kind], "--config", str(path), "--threads", threads,
+                     "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / f"{output_basename(kind)}.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == WORKLOAD_DIGESTS[path.stem]
 
     def test_validate_rejects_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -16,7 +16,6 @@ from scipy import special
 from scipy.stats import kstest
 
 from verisynth import (
-    Dataset,
     DegenerateIntervalError,
     Interval1D,
     KnowledgeBall,
@@ -421,7 +420,7 @@ def stats(samples):
 def real_estimate(config, covariates, rep):
     noise = derive_stream(config.master_seed, rep, 0, 0).standard_normal(config.n0)
     y = covariates @ np.asarray(config.true_theta) + config.sigma * noise
-    return ols_fit(Dataset(covariates, y))
+    return ols_fit(covariates, y)
 
 
 def round_streams(config, rep, k):

@@ -6,7 +6,6 @@ import pytest
 
 from verisynth import (
     FILTER_REJECT,
-    Dataset,
     DegenerateIntervalError,
     DimensionMismatchError,
     Interval1D,
@@ -41,33 +40,29 @@ def make_config(dimension=2, radius=1.0, slack=0.0, center=None, sigma=1.0,
     )
 
 
-class TestDataset:
+class TestOlsFit:
     def test_validation(self):
         with pytest.raises(DimensionMismatchError):
-            Dataset(np.zeros(3), np.zeros(3))  # 1-D covariates
+            ols_fit(np.zeros(3), np.zeros(3))  # 1-D covariates
         with pytest.raises(DimensionMismatchError):
-            Dataset(np.zeros((3, 2)), np.zeros(4))
-        d = Dataset(np.zeros((5, 2)), np.zeros(5))
-        assert (d.covariates.shape, d.dimension) == ((5, 2), 2)
+            ols_fit(np.zeros((3, 2)), np.zeros(4))
 
-
-class TestOlsFit:
     def test_identity_design_returns_responses(self):
         y = np.array([3.0, -1.0, 0.5])
-        assert np.array_equal(ols_fit(Dataset(np.eye(3), y)), y)
+        assert np.array_equal(ols_fit(np.eye(3), y), y)
 
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((30, 4))
         theta = rng.standard_normal(4)
-        fit = ols_fit(Dataset(x, x @ theta))
+        fit = ols_fit(x, x @ theta)
         assert np.allclose(fit, theta, atol=1e-10)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 8))
         y = x @ rng.standard_normal(8) + rng.standard_normal(50)
-        fit = ols_fit(Dataset(x, y))
+        fit = ols_fit(x, y)
         oracle = np.linalg.solve(x.T @ x, x.T @ y)
         assert np.allclose(fit, oracle, atol=1e-8)
 
@@ -76,7 +71,7 @@ class TestOlsFit:
         col = rng.standard_normal((20, 1))
         x = np.hstack([col, col, rng.standard_normal((20, 1))])
         with pytest.raises(RankDeficientError):
-            ols_fit(Dataset(x, rng.standard_normal(20)))
+            ols_fit(x, rng.standard_normal(20))
 
 
 class TestSpectralDesign:
@@ -240,7 +235,7 @@ class TestBaselineMse:
         sq = np.empty(reps)
         for i in range(reps):
             y = x @ theta + sigma * rng.standard_normal(20)
-            sq[i] = np.sum((ols_fit(Dataset(x, y)) - theta) ** 2)
+            sq[i] = np.sum((ols_fit(x, y) - theta) ** 2)
         se = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - baseline_mse(design, sigma)) < 3 * se
 
@@ -307,7 +302,7 @@ class TestOneStepPrediction:
         for i in range(reps):
             y = x @ theta_star + sigma * rng.standard_normal(100)
             config = LinRegConfig(ball, sigma)
-            new_theta = retrain_round(ols_fit(Dataset(x, y)), design, config, n1, rng)
+            new_theta = retrain_round(ols_fit(x, y), design, config, n1, rng)
             sq[i] = np.sum((new_theta - theta_star) ** 2)
         pred = one_step_prediction(design, theta_star, ball, sigma, n1)
         se = sq.std(ddof=1) / math.sqrt(reps)
