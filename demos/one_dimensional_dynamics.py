@@ -14,7 +14,6 @@ import numpy as np
 
 from verisynth import (
     Interval1D,
-    LinRegConfig,
     contraction_rate,
     derive_stream,
     hitting_time,
@@ -26,10 +25,9 @@ def trajectory(interval: Interval1D, n: int, rounds: int, rng) -> np.ndarray:
     """Estimates of rounds 0..rounds, every draw from the one stream ``rng``:
     the mean of 100 real N(0, 1) draws, then ``rounds`` rounds of ``n``
     verified samples each."""
-    config = LinRegConfig(interval, 1.0)
     means = [float(rng.standard_normal(100).mean())]
     for _ in range(rounds):
-        means.append(retrain_step(means[-1], config, n, rng))
+        means.append(retrain_step(means[-1], interval, 1.0, n, rng))
     return np.array(means)
 
 

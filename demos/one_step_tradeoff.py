@@ -14,7 +14,6 @@ import numpy as np
 
 from verisynth import (
     KnowledgeBall,
-    LinRegConfig,
     baseline_mse,
     derive_stream,
     ols_fit,
@@ -59,7 +58,6 @@ def main() -> None:
 
     delta, r = 0.5, 1.0
     ball = KnowledgeBall(theta + delta * direction, r, 0.0)
-    config = LinRegConfig(ball, sigma)
     pred = one_step_prediction(design, theta, ball, sigma, n1)
     theta0 = np.array([
         ols_fit(covariates, covariates @ theta
@@ -69,7 +67,7 @@ def main() -> None:
     # replication rep draws direction j of its round from stream (rep, 1, j)
     keys = [(rep, 1, j) for rep in range(1, args.reps + 1) for j in range(1, p + 1)]
     round1 = KeyedStreams(args.seed).derive(np.array(keys))
-    theta1 = BlockRound(design, config)(theta0, n1, round1.stream, round1.label)
+    theta1 = BlockRound(design, ball, sigma)(theta0, n1, round1.stream, round1.label)
     sq = np.sum((theta1 - theta) ** 2, axis=1)
     se = sq.std(ddof=1) / math.sqrt(args.reps)
     print(f"\nspot check at Delta={delta}, r={r}: predicted one-step MSE "

@@ -40,13 +40,13 @@ _HOMES = {
     # linear regression dynamics
     "FILTER_REJECT": "config",
     **dict.fromkeys((
-        "SpectralDesign", "LinRegConfig", "ols_fit", "spectral_design", "retrain_round"),
+        "SpectralDesign", "ols_fit", "spectral_design", "retrain_round"),
         "linreg"),
     # harness
     "Schedule": "schedules",
     "derive_stream": "seeding",
     **dict.fromkeys((
-        "ExperimentConfig", "load_config", "write_config", "config_from_mapping",
+        "ExperimentConfig", "load_config", "config_from_mapping",
         "KIND_LANDSCAPE", "KIND_ITERATE_LINREG", "KIND_ITERATE_1D"), "config"),
     **dict.fromkeys((
         "run_landscape", "run_iterative", "estimate_contraction", "theory_summary"),

@@ -131,6 +131,11 @@ class ExperimentConfig:
             _check(math.isfinite(self.true_mean), "problem.true_mean must be finite")
             _check(self.interval_lower < self.interval_upper,
                    "interval.lower must be < interval.upper")
+            # the band's finite ends are parameters: the reach needs no half-width
+            _check_reach(max(abs(v) for v in (self.true_mean, self.interval_lower,
+                                               self.interval_upper) if math.isfinite(v)),
+                         self.sigma, "the largest of |problem.true_mean| and the finite "
+                                     "interval ends")
             _check_width((self.interval_upper - self.true_mean) / self.sigma
                          - (self.interval_lower - self.true_mean) / self.sigma,
                          "(interval.upper - problem.true_mean) / problem.sigma"
@@ -162,6 +167,9 @@ class ExperimentConfig:
                    f"ball.radius + ball.slack is {self.ball_radius + self.slack:.3g}, not above "
                    f"the spacing of doubles {math.ulp(scale):.3g} at the scale {scale:.3g} of "
                    f"problem.true_theta and ball.delta / ball.center: the band collapses")
+            _check_reach(scale + self.ball_radius + self.slack, self.sigma,
+                         "the scale of problem.true_theta and ball.delta / ball.center"
+                         " + ball.radius + ball.slack")
         if self.kind == KIND_LANDSCAPE:
             _check(len(self.delta_values) > 0, "landscape.delta_values must be nonempty")
             _check(len(self.r_values) > 0, "landscape.r_values must be nonempty")
@@ -170,6 +178,10 @@ class ExperimentConfig:
             _check(all(0.0 < r < math.inf for r in self.r_values),
                    "landscape.r_values must be finite and > 0")
             _check(0.0 <= self.sigma_c < math.inf, "landscape.sigma_c must be finite and >= 0")
+            _check_reach(max(map(abs, self.true_theta)) + max(self.delta_values)
+                         + max(self.r_values) + self.sigma_c, self.sigma,
+                         "max |problem.true_theta| + max landscape.delta_values"
+                         " + max landscape.r_values + landscape.sigma_c")
             _check_width(2.0 * (min(self.r_values) + self.sigma_c) / self.sigma,
                          "2 (min landscape.r_values + landscape.sigma_c) / problem.sigma")
             _check(self.n1 >= 1, "landscape.n1 must be >= 1")
@@ -233,6 +245,14 @@ def _check(condition: bool, message: str) -> None:
 def _check_width(width: float, formula: str) -> None:
     _check(width >= MIN_STD_WIDTH, f"the standardized acceptance width {formula} is "
            f"{width:.3g}, below the floor of {MIN_STD_WIDTH}")
+
+
+def _check_reach(reach: float, sigma: float, formula: str) -> None:
+    """Refuse a sigma so small that the standardized bounds overflow: ``reach``
+    is the parameters' scale plus the band's half-width."""
+    _check(math.isfinite(reach / sigma),
+           f"({formula}) / problem.sigma is {reach:.3g} / {sigma:.3g}, past the largest "
+           f"double: problem.sigma is too small for the standardized bounds")
 
 
 def _finite(values: tuple[float, ...]) -> bool:
@@ -474,9 +494,3 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path!r} must be a mapping of keys to values")
     return config_from_mapping(raw)
 
-
-def write_config(config: ExperimentConfig, path: str) -> None:
-    """Write a config as YAML such that loading it back compares equal."""
-    with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(config.to_mapping(), handle, sort_keys=False,
-                       default_flow_style=None)

@@ -34,7 +34,7 @@ from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsErr
                      InvalidBoundsError)
 from .gaussian1d import ONE_DIRECTION, initial_mean
 from .kernel import BlockRound, first_uniforms
-from .linreg import LinRegConfig, SpectralDesign, ols_fit, spectral_design
+from .linreg import SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
 from .theory import (baseline_mse, contraction_rate, long_term_bounds,
@@ -250,7 +250,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     def cell_round(i: int, ball: KnowledgeBall) -> Callable:
         # a replication whose acceptance region has no mass, or whose band
         # collapses to one double, makes the cell degenerate
-        block_round = BlockRound(design, LinRegConfig(ball, config.sigma))
+        block_round = BlockRound(design, ball, config.sigma)
 
         def advance(theta_hat: np.ndarray, *args) -> np.ndarray:
             try:
@@ -365,8 +365,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
                 kept[arm][0, slots, k] = np.sum((estimates - theta) ** 2, axis=1)
                 kept[arm][1, slots, k] = np.sum((estimates - center) ** 2, axis=1)
 
-    rounds = {arm: BlockRound(design, LinRegConfig(verifier, config.sigma, arm))
-              for arm in config.arms}
+    rounds = {arm: BlockRound(design, verifier, config.sigma, arm) for arm in config.arms}
     # the uniforms per row the arms share: n_k with a direct arm, else 1 with an unfiltered arm
     widths = per_dir if FILTER_DIRECT in rounds else np.full_like(
         per_dir, int(FILTER_NONE in rounds))

@@ -9,15 +9,17 @@ verifier's interval (a, b):
 
 A round is the p = 1 case of the regression round: :func:`retrain_step` is
 :func:`verisynth.linreg.retrain_round` on the design ``ONE_DIRECTION``
-(v = 1) with a ``LinRegConfig(Interval1D(a, b), sigma, mode)``. Its closed
-forms, the one-step risk, the infinite-sample update map and the contraction
-toward the interval midpoint, are in :mod:`verisynth.theory`.
+(v = 1) with the verifier ``Interval1D(a, b)``. Its closed forms, the
+one-step risk, the infinite-sample update map and the contraction toward the
+interval midpoint, are in :mod:`verisynth.theory`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linreg import LinRegConfig, SpectralDesign, retrain_round
+from .config import FILTER_DIRECT
+from .linreg import SpectralDesign, retrain_round
+from .verifier import Interval1D
 
 #: the spectral design of the p = 1 problem: one direction, v = 1
 ONE_DIRECTION = SpectralDesign(np.ones(1), np.ones((1, 1)))
@@ -32,11 +34,13 @@ def initial_mean(config, rng: np.random.Generator) -> float:
 
 
 def retrain_step(
-    current_mean: float, config: LinRegConfig, n_k: int, rng: np.random.Generator
+    current_mean: float, interval: Interval1D, sigma: float, n_k: int,
+    rng: np.random.Generator, mode: str = FILTER_DIRECT,
 ) -> float:
-    """One retraining round from ``current_mean`` using ``n_k`` verified samples;
-    ``config.ball`` is the verifier's Interval1D."""
-    return float(retrain_round(np.array([current_mean]), ONE_DIRECTION, config, n_k, [rng])[0])
+    """One retraining round from ``current_mean`` using ``n_k`` samples verified
+    by ``interval`` in filter ``mode``."""
+    return float(retrain_round(np.array([current_mean]), ONE_DIRECTION, interval, sigma, n_k,
+                               [rng], mode)[0])
 
 
 def hitting_time(means: np.ndarray, level: float, direction: str = "down") -> int | None:

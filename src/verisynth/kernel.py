@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import FILTER_NONE, FILTER_REJECT
-from .errors import DimensionMismatchError, MaxAttemptsError, VerisynthError
+from .config import FILTER_DIRECT, FILTER_MODES, FILTER_NONE, FILTER_REJECT
+from .errors import DimensionMismatchError, InvalidBoundsError, MaxAttemptsError, VerisynthError
 from .truncnorm import MIN_ACCEPTANCE, Bounds, Truncations, acceptance_probability
 
 #: REJECT-mode attempt budget per needed sample
@@ -101,8 +101,11 @@ def _row_means(x: np.ndarray) -> np.ndarray:
 
 
 class BlockRound:
-    """One retraining round of a problem, a ``linreg.SpectralDesign`` and a
-    ``linreg.LinRegConfig``, for blocks of estimates, one per row.
+    """One retraining round for blocks of estimates, one per row: the
+    directions of a ``linreg.SpectralDesign``, a ``verifier`` (a
+    ``KnowledgeBall``, or an ``Interval1D`` at p = 1), the noise scale
+    ``sigma`` and the filter ``mode``. ``sigma`` may be zero only in the
+    unfiltered mode, where the update is exact.
 
     Calling it with a (rows x p) block of estimates, a per-direction count
     ``n_k`` and the row streams returns the next block, reassembled from its
@@ -116,17 +119,21 @@ class BlockRound:
     re-raised with ``label(row)`` of the failing row.
     """
 
-    def __init__(self, design, config):
-        if config.ball.dimension != design.dimension:
+    def __init__(self, design, verifier, sigma: float, mode: str = FILTER_DIRECT):
+        if mode not in FILTER_MODES:
+            raise InvalidBoundsError(f"unknown filter mode {mode!r}")
+        if sigma < 0.0 or (sigma == 0.0 and mode != FILTER_NONE):
+            raise InvalidBoundsError("sigma must be > 0 (>= 0 allowed only in NONE mode)")
+        if verifier.dimension != design.dimension:
             raise DimensionMismatchError(
-                f"ball dimension {config.ball.dimension} vs design dimension {design.dimension}"
+                f"ball dimension {verifier.dimension} vs design dimension {design.dimension}"
             )
         self.directions = design.directions
-        self.accept = [config.ball.acceptance(v) for v in design.directions]
-        self.config = config
+        self.accept = [verifier.acceptance(v) for v in design.directions]
+        self.verifier, self.sigma, self.mode = verifier, sigma, mode
 
     def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
-        verifier, sigma, mode = self.config.ball, self.config.sigma, self.config.filter_mode
+        verifier, sigma, mode = self.verifier, self.sigma, self.mode
         proj = np.vecdot(theta[:, None, :], self.directions)
         rows, p = proj.size, proj.shape[1]
         row = 0

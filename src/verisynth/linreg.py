@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FILTER_DIRECT, FILTER_MODES, FILTER_NONE
+from .config import FILTER_DIRECT
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
 from .kernel import BlockRound
 from .verifier import Interval1D, KnowledgeBall
@@ -60,24 +60,6 @@ class SpectralDesign:
         return int(self.singular_values.size)
 
 
-@dataclass(frozen=True)
-class LinRegConfig:
-    """One verified retraining round: the verifier (a ball, or an interval at
-    p = 1), the noise scale and the filter mode. ``sigma`` may be zero only in
-    NONE (unfiltered) mode, where the update is exact.
-    """
-
-    ball: KnowledgeBall | Interval1D
-    sigma: float
-    filter_mode: str = FILTER_DIRECT
-
-    def __post_init__(self):
-        if self.filter_mode not in FILTER_MODES:
-            raise InvalidBoundsError(f"unknown filter mode {self.filter_mode!r}")
-        if self.sigma < 0.0 or (self.sigma == 0.0 and self.filter_mode != FILTER_NONE):
-            raise InvalidBoundsError("sigma must be > 0 (>= 0 allowed only in NONE mode)")
-
-
 def ols_fit(covariates: np.ndarray, responses: np.ndarray) -> np.ndarray:
     """Least-squares estimate of responses on covariate rows via orthogonal
     factorization; errors on mismatched shapes and on rank deficiency."""
@@ -114,12 +96,15 @@ def spectral_design(covariates: np.ndarray) -> SpectralDesign:
 def retrain_round(
     theta_hat: np.ndarray,
     design: SpectralDesign,
-    config: LinRegConfig,
+    verifier: KnowledgeBall | Interval1D,
+    sigma: float,
     n_k: int,
     rngs: np.random.Generator | Sequence[np.random.Generator],
+    mode: str = FILTER_DIRECT,
 ) -> np.ndarray:
     """The estimate after one block-design retraining round from ``theta_hat``
-    with ``n_k`` verified samples per direction.
+    with ``n_k`` verified samples per direction; ``verifier``, ``sigma`` and
+    ``mode`` are those of :class:`verisynth.kernel.BlockRound`.
 
     ``rngs`` is either a single generator (consumed direction by direction) or a
     sequence of one independent generator per direction.
@@ -137,7 +122,7 @@ def retrain_round(
     streams = [rngs] * p if isinstance(rngs, np.random.Generator) else list(rngs)
     if len(streams) != p:
         raise DimensionMismatchError(f"need {p} per-direction streams, got {len(streams)}")
-    new_theta = BlockRound(design, config)(
+    new_theta = BlockRound(design, verifier, sigma, mode)(
         theta_hat[None, :], n_k, streams.__getitem__, lambda j: f"direction {j}"
     )
     return new_theta[0]

@@ -22,7 +22,6 @@ from verisynth import (
     Bounds,
     Interval1D,
     KnowledgeBall,
-    LinRegConfig,
     config_from_mapping,
     derive_stream,
     estimate_contraction,
@@ -39,13 +38,13 @@ from verisynth import (
     run_landscape,
     spectral_design,
     std_moments,
-    write_config,
 )
 from verisynth.cli import main
 from verisynth.gaussian1d import ONE_DIRECTION
 from verisynth.kernel import BlockRound
 from verisynth.seeding import KeyedStreams
 
+from test_harness import write_yaml
 from test_truncnorm import random_bounds
 
 P, THETA_STAR, SIGMA, N0 = 8, tuple([1.0] * 8), 1.0, 100
@@ -122,7 +121,7 @@ C3_SEED, C3_N1 = 1103, 100
 
 
 def criterion_03_problem():
-    """Criterion 3's design and its 12 (delta, r) cells, each as a one-round config."""
+    """Criterion 3's design and its 12 (delta, r) cells, each as a verifier ball."""
     theta = np.asarray(THETA_STAR)
     covariates = derive_stream(C3_SEED, 0, 0, 0).standard_normal((N0, P))
     design = spectral_design(covariates)
@@ -130,14 +129,11 @@ def criterion_03_problem():
     u /= np.linalg.norm(u)
     cells = [(delta, radius) for delta in (0.0, 0.5, 1.0, 2.0)
              for radius in (0.5, 1.0, 2.0)]
-    configs = [
-        LinRegConfig(KnowledgeBall(theta + delta * u, radius, 0.0), SIGMA)
-        for delta, radius in cells
-    ]
-    return theta, covariates, design, cells, configs
+    balls = [KnowledgeBall(theta + delta * u, radius, 0.0) for delta, radius in cells]
+    return theta, covariates, design, cells, balls
 
 
-def criterion_03_squared_errors(theta, covariates, design, configs, reps):
+def criterion_03_squared_errors(theta, covariates, design, balls, reps):
     """(cells x reps) squared errors after one round; each cell advances all
     replications as one block. Replication rep fits its real data from stream
     (rep, 0, 0) and draws direction j of the round from (rep, 1, j), as in
@@ -153,37 +149,36 @@ def criterion_03_squared_errors(theta, covariates, design, configs, reps):
     uniforms = np.empty((len(keys), C3_N1))
     for row in range(len(keys)):
         round1.stream(row).random(out=uniforms[row])
-    sq = np.empty((len(configs), reps))
-    for i, config in enumerate(configs):
-        theta1 = BlockRound(design, config)(theta0, C3_N1, round1.stream, round1.label,
-                                            uniforms)
+    sq = np.empty((len(balls), reps))
+    for i, ball in enumerate(balls):
+        theta1 = BlockRound(design, ball, SIGMA)(theta0, C3_N1, round1.stream, round1.label,
+                                                 uniforms)
         sq[i] = np.sum((theta1 - theta) ** 2, axis=1)
     return sq
 
 
 def test_criterion_03_block_path_equals_replication_loop():
-    theta, covariates, design, _, configs = criterion_03_problem()
+    theta, covariates, design, _, balls = criterion_03_problem()
     reps = 200
-    loop = np.empty((len(configs), reps))
+    loop = np.empty((len(balls), reps))
     for rep in range(1, reps + 1):
         noise = derive_stream(C3_SEED, rep, 0, 0).standard_normal(N0)
         theta0 = ols_fit(covariates, covariates @ theta + SIGMA * noise)
-        for i, config in enumerate(configs):
+        for i, ball in enumerate(balls):
             streams = [derive_stream(C3_SEED, rep, 1, j) for j in range(1, P + 1)]
-            theta1 = retrain_round(theta0, design, config, C3_N1, streams)
+            theta1 = retrain_round(theta0, design, ball, SIGMA, C3_N1, streams)
             loop[i, rep - 1] = np.sum((theta1 - theta) ** 2)
-    block = criterion_03_squared_errors(theta, covariates, design, configs, reps)
+    block = criterion_03_squared_errors(theta, covariates, design, balls, reps)
     assert np.array_equal(block, loop)
 
 
 def test_criterion_03_one_step_risk_formula(acceptance_report):
     reps = 5000
-    theta, covariates, design, cells, configs = criterion_03_problem()
-    predictions = [one_step_prediction(design, theta, c.ball, SIGMA, C3_N1)
-                   for c in configs]
+    theta, covariates, design, cells, balls = criterion_03_problem()
+    predictions = [one_step_prediction(design, theta, ball, SIGMA, C3_N1) for ball in balls]
 
     start = time.perf_counter()
-    sq = criterion_03_squared_errors(theta, covariates, design, configs, reps)
+    sq = criterion_03_squared_errors(theta, covariates, design, balls, reps)
     elapsed = time.perf_counter() - start
 
     worst_z = worst_rel = 0.0
@@ -397,16 +392,16 @@ def escape_config(k_rounds=2000, upper=1.0, n0=100, n=50):
     })
 
 
-def escape_round(config):
-    """One round of the escape: the p = 1 regression round on the half-line."""
-    return LinRegConfig(Interval1D(config.interval_lower, config.interval_upper), config.sigma)
+def escape_interval(config):
+    """The verifier of the escape: the p = 1 regression round's half-line."""
+    return Interval1D(config.interval_lower, config.interval_upper)
 
 
 def escape_means(config, seeds):
     """(seeds x rounds + 1) means; all seeds advance as one block, seed rep
     on its own stream (rep, 0, 0), first for its real data, then every round."""
     rngs = [derive_stream(C9_SEED, rep, 0, 0) for rep in range(1, seeds + 1)]
-    block_round = BlockRound(ONE_DIRECTION, escape_round(config))
+    block_round = BlockRound(ONE_DIRECTION, escape_interval(config), config.sigma)
     means = [np.array([initial_mean(config, rng) for rng in rngs])]
     for n_k in config.schedule.counts():
         means.append(block_round(means[-1][:, None], int(n_k), rngs.__getitem__)[:, 0])
@@ -415,9 +410,9 @@ def escape_means(config, seeds):
 
 def escape_loop(config, rng):
     """One seed's means, round by round on its one stream."""
-    round_config, means = escape_round(config), [initial_mean(config, rng)]
+    interval, means = escape_interval(config), [initial_mean(config, rng)]
     for n_k in config.schedule.counts():
-        means.append(retrain_step(means[-1], round_config, int(n_k), rng))
+        means.append(retrain_step(means[-1], interval, config.sigma, int(n_k), rng))
     return means
 
 
@@ -502,7 +497,7 @@ def test_criterion_11_thread_count_determinism(acceptance_report, tmp_path, spli
     for command, mapping in cases.items():
         config = config_from_mapping(mapping)
         config_path = tmp_path / f"{command}.yaml"
-        write_config(config, str(config_path))
+        write_yaml(config, str(config_path))
         blobs = {}
         for threads in (1, 8):
             for fmt in ("csv", "json"):

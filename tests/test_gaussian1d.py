@@ -15,7 +15,6 @@ from verisynth import (
     Interval1D,
     InvalidBoundsError,
     KnowledgeBall,
-    LinRegConfig,
     MaxAttemptsError,
     RegimeWarning,
     SpectralDesign,
@@ -41,9 +40,8 @@ from test_kernel import Untouchable
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
 
-def make_config(interval=Interval1D(-1.0, 1.0), sigma=1.0, filter_mode="direct"):
-    """A 1-D round: the p = 1 regression round with an interval verifier."""
-    return LinRegConfig(interval, sigma, filter_mode)
+#: the verifier of most 1-D rounds below
+UNIT = Interval1D(-1.0, 1.0)
 
 
 class TestRetrainingMap:
@@ -93,25 +91,25 @@ class TestRetrainingMap:
 class TestRetrainStep:
     def test_filter_modes_agree_in_distribution(self):
         # the two mechanisms draw from the same truncated law
-        config = make_config(interval=Interval1D(-0.5, 2.0), filter_mode=FILTER_REJECT)
+        interval, sigma = Interval1D(-0.5, 2.0), 1.0
         current = 0.3
         n = 100_000
-        bounds = interval_bounds_1d(config.ball, current, config.sigma)
+        bounds = interval_bounds_1d(interval, current, sigma)
         direct = sample_truncated(bounds, n, np.random.default_rng(11))
         rejected = generate_and_verify(
-            current, config.sigma, config.ball.accepts, acceptance_probability(bounds), n,
+            current, sigma, interval.accepts, acceptance_probability(bounds), n,
             np.random.default_rng(12)
         )
         stat = ks_2samp(direct, rejected).statistic
         assert stat < 1.628 * math.sqrt(2.0 / n)  # two-sample KS, alpha = 0.01
 
     def test_large_sample_step_matches_map(self):
-        config = make_config(interval=Interval1D(0.0, 3.0))
+        interval = Interval1D(0.0, 3.0)
         current = 0.5
         n = 200_000
-        bounds = interval_bounds_1d(config.ball, current, config.sigma)
+        bounds = interval_bounds_1d(interval, current, 1.0)
         m = std_moments(bounds)
-        new = retrain_step(current, config, n, np.random.default_rng(21))
+        new = retrain_step(current, interval, 1.0, n, np.random.default_rng(21))
         target = retraining_map(Bounds(0.0, 3.0), current)
         assert abs(new - target) < 5 * math.sqrt(m.m2 / n)
 
@@ -120,25 +118,23 @@ class TestRetrainStep:
         n = 200_000
         rho = std_moments(Bounds(-2.0, 2.0)).m2
         for mode, seed in (("direct", 31), ("reject", 32)):
-            config = make_config(interval=interval, filter_mode=mode)
-            new = retrain_step(0.0, config, n, np.random.default_rng(seed))
+            new = retrain_step(0.0, interval, 1.0, n, np.random.default_rng(seed), mode)
             assert abs(new) < 5 * math.sqrt(rho / n)
 
     def test_reject_budget_exhaustion(self):
-        config = make_config(interval=Interval1D(10.0, 10.001),
-                             filter_mode=FILTER_REJECT)
         with pytest.raises(MaxAttemptsError):
-            retrain_step(0.0, config, 1, np.random.default_rng(41))
+            retrain_step(0.0, Interval1D(10.0, 10.001), 1.0, 1, np.random.default_rng(41),
+                         FILTER_REJECT)
 
     def test_invalid_count(self):
         with pytest.raises(InvalidBoundsError):
-            retrain_step(0.0, make_config(), 0, np.random.default_rng(0))
+            retrain_step(0.0, UNIT, 1.0, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", ["direct", "reject", "none"])
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
     def test_non_finite_estimate_fails_before_any_draw(self, mode, mean):
         with pytest.raises(InvalidBoundsError, match="theta_hat must be finite"):
-            retrain_step(mean, make_config(filter_mode=mode), 5, Untouchable())
+            retrain_step(mean, UNIT, 1.0, 5, Untouchable(), mode)
 
 
 class TestOneStepPrediction:
@@ -177,12 +173,11 @@ class TestOneStepPrediction:
             "problem": {"true_mean": mu, "sigma": sigma, "n0": n0},
             "interval": {"lower": -1.0, "upper": 1.0},
             "schedule": {"kind": "fixed", "start": n1, "rounds": 1}})
-        config = make_config(sigma=sigma)
         rng = np.random.default_rng(50 + n1)
         sq = np.empty(reps)
         for i in range(reps):
             m0 = initial_mean(problem, rng)
-            m1 = retrain_step(m0, config, n1, rng)
+            m1 = retrain_step(m0, UNIT, sigma, n1, rng)
             sq[i] = ((m1 - mu) / sigma) ** 2
         pred = one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0, n1)
         se = sq.std(ddof=1) / math.sqrt(reps)

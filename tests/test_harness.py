@@ -37,7 +37,6 @@ from verisynth import (
     run_landscape,
     spectral_design,
     theory_summary,
-    write_config,
     write_csv,
     write_json,
 )
@@ -97,6 +96,7 @@ COLLAPSED_THETA = {"dimension": 2, "true_theta": [1.85e169, 1.0], "sigma": 1.0, 
 #: the run settings, problem and schedule of the configs whose runs overflowed
 OVERFLOW_RUN = {"master_seed": 3, "replications": 2}
 HUGE_THETA = {"dimension": 2, "true_theta": 1e308, "sigma": 1.0, "n0": 20}
+TINY_SIGMA = {"dimension": 2, "true_theta": 1.0, "sigma": 1e-320, "n0": 20}
 FIXED_10X2 = {"kind": "fixed", "start": 10, "rounds": 2}
 
 #: configs that name a bad value, each with the field its error message names
@@ -201,9 +201,27 @@ BAD_VALUES = [
     pytest.param(oned_mapping(**OVERFLOW_RUN, problem={"true_mean": 0.0, "sigma": 1.0, "n0": 20},
                               interval={"lower": -1e308, "upper": 1e308}, schedule=FIXED_10X2),
                  "interval.lower must be at most 1e+299", id="interval-length-overflow"),
+    # sigma so small that (the parameters' scale + the band's half-width) / sigma overflows
+    pytest.param(linreg_mapping(**OVERFLOW_RUN, problem=TINY_SIGMA, schedule=FIXED_10X2,
+                                ball={"radius": 1.0, "delta": 0.5}),
+                 "problem.sigma is too small", id="linreg-sigma-underflow"),
+    pytest.param(landscape_mapping(**OVERFLOW_RUN, problem=TINY_SIGMA, landscape={
+        "delta_values": [0.0, 0.5], "r_values": [0.5], "n1": 10}),
+                 "problem.sigma is too small", id="landscape-sigma-underflow"),
+    pytest.param(oned_mapping(**OVERFLOW_RUN, problem={"true_mean": 0.0, "sigma": 1e-320,
+                                                       "n0": 20},
+                              interval={"lower": 2.0, "upper": 4.0}, schedule=FIXED_10X2),
+                 "problem.sigma is too small", id="oned-sigma-underflow"),
 ]
 
-#: write_config's exact output: a writer that reorders keys still round-trips,
+
+def write_yaml(config, path):
+    """Write a config's resolved mapping as YAML, keys in file order."""
+    with open(path, "w", encoding="utf-8") as handle:
+        yaml.safe_dump(config.to_mapping(), handle, sort_keys=False, default_flow_style=None)
+
+
+#: write_yaml's exact output: a writer that reorders keys still round-trips,
 #: so this pins the key order
 WRITTEN_YAML = [
     pytest.param(landscape_mapping(), (
@@ -545,13 +563,13 @@ class TestConfigParsing:
     def test_yaml_round_trip(self, tmp_path, mapping):
         config = config_from_mapping(mapping)
         path = tmp_path / "config.yaml"
-        write_config(config, str(path))
+        write_yaml(config, str(path))
         assert load_config(str(path)) == config
 
     @pytest.mark.parametrize("mapping,text", WRITTEN_YAML)
     def test_written_bytes(self, tmp_path, mapping, text):
         path = tmp_path / "config.yaml"
-        write_config(config_from_mapping(mapping), str(path))
+        write_yaml(config_from_mapping(mapping), str(path))
         assert path.read_bytes() == text.encode()
 
     # parses only: nothing is simulated
@@ -566,7 +584,7 @@ class TestConfigParsing:
         except ConfigError:
             return
         path = tmp_path / "fuzzed.yaml"
-        write_config(config, str(path))
+        write_yaml(config, str(path))
         assert load_config(str(path)) == config
 
     # every config that parses runs: theory, then one replication
@@ -587,7 +605,7 @@ class TestConfigParsing:
         except ConfigError:
             return
         path = tmp_path / "fuzzed.yaml"
-        write_config(config, str(path))
+        write_yaml(config, str(path))
         command = COMMAND_FOR_KIND[config.kind]
         for argv in (["theory"], [command, "--reps", "1", "--out", str(tmp_path / "out")]):
             code = main(argv + ["--config", str(path)])
@@ -614,7 +632,7 @@ class TestConfigParsing:
             "linreg-far-center", "landscape-log-of-means"])
     def test_extreme_configs_raise_no_runtime_warning(self, tmp_path, mapping, split_blocks):
         path = tmp_path / "extreme.yaml"
-        write_config(config_from_mapping(mapping), str(path))
+        write_yaml(config_from_mapping(mapping), str(path))
         command = COMMAND_FOR_KIND[mapping["experiment"]]
         out = ["--out", str(tmp_path / "out")]
         # two workers: a worker thread does not share the caller's numpy errstate
@@ -872,7 +890,7 @@ class TestRunners:
             "dimension": 3, "true_theta": [1.85e169] * 3, "sigma": 1.0, "n0": 40})
         raw["landscape"] = {"delta_values": [0.0, 1.0], "r_values": [0.5, 1.0], "n1": 10}
         path = tmp_path / "collapsed.yaml"
-        write_config(config_from_mapping(raw), str(path))
+        write_yaml(config_from_mapping(raw), str(path))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["landscape", "--config", str(path), "--threads", str(threads),
@@ -1080,7 +1098,7 @@ class TestTheorySummary:
 class TestCli:
     def write(self, tmp_path, mapping, name="config.yaml"):
         path = tmp_path / name
-        write_config(config_from_mapping(mapping), str(path))
+        write_yaml(config_from_mapping(mapping), str(path))
         return str(path)
 
     def test_validate_ok(self, tmp_path, capsys):
@@ -1146,6 +1164,8 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
         assert main(["validate", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        assert main(["theory", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
         # the same replication count again, given by --reps over a file that has 1
         path.write_text(yaml.safe_dump({**mapping, "replications": 1}))

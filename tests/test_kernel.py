@@ -19,7 +19,6 @@ from verisynth import (
     DegenerateIntervalError,
     Interval1D,
     KnowledgeBall,
-    LinRegConfig,
     MaxAttemptsError,
     SeedSpaceError,
     SpectralDesign,
@@ -101,27 +100,26 @@ def test_bulk_keys_reject_out_of_range_indices():
 # --- one round: the block kernel against a loop over directions -----------------
 
 
-def scalar_round(theta, design, config, n_k, rngs):
+def scalar_round(theta, design, ball, sigma, n_k, rngs, mode):
     """One round of the block design, direction by direction."""
     streams = [rngs] * design.dimension if isinstance(rngs, np.random.Generator) else rngs
     new_theta = np.zeros(design.dimension)
     for j, v in enumerate(design.directions):
         proj = float(v @ theta)
-        if config.filter_mode == "none":
+        if mode == "none":
             # the mean of n_k normals, drawn as one: the quantile of the
             # first uniform (0 read as 2^-53) over sqrt(n_k)
             u = max(streams[j].random(), 2.0 ** -53)
             noise = np.array([special.ndtri(u) / math.sqrt(n_k)])
-        elif config.filter_mode == "direct":
-            bounds = direction_bounds(config.ball, v, theta, config.sigma)
+        elif mode == "direct":
+            bounds = direction_bounds(ball, v, theta, sigma)
             noise = sample_truncated(bounds, n_k, streams[j])
         else:
             # the row's acceptance mass sets its chunks, and with a shared
             # generator where the next row starts drawing
-            mass = acceptance_probability(direction_bounds(config.ball, v, theta, config.sigma))
-            noise = generate_and_verify(proj, config.sigma, config.ball.acceptance(v),
-                                        mass, n_k, streams[j])
-        new_theta += v * (proj + config.sigma * float(noise.mean()))
+            mass = acceptance_probability(direction_bounds(ball, v, theta, sigma))
+            noise = generate_and_verify(proj, sigma, ball.acceptance(v), mass, n_k, streams[j])
+        new_theta += v * (proj + sigma * float(noise.mean()))
     return new_theta
 
 
@@ -136,7 +134,7 @@ def test_round_equals_direction_loop(mode, shared):
         # zero radius, tiny slack: acceptance mass below 1e-3
         radius, slack = (0.0, 0.001) if case % 3 == 0 and mode == "direct" else (0.6, 0.3)
         center = theta + 0.5 * rng.standard_normal(p)
-        config = LinRegConfig(KnowledgeBall(center, radius, slack), 1.2, filter_mode=mode)
+        ball = KnowledgeBall(center, radius, slack)
         n_k = int(rng.integers(1, 40))
 
         def rngs():
@@ -144,14 +142,14 @@ def test_round_equals_direction_loop(mode, shared):
                 return np.random.default_rng(case)
             return [np.random.default_rng([case, j]) for j in range(p)]
 
-        got = retrain_round(theta, design, config, n_k, rngs())
-        assert np.array_equal(got, scalar_round(theta, design, config, n_k, rngs()))
+        got = retrain_round(theta, design, ball, 1.2, n_k, rngs(), mode)
+        assert np.array_equal(got, scalar_round(theta, design, ball, 1.2, n_k, rngs(), mode))
 
 
 def unfiltered_round(theta, n_k, streams, uniforms=None):
     """An unfiltered round of the one-direction design at sigma 1."""
-    config = LinRegConfig(KnowledgeBall(np.zeros(1), 1.0, 0.0), 1.0, filter_mode="none")
-    return BlockRound(ONE_DIRECTION, config)(theta, n_k, streams, uniforms=uniforms)
+    block_round = BlockRound(ONE_DIRECTION, KnowledgeBall(np.zeros(1), 1.0, 0.0), 1.0, "none")
+    return block_round(theta, n_k, streams, uniforms=uniforms)
 
 
 @pytest.mark.parametrize("n_k", [1, 7, 50])
@@ -212,7 +210,7 @@ def test_unfiltered_rows_are_the_normal_quantile_over_sqrt_n(n_k, source):
 @pytest.mark.parametrize("interval", [Interval1D(-math.inf, 1.0), Interval1D(0.5, math.inf)])
 def test_zero_uniform_on_a_half_line_gives_a_finite_estimate(interval):
     # at u = 0 the half-line's cdf_lo is 0 and ndtri(0) infinite: 0 is read as 2^-53
-    block_round = BlockRound(ONE_DIRECTION, LinRegConfig(interval, 1.0))
+    block_round = BlockRound(ONE_DIRECTION, interval, 1.0)
     theta = np.zeros((1, 1))
     got = block_round(theta, 3, None, uniforms=np.array([[0.0, 0.5, 0.5]]))
     assert np.all(np.isfinite(got))
@@ -246,8 +244,7 @@ def test_direct_rows_draw_by_inverse_cdf_at_any_mass(source):
     # on the canonical directions the estimates are their own spectral coordinates
     proj = np.array([[0.5, -2.0], [3.0, 0.0]])
     sigma, n_k = 1.3, 17
-    block_round = BlockRound(SpectralDesign(np.ones(2), np.eye(2)),
-                             LinRegConfig(FixedLimits(limits), sigma))
+    block_round = BlockRound(SpectralDesign(np.ones(2), np.eye(2)), FixedLimits(limits), sigma)
     shared = np.random.default_rng(4)
     streams = {"own": lambda row: np.random.default_rng([4, row]),
                "shared": lambda row: shared, "given": None}[source]
@@ -272,18 +269,19 @@ def test_step_equals_scalar_definition():
         upper = lower + float(rng.choice([0.05, 1.0, 3.0, math.inf]))
         if mode == "reject" and not math.isfinite(upper):
             upper = 2.0
-        config = LinRegConfig(Interval1D(lower, upper), 1.3, filter_mode=mode)
+        interval, sigma = Interval1D(lower, upper), 1.3
         mean = float(rng.uniform(-2.0, 2.0))
         n_k = int(rng.integers(1, 60))
         if mode == "direct":
-            bounds = interval_bounds_1d(config.ball, mean, config.sigma)
+            bounds = interval_bounds_1d(interval, mean, sigma)
             noise = sample_truncated(bounds, n_k, np.random.default_rng(case))
         else:
-            noise = generate_and_verify(mean, config.sigma, config.ball.accepts,
-                                        mass_of(config.ball, mean, config.sigma), n_k,
+            noise = generate_and_verify(mean, sigma, interval.accepts,
+                                        mass_of(interval, mean, sigma), n_k,
                                         np.random.default_rng(case))
-        expected = mean + config.sigma * float(noise.mean())
-        assert retrain_step(mean, config, n_k, np.random.default_rng(case)) == expected
+        expected = mean + sigma * float(noise.mean())
+        assert retrain_step(mean, interval, sigma, n_k, np.random.default_rng(case),
+                            mode) == expected
 
 
 # --- the generate-and-verify loop: chunks, budget and cap ------------------------
@@ -378,15 +376,14 @@ def test_reject_row_short_of_its_budget_fails_before_any_draw():
     # while direction 0 accepts about half its candidates
     design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
     ball = KnowledgeBall(np.array([0.0, 30.0]), 0.7, 0.0)
-    block_round = BlockRound(design, LinRegConfig(ball, 1.0, filter_mode="reject"))
+    block_round = BlockRound(design, ball, 1.0, "reject")
     with pytest.raises(MaxAttemptsError, match="row 1: REJECT acceptance probability"):
         block_round(np.zeros((3, 2)), 5, lambda row: Untouchable(), lambda row: f"row {row}")
 
 
 def test_reject_row_of_nan_mass_fails_before_any_draw():
     # a NaN estimate has NaN bounds and a NaN mass, which no budget covers
-    config = LinRegConfig(Interval1D(-1.0, 1.0), 1.0, filter_mode="reject")
-    block_round = BlockRound(ONE_DIRECTION, config)
+    block_round = BlockRound(ONE_DIRECTION, Interval1D(-1.0, 1.0), 1.0, "reject")
     with pytest.raises(MaxAttemptsError, match="row 0: REJECT acceptance probability nan"):
         block_round(np.array([[math.nan]]), 5, lambda row: Untouchable(),
                     lambda row: f"row {row}")
@@ -398,14 +395,14 @@ def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval,
     # with 1,000 attempts per sample the line lies at probability 1e-3: about
     # 2.7e-3 on (2.5, 2.7) and 3.8e-4 on (3.0, 3.1) at mean 0, sigma 1
     monkeypatch.setattr(kernel, "MAX_REJECT_ATTEMPTS_PER_SAMPLE", 1000)
-    config = LinRegConfig(interval, 1.0, filter_mode="reject")
     if fails:
         with pytest.raises(MaxAttemptsError, match="below 1 in the budget of 1000"):
-            retrain_step(0.0, config, 5, Untouchable())
+            retrain_step(0.0, interval, 1.0, 5, Untouchable(), "reject")
         return
     expected = generate_and_verify(0.0, 1.0, interval.accepts, mass_of(interval, 0.0, 1.0), 5,
                                    np.random.default_rng(6))
-    assert retrain_step(0.0, config, 5, np.random.default_rng(6)) == float(expected.mean())
+    assert retrain_step(0.0, interval, 1.0, 5, np.random.default_rng(6),
+                        "reject") == float(expected.mean())
 
 
 # --- the runners against a loop over replications and rounds --------------------
@@ -448,10 +445,9 @@ def reference_landscape(config):
         norm0[rep - 1] = np.linalg.norm(theta_hat - theta)
         for i, (delta, radius) in enumerate(cells):
             ball = KnowledgeBall(theta + delta * direction, radius, config.sigma_c)
-            cell = LinRegConfig(ball, config.sigma)
             try:  # a cell degenerate at the truth or for a replication keeps NaN
                 one_step_prediction(design, theta, ball, config.sigma, config.n1)
-                theta1 = retrain_round(theta_hat, design, cell, config.n1,
+                theta1 = retrain_round(theta_hat, design, ball, config.sigma, config.n1,
                                        round_streams(config, rep, 1))
             except DegenerateIntervalError:
                 continue
@@ -482,15 +478,15 @@ def reference_trajectory(config):
     reps, k_rounds = config.replications, per_dir.size
     out = {}
     for arm in config.arms:
-        arm_config = LinRegConfig(ball, config.sigma, filter_mode=arm)
         star = np.empty((reps, k_rounds + 1))
         center = np.empty((reps, k_rounds + 1))
         for rep in range(1, reps + 1):
             theta_hat = real_estimate(config, covariates, rep)
             for k in range(k_rounds + 1):
                 if k:
-                    theta_hat = retrain_round(theta_hat, design, arm_config,
-                                              int(per_dir[k - 1]), round_streams(config, rep, k))
+                    theta_hat = retrain_round(theta_hat, design, ball, config.sigma,
+                                              int(per_dir[k - 1]), round_streams(config, rep, k),
+                                              arm)
                 star[rep - 1, k] = np.sum((theta_hat - theta) ** 2)
                 center[rep - 1, k] = np.sum((theta_hat - ball.center) ** 2)
         out[arm] = stats(star) + stats(center)
@@ -501,14 +497,13 @@ def reference_1d(config):
     """(estimate mean, estimate se, midpoint sq mean, midpoint sq se) per round."""
     interval = Interval1D(config.interval_lower, config.interval_upper)
     per_dir = config.schedule.per_direction_counts(1)
-    cfg = LinRegConfig(interval, config.sigma, filter_mode=config.arms[0])
     est = np.empty((config.replications, per_dir.size + 1))
     for rep in range(1, config.replications + 1):
         mean = initial_mean(config, derive_stream(config.master_seed, rep, 0, 0))
         est[rep - 1, 0] = mean
         for k in range(1, per_dir.size + 1):
-            mean = retrain_step(mean, cfg, int(per_dir[k - 1]),
-                                derive_stream(config.master_seed, rep, k, 1))
+            mean = retrain_step(mean, interval, config.sigma, int(per_dir[k - 1]),
+                                derive_stream(config.master_seed, rep, k, 1), config.arms[0])
             est[rep - 1, k] = mean
     return stats(est) + stats((est - interval.midpoint) ** 2)
 

@@ -11,7 +11,6 @@ from verisynth import (
     Interval1D,
     InvalidBoundsError,
     KnowledgeBall,
-    LinRegConfig,
     RankDeficientError,
     SpectralDesign,
     baseline_mse,
@@ -26,18 +25,15 @@ from verisynth.gaussian1d import retrain_step
 from verisynth.kernel import BlockRound
 from verisynth.theory import one_step_predictions
 
+from test_kernel import Untouchable
+
 M2_SYM1 = 0.2911250947727931  # variance factor of the standard normal on (-1, 1)
 
 
-def make_config(dimension=2, radius=1.0, slack=0.0, center=None, sigma=1.0,
-                filter_mode="direct"):
+def make_ball(dimension=2, radius=1.0, slack=0.0, center=None):
     if center is None:
         center = np.zeros(dimension)
-    return LinRegConfig(
-        ball=KnowledgeBall(np.asarray(center, dtype=float), radius, slack),
-        sigma=sigma,
-        filter_mode=filter_mode,
-    )
+    return KnowledgeBall(np.asarray(center, dtype=float), radius, slack)
 
 
 class TestOlsFit:
@@ -125,22 +121,44 @@ class TestSpectralDesign:
 
 
 class TestConfigValidation:
+    """A round's settings are checked where it is built, before any draw."""
+
+    design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
+
+    def rounds(self, sigma, mode):
+        """Each entry point's round with these settings, built on call."""
+        yield lambda: BlockRound(self.design, make_ball(), sigma, mode)
+        yield lambda: retrain_round(np.zeros(2), self.design, make_ball(), sigma, 5,
+                                    [Untouchable(), Untouchable()], mode)
+        yield lambda: retrain_step(0.0, Interval1D(-1.0, 1.0), sigma, 5, Untouchable(), mode)
+
+    def test_unknown_mode(self):
+        for mode in ("DIRECT", "filter", "", None):
+            for build in self.rounds(1.0, mode):
+                with pytest.raises(InvalidBoundsError, match="unknown filter mode"):
+                    build()
+
     def test_sigma_zero_only_unfiltered(self):
-        with pytest.raises(InvalidBoundsError):
-            make_config(sigma=0.0)
-        assert make_config(sigma=0.0, filter_mode="none").sigma == 0.0
+        for sigma, mode in ((0.0, "direct"), (0.0, "reject"), (-1.0, "direct"), (-1.0, "none")):
+            for build in self.rounds(sigma, mode):
+                with pytest.raises(InvalidBoundsError, match="sigma must be > 0"):
+                    build()
+        assert BlockRound(self.design, make_ball(), 0.0, "none").sigma == 0.0
+        rng = np.random.default_rng(0)
+        assert retrain_step(0.5, Interval1D(-1.0, 1.0), 0.0, 5, rng, "none") == 0.5
 
     def test_dimension_mismatches(self):
         # the ball must live in the design's space, or no round can run
-        design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
-        config = make_config(dimension=3)
+        ball = make_ball(dimension=3)
         with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
-            BlockRound(design, config)
+            BlockRound(self.design, ball, 1.0)
         with pytest.raises(DimensionMismatchError, match="ball dimension 3"):
-            retrain_round(np.zeros(2), design, config, 5, np.random.default_rng(0))
+            retrain_round(np.zeros(2), self.design, ball, 1.0, 5, np.random.default_rng(0))
         # an interval is the verifier of the p = 1 problem only
         with pytest.raises(DimensionMismatchError, match="ball dimension 1"):
-            BlockRound(design, LinRegConfig(Interval1D(0.0, 1.0), 1.0))
+            BlockRound(self.design, Interval1D(0.0, 1.0), 1.0)
+        with pytest.raises(DimensionMismatchError, match="ball dimension 2"):
+            retrain_step(0.0, make_ball(), 1.0, 5, Untouchable())
 
 
 class TestRetrainRound:
@@ -151,70 +169,67 @@ class TestRetrainRound:
         center, radius, slack, sigma = np.array([0.5, 0.1]), 1.0, 0.2, 0.7
         theta_hat = np.array([0.3, -0.2])
         for mode in ("direct", "reject"):
-            config = make_config(radius=radius, slack=slack, center=center,
-                                 sigma=sigma, filter_mode=mode)
+            ball = make_ball(radius=radius, slack=slack, center=center)
             new_theta = retrain_round(
-                theta_hat, design, config, 64,
-                [np.random.default_rng(900), np.random.default_rng(901)],
+                theta_hat, design, ball, sigma, 64,
+                [np.random.default_rng(900), np.random.default_rng(901)], mode,
             )
             for j in range(2):
                 interval = Interval1D(center[j] - (radius + slack),
                                       center[j] + (radius + slack))
-                cfg1 = LinRegConfig(interval, sigma, filter_mode=mode)
-                scalar = retrain_step(theta_hat[j], cfg1, 64,
-                                      np.random.default_rng(900 + j))
+                scalar = retrain_step(theta_hat[j], interval, sigma, 64,
+                                      np.random.default_rng(900 + j), mode)
                 assert new_theta[j] == scalar
 
     def test_unfiltered_zero_noise_is_resolution_of_identity(self):
         rng = np.random.default_rng(10)
         design = spectral_design(rng.standard_normal((30, 4)))
         theta_hat = rng.standard_normal(4)
-        config = make_config(dimension=4, sigma=0.0, filter_mode="none")
-        new_theta = retrain_round(theta_hat, design, config, 5, rng)
+        new_theta = retrain_round(theta_hat, design, make_ball(dimension=4), 0.0, 5, rng, "none")
         assert np.allclose(new_theta, theta_hat, atol=1e-10)
 
     def test_ball_centered_at_estimate_is_unbiased(self):
         rng = np.random.default_rng(11)
         design = SpectralDesign(np.array([3.0, 2.0]), np.eye(2))
         theta_hat = np.array([1.0, -2.0])
-        config = make_config(center=theta_hat, radius=1.0, slack=0.0)
+        ball = make_ball(center=theta_hat, radius=1.0, slack=0.0)
         n = 200_000
-        new_theta = retrain_round(theta_hat, design, config, n, rng)
+        new_theta = retrain_round(theta_hat, design, ball, 1.0, n, rng)
         tol = 5.0 * math.sqrt(M2_SYM1 / n)
         assert np.allclose(new_theta, theta_hat, atol=tol)
 
     def test_direction_error_annotation(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
-        config = make_config(center=np.array([100.0, 0.0]), radius=1.0)
+        ball = make_ball(center=np.array([100.0, 0.0]), radius=1.0)
         with pytest.raises(DegenerateIntervalError, match="direction 0:"):
-            retrain_round(np.zeros(2), design, config, 10, np.random.default_rng(12))
+            retrain_round(np.zeros(2), design, ball, 1.0, 10, np.random.default_rng(12))
 
     def test_count_and_stream_validation(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
-        config = make_config()
+        ball = make_ball()
         with pytest.raises(InvalidBoundsError):
-            retrain_round(np.zeros(2), design, config, 0, np.random.default_rng(0))
+            retrain_round(np.zeros(2), design, ball, 1.0, 0, np.random.default_rng(0))
         with pytest.raises(DimensionMismatchError):
-            retrain_round(np.zeros(2), design, config, 5,
+            retrain_round(np.zeros(2), design, ball, 1.0, 5,
                           [np.random.default_rng(0)])  # one stream, two directions
         with pytest.raises(DimensionMismatchError):
-            retrain_round(np.zeros(3), design, config, 5, np.random.default_rng(0))
+            retrain_round(np.zeros(3), design, ball, 1.0, 5, np.random.default_rng(0))
 
     def test_estimate_validation(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
-        config = make_config()
+        ball = make_ball()
         with pytest.raises(InvalidBoundsError, match="finite"):
-            retrain_round(np.array([1.0, math.nan]), design, config, 5,
+            retrain_round(np.array([1.0, math.nan]), design, ball, 1.0, 5,
                           np.random.default_rng(0))
         with pytest.raises(DimensionMismatchError):
-            retrain_round(np.eye(2), design, config, 5, np.random.default_rng(0))
+            retrain_round(np.eye(2), design, ball, 1.0, 5, np.random.default_rng(0))
 
     def test_reject_budget_exhaustion_names_direction(self):
         design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
-        config = make_config(center=np.array([0.0, 30.0]), radius=0.005,
-                             filter_mode=FILTER_REJECT)
+        ball = make_ball(center=np.array([0.0, 30.0]), radius=0.005)
         with pytest.raises(Exception, match="direction 1:"):
-            retrain_round(np.zeros(2), design, config, 1, np.random.default_rng(13))
+            retrain_round(np.zeros(2), design, ball, 1.0, 1, np.random.default_rng(13),
+                          FILTER_REJECT)
 
 
 class TestBaselineMse:
@@ -301,8 +316,7 @@ class TestOneStepPrediction:
         sq = np.empty(reps)
         for i in range(reps):
             y = x @ theta_star + sigma * rng.standard_normal(100)
-            config = LinRegConfig(ball, sigma)
-            new_theta = retrain_round(ols_fit(x, y), design, config, n1, rng)
+            new_theta = retrain_round(ols_fit(x, y), design, ball, sigma, n1, rng)
             sq[i] = np.sum((new_theta - theta_star) ** 2)
         pred = one_step_prediction(design, theta_star, ball, sigma, n1)
         se = sq.std(ddof=1) / math.sqrt(reps)
