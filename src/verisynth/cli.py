@@ -37,6 +37,7 @@ from .config import (
     KIND_ITERATE_1D,
     KIND_ITERATE_LINREG,
     KIND_LANDSCAPE,
+    MIN_BLOCK_NOISE,
     ExperimentConfig,
     load_config,
 )
@@ -85,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=".", help="output directory (default: .)")
         sub.add_argument("--threads", type=int, default=1,
                          help="most worker threads to use (default 1; output is identical); "
-                              "a run below 2^13 noise values per round uses one worker")
+                              f"a run below {MIN_BLOCK_NOISE} noise values per round "
+                              "uses one worker")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
     return parser

@@ -12,11 +12,11 @@ One config file describes one experiment. Top-level keys::
     arms: [...]          # iterate kinds, optional
     landscape: {...}     # landscape only
 
-``LAYOUT`` is the one place this layout lives: one row per ``ExperimentConfig``
-field, in file order, with the field's dotted path, the kinds it applies to,
-its reader and its default. The parser, the presence checks of
-``ExperimentConfig`` and ``to_mapping`` each loop over it; value ranges are
-checked in ``ExperimentConfig`` alone.
+Each ``ExperimentConfig`` field declares its own row of this layout, in file
+order: the field's dotted path, the kinds it applies to, its reader and its
+default. ``LAYOUT`` collects the rows from the fields; the parser, the
+presence checks of ``ExperimentConfig`` and ``to_mapping`` each loop over it;
+value ranges are checked in ``ExperimentConfig`` alone.
 
 Unknown keys anywhere are hard errors naming the full dotted path, and so
 are keys given twice in one mapping of a file. The only
@@ -27,9 +27,10 @@ so a written config always spells every value out.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import yaml
 
@@ -46,8 +47,13 @@ MAX_ROUND_NOISE = 2 ** 24
 #: most floats the per-replication results of one run may hold
 MAX_RESULT_FLOATS = 2 ** 28
 
-# The names below are the numerical modules' own, kept here so that reading
-# and checking a config imports neither numpy nor scipy.
+# The names below are the numerical modules' own, kept here so that the CLI's
+# help and reading and checking a config import neither numpy nor scipy.
+
+#: fewest noise values a block of replications draws in one round to get a
+#: worker of its own: each row's fill releases the GIL, and below this two
+#: workers lose more passing it back and forth than they save
+MIN_BLOCK_NOISE = 2 ** 16
 
 #: how the verifier filters a round's candidates: draw from the truncation
 #: itself, generate and reject, or not at all
@@ -76,40 +82,142 @@ def default_slack(sigma: float) -> float:
     return math.sqrt(2.0 / math.pi) * sigma
 
 
+# Readers take a raw value, its dotted path and the fields read before it.
+
+
+def _kind(value: Any, path: str, values: Mapping[str, Any]) -> str:
+    _check(value in EXPERIMENT_KINDS, f"{path} must be one of {EXPERIMENT_KINDS}, got {value!r}")
+    return value
+
+
+def _number(value: Any, path: str, values: Mapping[str, Any]) -> float:
+    _check_number(value, path)
+    return float(value)
+
+
+def _integer(value: Any, path: str, values: Mapping[str, Any]) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    message = f"{path} must be an integer, got {value!r}"
+    number = value
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+    # a whole number written as a float (100.0) or as YAML 1.1's string (1e3)
+    if isinstance(number, float) and number.is_integer() and abs(number) <= 2 ** 53:
+        spelling = str(int(number))
+        message += (_yaml_string_hint(value, spelling) if isinstance(value, str)
+                    else f" (write {spelling})")
+    raise ConfigError(message)
+
+
+def _flag(value: Any, path: str, values: Mapping[str, Any]) -> bool:
+    _check(isinstance(value, bool), f"{path} must be true/false, got {value!r}")
+    return value
+
+
+def _vector(value: Any, path: str, values: Mapping[str, Any],
+            dimension: int | None = None) -> tuple[float, ...]:
+    if _is_number(value):
+        _check(dimension is not None, f"{path} must be a list of numbers")
+        _check(dimension <= MAX_ROUND_NOISE,
+               f"problem.dimension must be at most 2^24, got {dimension}")
+        return (float(value),) * dimension
+    _check(isinstance(value, (list, tuple)) and len(value) > 0,
+           f"{path} must be a nonempty list of numbers")
+    for i, item in enumerate(value):
+        _check_number(item, f"{path}[{i}]")
+    return tuple(float(item) for item in value)
+
+
+def _per_direction(value: Any, path: str, values: Mapping[str, Any]) -> tuple[float, ...]:
+    """A vector along the problem's directions; a single number is broadcast."""
+    return _vector(value, path, values, values["dimension"])
+
+
+def _schedule(value: Any, path: str, values: Mapping[str, Any]) -> Schedule:
+    _section(value, path, {"kind", "start", "end_or_ratio", "rounds", "unit"},
+             {"kind", "start", "rounds"})
+    kind = value["kind"]
+    _check(kind in SCHEDULE_KINDS, f"{path}.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+    start = _integer(value["start"], f"{path}.start", values)
+    rounds = _integer(value["rounds"], f"{path}.rounds", values)
+    if "end_or_ratio" in value:
+        end_or_ratio = _number(value["end_or_ratio"], f"{path}.end_or_ratio", values)
+        _check(kind != KIND_FIXED or end_or_ratio == start,
+               f"{path}.end_or_ratio of a fixed schedule must equal start")
+    else:
+        _check(kind == KIND_FIXED, f"{path}.end_or_ratio is required for {kind} schedules")
+        end_or_ratio = float(start)
+    unit = value.get("unit", UNIT_TOTAL)
+    _check(unit in SCHEDULE_UNITS, f"{path}.unit must be one of {SCHEDULE_UNITS}, got {unit!r}")
+    try:
+        return Schedule(kind, start, end_or_ratio, rounds, unit)
+    except Exception as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _arms(value: Any, path: str, values: Mapping[str, Any]) -> tuple[str, ...]:
+    _check(isinstance(value, (list, tuple)), f"{path} must be a list of filter modes")
+    for i, arm in enumerate(value):
+        _check(isinstance(arm, str), f"{path}[{i}] must be one of {FILTER_MODES}, got {arm!r}")
+    return tuple(value)
+
+
+def _default_slack(values: Mapping[str, Any]) -> float:
+    return default_slack(values["sigma"])
+
+
+#: the default of a key that every config of the row's kinds must give
+_REQUIRED = object()
+_ALL = EXPERIMENT_KINDS
+_LINEAR = (KIND_LANDSCAPE, KIND_ITERATE_LINREG)
+_ITERATE = (KIND_ITERATE_LINREG, KIND_ITERATE_1D)
+_LINREG = (KIND_ITERATE_LINREG,)
+_ONE_D = (KIND_ITERATE_1D,)
+_GRID = (KIND_LANDSCAPE,)
+
+
+def _key(path: str, kinds: tuple[str, ...], reader: Callable, default: Any = _REQUIRED):
+    """A field holding its row of LAYOUT: (dotted path, kinds it applies to,
+    reader, default). A default of None leaves the field unset; a callable
+    default is computed from the fields read before it. A key every kind must
+    give is a required argument, any other field defaults to None."""
+    unset = {} if kinds == _ALL and default is _REQUIRED else {"default": None}
+    return dataclasses.field(**unset, metadata={"layout": (path, kinds, reader, default)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of one experiment.
+    """Fully resolved description of one experiment, one field per config key.
 
     Fields not applicable to ``kind`` are None. Vector-valued fields are
     tuples so configs compare and hash by value.
     """
 
-    kind: str
-    replications: int
-    master_seed: int
-    sigma: float
-    n0: int
-    # linreg / landscape problems
-    dimension: int | None = None
-    true_theta: tuple[float, ...] | None = None
-    # 1-D problem
-    true_mean: float | None = None
-    interval_lower: float | None = None
-    interval_upper: float | None = None
-    # verifier ball (iterate_linreg)
-    ball_radius: float | None = None
-    ball_delta: float | None = None
-    ball_center: tuple[float, ...] | None = None
-    slack: float | None = None
-    # iterate kinds
-    schedule: Schedule | None = None
-    arms: tuple[str, ...] | None = None
-    # landscape grid
-    delta_values: tuple[float, ...] | None = None
-    r_values: tuple[float, ...] | None = None
-    sigma_c: float | None = None
-    n1: int | None = None
-    log_ratio_of_means: bool | None = None
+    kind: str = _key("experiment", _ALL, _kind)
+    replications: int = _key("replications", _ALL, _integer)
+    master_seed: int = _key("master_seed", _ALL, _integer)
+    sigma: float = _key("problem.sigma", _ALL, _number)
+    n0: int = _key("problem.n0", _ALL, _integer)
+    true_mean: float | None = _key("problem.true_mean", _ONE_D, _number)
+    dimension: int | None = _key("problem.dimension", _LINEAR, _integer)
+    true_theta: tuple[float, ...] | None = _key("problem.true_theta", _LINEAR, _per_direction)
+    interval_lower: float | None = _key("interval.lower", _ONE_D, _number)
+    interval_upper: float | None = _key("interval.upper", _ONE_D, _number)
+    ball_radius: float | None = _key("ball.radius", _LINREG, _number)
+    ball_delta: float | None = _key("ball.delta", _LINREG, _number, None)
+    ball_center: tuple[float, ...] | None = _key("ball.center", _LINREG, _per_direction, None)
+    slack: float | None = _key("ball.slack", _LINREG, _number, _default_slack)
+    schedule: Schedule | None = _key("schedule", _ITERATE, _schedule)
+    arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, (FILTER_DIRECT,))
+    delta_values: tuple[float, ...] | None = _key("landscape.delta_values", _GRID, _vector)
+    r_values: tuple[float, ...] | None = _key("landscape.r_values", _GRID, _vector)
+    sigma_c: float | None = _key("landscape.sigma_c", _GRID, _number, _default_slack)
+    n1: int | None = _key("landscape.n1", _GRID, _integer)
+    log_ratio_of_means: bool | None = _key("landscape.log_ratio_of_means", _GRID, _flag, False)
 
     def __post_init__(self):
         _kind(self.kind, "experiment", {})
@@ -293,130 +401,9 @@ def _section(raw: Any, path: str, allowed: set[str], required: Iterable[str] = (
         _check(key in raw, f"missing required config key {prefix + key!r}")
 
 
-# Readers take a raw value, its dotted path and the fields read before it.
-
-
-def _kind(value: Any, path: str, values: Mapping[str, Any]) -> str:
-    _check(value in EXPERIMENT_KINDS, f"{path} must be one of {EXPERIMENT_KINDS}, got {value!r}")
-    return value
-
-
-def _number(value: Any, path: str, values: Mapping[str, Any]) -> float:
-    _check_number(value, path)
-    return float(value)
-
-
-def _integer(value: Any, path: str, values: Mapping[str, Any]) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    message = f"{path} must be an integer, got {value!r}"
-    number = value
-    if isinstance(value, str):
-        try:
-            number = float(value)
-        except ValueError:
-            pass
-    # a whole number written as a float (100.0) or as YAML 1.1's string (1e3)
-    if isinstance(number, float) and number.is_integer() and abs(number) <= 2 ** 53:
-        spelling = str(int(number))
-        message += (_yaml_string_hint(value, spelling) if isinstance(value, str)
-                    else f" (write {spelling})")
-    raise ConfigError(message)
-
-
-def _flag(value: Any, path: str, values: Mapping[str, Any]) -> bool:
-    _check(isinstance(value, bool), f"{path} must be true/false, got {value!r}")
-    return value
-
-
-def _vector(value: Any, path: str, values: Mapping[str, Any],
-            dimension: int | None = None) -> tuple[float, ...]:
-    if _is_number(value):
-        _check(dimension is not None, f"{path} must be a list of numbers")
-        _check(dimension <= MAX_ROUND_NOISE,
-               f"problem.dimension must be at most 2^24, got {dimension}")
-        return (float(value),) * dimension
-    _check(isinstance(value, (list, tuple)) and len(value) > 0,
-           f"{path} must be a nonempty list of numbers")
-    for i, item in enumerate(value):
-        _check_number(item, f"{path}[{i}]")
-    return tuple(float(item) for item in value)
-
-
-def _per_direction(value: Any, path: str, values: Mapping[str, Any]) -> tuple[float, ...]:
-    """A vector along the problem's directions; a single number is broadcast."""
-    return _vector(value, path, values, values["dimension"])
-
-
-def _schedule(value: Any, path: str, values: Mapping[str, Any]) -> Schedule:
-    _section(value, path, {"kind", "start", "end_or_ratio", "rounds", "unit"},
-             {"kind", "start", "rounds"})
-    kind = value["kind"]
-    _check(kind in SCHEDULE_KINDS, f"{path}.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    start = _integer(value["start"], f"{path}.start", values)
-    rounds = _integer(value["rounds"], f"{path}.rounds", values)
-    if "end_or_ratio" in value:
-        end_or_ratio = _number(value["end_or_ratio"], f"{path}.end_or_ratio", values)
-        _check(kind != KIND_FIXED or end_or_ratio == start,
-               f"{path}.end_or_ratio of a fixed schedule must equal start")
-    else:
-        _check(kind == KIND_FIXED, f"{path}.end_or_ratio is required for {kind} schedules")
-        end_or_ratio = float(start)
-    unit = value.get("unit", UNIT_TOTAL)
-    _check(unit in SCHEDULE_UNITS, f"{path}.unit must be one of {SCHEDULE_UNITS}, got {unit!r}")
-    try:
-        return Schedule(kind, start, end_or_ratio, rounds, unit)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _arms(value: Any, path: str, values: Mapping[str, Any]) -> tuple[str, ...]:
-    _check(isinstance(value, (list, tuple)), f"{path} must be a list of filter modes")
-    for i, arm in enumerate(value):
-        _check(isinstance(arm, str), f"{path}[{i}] must be one of {FILTER_MODES}, got {arm!r}")
-    return tuple(value)
-
-
-def _default_slack(values: Mapping[str, Any]) -> float:
-    return default_slack(values["sigma"])
-
-
-#: the default of a key that every config of the row's kinds must give
-_REQUIRED = object()
-_ALL = EXPERIMENT_KINDS
-_LINEAR = (KIND_LANDSCAPE, KIND_ITERATE_LINREG)
-_ITERATE = (KIND_ITERATE_LINREG, KIND_ITERATE_1D)
-_LINREG = (KIND_ITERATE_LINREG,)
-_ONE_D = (KIND_ITERATE_1D,)
-_GRID = (KIND_LANDSCAPE,)
-
-#: the file layout in file order, one row per ExperimentConfig field:
-#: (field, dotted path, kinds it applies to, reader, default). A default of
-#: None leaves the field unset; a callable default is computed from the
-#: fields read before it.
-LAYOUT = (
-    ("kind", "experiment", _ALL, _kind, _REQUIRED),
-    ("replications", "replications", _ALL, _integer, _REQUIRED),
-    ("master_seed", "master_seed", _ALL, _integer, _REQUIRED),
-    ("sigma", "problem.sigma", _ALL, _number, _REQUIRED),
-    ("n0", "problem.n0", _ALL, _integer, _REQUIRED),
-    ("true_mean", "problem.true_mean", _ONE_D, _number, _REQUIRED),
-    ("dimension", "problem.dimension", _LINEAR, _integer, _REQUIRED),
-    ("true_theta", "problem.true_theta", _LINEAR, _per_direction, _REQUIRED),
-    ("interval_lower", "interval.lower", _ONE_D, _number, _REQUIRED),
-    ("interval_upper", "interval.upper", _ONE_D, _number, _REQUIRED),
-    ("ball_radius", "ball.radius", _LINREG, _number, _REQUIRED),
-    ("ball_delta", "ball.delta", _LINREG, _number, None),
-    ("ball_center", "ball.center", _LINREG, _per_direction, None),
-    ("slack", "ball.slack", _LINREG, _number, _default_slack),
-    ("schedule", "schedule", _ITERATE, _schedule, _REQUIRED),
-    ("arms", "arms", _ITERATE, _arms, (FILTER_DIRECT,)),
-    ("delta_values", "landscape.delta_values", _GRID, _vector, _REQUIRED),
-    ("r_values", "landscape.r_values", _GRID, _vector, _REQUIRED),
-    ("sigma_c", "landscape.sigma_c", _GRID, _number, _default_slack),
-    ("n1", "landscape.n1", _GRID, _integer, _REQUIRED),
-    ("log_ratio_of_means", "landscape.log_ratio_of_means", _GRID, _flag, False),
-)
+#: the file layout in file order: (field, dotted path, kinds, reader, default)
+LAYOUT = tuple((field.name, *field.metadata["layout"])
+               for field in dataclasses.fields(ExperimentConfig))
 
 
 def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (FILTER_DIRECT, FILTER_NONE, KIND_ITERATE_1D, KIND_ITERATE_LINREG,
-                     KIND_LANDSCAPE, ExperimentConfig)
+                     KIND_LANDSCAPE, MIN_BLOCK_NOISE, ExperimentConfig)
 from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsError,
                      InvalidBoundsError)
 from .gaussian1d import ONE_DIRECTION, initial_mean
@@ -51,11 +51,6 @@ CONTRACTION_BURN_IN = 10
 #: most noise values a block of replications draws in one round; blocks are
 #: cut so that (replications x directions x per-direction count) stays below
 BLOCK_ELEMENTS = 2 ** 18
-
-#: fewest noise values a block draws in one round to get a worker of its own;
-#: a smaller block costs more in the kernel's per-round Python overhead, paid
-#: under the GIL, than a second worker saves
-MIN_BLOCK_NOISE = 2 ** 13
 
 #: most stream keys derived in one call
 KEY_CHUNK = 2 ** 14
@@ -92,11 +87,18 @@ def resolve_ball(config: ExperimentConfig) -> KnowledgeBall:
 # replication blocks
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _blocks(replications: int, threads: int, noise_per_rep: int) -> list[range]:
     """Contiguous 1-based replication ranges, cut to BLOCK_ELEMENTS: one per
-    worker that can run (``threads``, at most one per CPU) and that gets at
-    least MIN_BLOCK_NOISE noise values per round."""
-    workers = min(threads, os.cpu_count() or 1,
+    worker that can run (``threads``, at most one per usable CPU) and that
+    gets at least MIN_BLOCK_NOISE noise values per round."""
+    workers = min(threads, _usable_cpus(),
                   max(1, replications * noise_per_rep // MIN_BLOCK_NOISE))
     size = min(math.ceil(replications / workers), max(1, BLOCK_ELEMENTS // noise_per_rep))
     return [range(start, min(start + size, replications + 1))
@@ -105,7 +107,7 @@ def _blocks(replications: int, threads: int, noise_per_rep: int) -> list[range]:
 
 def _run_blocks(simulate: Callable[[range], None], blocks: list[range], threads: int) -> None:
     """Simulate every block on at most ``threads`` workers, one per block and CPU at most."""
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    workers = min(threads, len(blocks), _usable_cpus())
     if workers <= 1:
         for block in blocks:
             simulate(block)

@@ -28,7 +28,7 @@ def split_blocks(monkeypatch):
     """Give every thread a block of its own, however little work it holds, on
     a machine of 8 CPUs: the threaded path runs on any machine."""
     monkeypatch.setattr(experiments, "MIN_BLOCK_NOISE", 1)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

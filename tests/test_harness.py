@@ -989,21 +989,35 @@ class TestRunners:
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments, "MIN_BLOCK_NOISE", 1)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         config = config_from_mapping(oned_mapping())  # 3 replications: 3 blocks
         assert run_iterative(config, threads=10 ** 6) == run_iterative(config)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         run_iterative(config, threads=10 ** 6)
         assert sizes == [3, 2]
 
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiments._usable_cpus() == 1
+        assert experiments._blocks(200, 8, 800) == [range(1, 201)]
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        assert experiments._usable_cpus() == 8
+
     def test_blocks_follow_workers_and_work(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         blocks = experiments._blocks
-        # the bench workloads at 2 threads: (replications, noise values per round)
-        assert blocks(40, 2, 800) == [range(1, 21), range(21, 41)]  # landscape
-        assert blocks(10, 2, 5496) == [range(1, 6), range(6, 11)]  # iterate_linreg
+        # the bench workloads at 2 threads, one block each:
+        # (replications, noise values per round)
+        assert blocks(40, 2, 800) == [range(1, 41)]  # landscape
+        assert blocks(10, 2, 5496) == [range(1, 11)]  # iterate_linreg
         assert blocks(5, 2, 50) == [range(1, 6)]  # gaussian1d_long
         assert blocks(30, 2, 16) == [range(1, 31)]  # selective_reject
+        # the shipped configs
+        assert blocks(200, 2, 800) == [range(1, 101), range(101, 201)]  # landscape
+        assert blocks(200, 2, 200) == [range(1, 201)]  # gaussian1d_convergence
+        # iterate_linear_growth: two workers, blocks cut to BLOCK_ELEMENTS
+        assert [len(b) for b in blocks(200, 2, 5496)] == [47, 47, 47, 47, 12]
         # never more blocks than CPUs, unless a block would exceed BLOCK_ELEMENTS
         assert blocks(200, 64, 1000) == [range(1, 101), range(101, 201)]
         assert len(blocks(8, 1, experiments.BLOCK_ELEMENTS)) == 8
