@@ -19,9 +19,8 @@ _HOMES = {
     # errors
     **dict.fromkeys((
         "VerisynthError", "InvalidBoundsError", "DegenerateIntervalError",
-        "QuadratureError", "DimensionMismatchError", "NonUnitDirectionError",
-        "RankDeficientError", "MaxAttemptsError", "InsufficientRoundsError",
-        "SeedSpaceError", "ConfigError"), "errors"),
+        "QuadratureError", "DimensionMismatchError", "RankDeficientError",
+        "MaxAttemptsError", "InsufficientRoundsError", "SeedSpaceError", "ConfigError"), "errors"),
     # truncated-normal core
     **dict.fromkeys((
         "Bounds", "std_moments", "quadrature_moments",
@@ -32,9 +31,8 @@ _HOMES = {
     "default_slack": "config",
     # closed-form theory
     **dict.fromkeys((
-        "RegimeWarning", "baseline_mse", "one_step_prediction", "one_step_mse_prediction_1d",
-        "retraining_map", "retraining_map_slope", "contraction_rate", "long_term_bounds"),
-        "theory"),
+        "baseline_mse", "one_step_prediction", "retraining_map", "retraining_map_slope",
+        "contraction_rate", "long_term_bounds"), "theory"),
     # 1-D dynamics
     **dict.fromkeys(("initial_mean", "retrain_step", "hitting_time"), "gaussian1d"),
     # linear regression dynamics

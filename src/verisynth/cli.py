@@ -30,7 +30,6 @@ import argparse
 import gc
 import os
 import sys
-import warnings
 
 from ._version import __version__
 from .config import (
@@ -130,12 +129,6 @@ def _print_theory(summary: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        return _run(args)
-
-
-def _run(args: argparse.Namespace) -> int:
     # the runners are looked up on this module, where a caller may replace them
     runners = sys.modules[__name__]
     try:

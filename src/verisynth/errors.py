@@ -27,10 +27,6 @@ class DimensionMismatchError(VerisynthError):
     """Vector/matrix operands have incompatible dimensions."""
 
 
-class NonUnitDirectionError(VerisynthError):
-    """A direction vector is too far from unit norm to renormalize."""
-
-
 class RankDeficientError(VerisynthError):
     """The covariate matrix is (numerically) rank deficient."""
 

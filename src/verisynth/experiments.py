@@ -32,14 +32,14 @@ from .config import (FILTER_DIRECT, FILTER_NONE, KIND_ITERATE_1D, KIND_ITERATE_L
                      KIND_LANDSCAPE, MIN_BLOCK_NOISE, ExperimentConfig)
 from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsError,
                      InvalidBoundsError)
-from .gaussian1d import ONE_DIRECTION, initial_mean
+from .gaussian1d import initial_mean
 from .kernel import BlockRound, first_uniforms
 from .linreg import SpectralDesign, ols_fit, spectral_design
 from .output import columns_for
 from .seeding import BIAS_DIRECTION_KEY, DESIGN_KEY, KeyedStreams, derive_stream
-from .theory import (baseline_mse, contraction_rate, long_term_bounds,
-                     one_step_mse_prediction_1d, one_step_prediction, one_step_predictions)
-from .truncnorm import Bounds, libm
+from .theory import (baseline_mse, contraction_rate, long_term_bounds, one_step_prediction,
+                     one_step_predictions)
+from .truncnorm import libm
 from .verifier import Interval1D, KnowledgeBall
 
 STATUS_OK = "ok"
@@ -193,6 +193,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
+def _usable(norms: np.ndarray) -> bool:
+    """Whether every error norm is positive and finite, so that its log is."""
+    return bool(np.all((norms > 0.0) & (norms < math.inf)))
+
+
 def _mean_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error; a mean past the largest double is inf and the
     spread of infinities NaN, without a warning."""
@@ -274,9 +279,11 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     per_dir = np.array([config.n1])
     _run_arms(config, threads, design, rounds, per_dir, per_dir, fit, record)
 
-    rows = []
+    # a cell with an error norm of 0 or inf has no log ratio: a sigma below
+    # the spacing of doubles at theta* rounds estimates to it exactly
+    rows, real_usable = [], _usable(norm0)
     for i, (_, cell) in enumerate(cells):
-        if degenerate[i] or np.any(~np.isfinite(norm1[i])):
+        if degenerate[i] or not (real_usable and _usable(norm1[i])):
             mean = se = math.nan
             status = STATUS_DEGENERATE
         else:
@@ -308,17 +315,18 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 def _iterate_problem(config: ExperimentConfig) -> tuple:
     """An iterate config's spectral design, real-data fit, verifier, true
     parameter, verifier center and real-data baseline MSE. The 1-D mean is
-    the case p = 1: direction v = 1, the mean of n0 draws, the interval and
-    its midpoint, and baseline sigma^2 / n0."""
+    the case p = 1: one direction v = 1 of precision n0, the mean of n0
+    draws, the interval and its midpoint."""
     if config.kind == KIND_ITERATE_1D:
+        design = SpectralDesign(np.array([math.sqrt(config.n0)]), np.ones((1, 1)))
         interval = Interval1D(config.interval_lower, config.interval_upper)
-        return (ONE_DIRECTION, lambda rng: initial_mean(config, rng), interval,
-                np.array([config.true_mean]), np.array([interval.midpoint]),
-                config.sigma * config.sigma / config.n0)
-    design, fit = _real_data(config)
-    ball = resolve_ball(config)
-    return (design, fit, ball, np.asarray(config.true_theta, dtype=float), ball.center,
-            baseline_mse(design, config.sigma))
+        problem = (design, lambda rng: initial_mean(config, rng), interval,
+                   np.array([config.true_mean]), np.array([interval.midpoint]))
+    else:
+        design, fit = _real_data(config)
+        ball = resolve_ball(config)
+        problem = (design, fit, ball, np.asarray(config.true_theta, dtype=float), ball.center)
+    return (*problem, baseline_mse(design, config.sigma))
 
 
 def _iterate_theory(config: ExperimentConfig,
@@ -430,16 +438,13 @@ def theory_summary(config: ExperimentConfig) -> dict:
     problem = _iterate_problem(config)
     design, _, verifier, theta, _, baseline = problem
     per_dir, rho, init, bounds = _iterate_theory(config, problem)
-    n1 = int(per_dir[0])
+    one_step = one_step_prediction(design, theta, verifier, config.sigma, int(per_dir[0]))
     if config.kind == KIND_ITERATE_LINREG:
         return {"experiment": config.kind, "rho": rho, "baseline_mse": baseline,
-                "initial_expected_sq_center": init,
-                "one_step_mse": one_step_prediction(design, theta, verifier, config.sigma, n1),
+                "initial_expected_sq_center": init, "one_step_mse": one_step,
                 "final_round_bound": bounds[-1]}
-    at_truth = Bounds(*verifier.bounds(None, config.true_mean, config.sigma))
     out = {"experiment": config.kind, "rho": rho, "fixed_point": verifier.midpoint,
-           "one_step_mse": config.sigma * config.sigma * one_step_mse_prediction_1d(
-               at_truth, config.n0, n1)}
+           "one_step_mse": one_step}
     if math.isfinite(verifier.midpoint):
         out["final_round_bound"] = bounds[-1]
     return out

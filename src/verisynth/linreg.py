@@ -24,17 +24,17 @@ import numpy as np
 from .config import FILTER_DIRECT
 from .errors import DimensionMismatchError, InvalidBoundsError, RankDeficientError
 from .kernel import BlockRound
-from .verifier import Interval1D, KnowledgeBall
+from .verifier import UNIT_NORM_TOL, Interval1D, KnowledgeBall
 
 
 @dataclass(frozen=True)
 class SpectralDesign:
     """Singular values and right singular directions of the real design matrix.
 
-    ``directions`` holds v_j as rows (shape p x p), orthonormal within 1e-10
-    (every entry of v v^T within 1e-10 of the identity's, so each row is a unit
-    vector within ``verifier.UNIT_NORM_TOL``), ordered by descending singular
-    value, each row sign-fixed so its largest-magnitude entry is positive.
+    ``directions`` holds v_j as rows (shape p x p), orthonormal within
+    ``verifier.UNIT_NORM_TOL`` = 1e-10 (every entry of v v^T within it of the
+    identity's, so each row is a unit vector within it), ordered by descending
+    singular value, each row sign-fixed so its largest-magnitude entry is positive.
     """
 
     singular_values: np.ndarray
@@ -50,8 +50,8 @@ class SpectralDesign:
             raise RankDeficientError("singular values must be finite and positive")
         if np.any(np.diff(s) > 0.0):
             raise InvalidBoundsError("singular values must be non-increasing")
-        if not np.allclose(v @ v.T, np.eye(p), rtol=0.0, atol=1e-10):
-            raise InvalidBoundsError("directions must be orthonormal within 1e-10")
+        if not np.allclose(v @ v.T, np.eye(p), rtol=0.0, atol=UNIT_NORM_TOL):
+            raise InvalidBoundsError(f"directions must be orthonormal within {UNIT_NORM_TOL}")
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "directions", v)
 

@@ -10,16 +10,11 @@ so rounds contract toward the verifier's center at rho = m2 of the centered band
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBoundsError
 from .truncnorm import Bounds, Truncations, libm, one_value, std_moments
-
-
-class RegimeWarning(UserWarning):
-    """The closed-form prediction is being used outside its accuracy regime."""
 
 
 def _risk(limits: np.ndarray, precisions, n1: int) -> np.ndarray:
@@ -42,7 +37,8 @@ def baseline_mse(design, sigma: float) -> float:
 def one_step_predictions(design, true_theta: np.ndarray, balls, sigma: float,
                          n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form E||theta_1 - true_theta||^2 after one verified retraining
-    round for each verifier in ``balls``, and the predicted log ratio
+    round for each verifier in ``balls`` (knowledge balls, or the p = 1
+    problem's Interval1D on a design of precision n0), and the predicted log ratio
     0.5 log(baseline_mse / it), formed in units of sigma^2 so that it holds
     where sigma^2 underflows or overflows; both NaN for a verifier with an
     acceptance region at the true parameter that carries no mass."""
@@ -67,21 +63,6 @@ def one_step_prediction(design, true_theta: np.ndarray, ball, sigma: float, n1: 
     when some direction's acceptance region at the true parameter carries no mass."""
     return one_value(one_step_predictions(design, true_theta, [ball], sigma, n1)[0],
                      "an acceptance region at the true parameter")
-
-
-def one_step_mse_prediction_1d(bounds: Bounds, n0: int, n1: int) -> float:
-    """Closed-form one-step MSE of the retrained mean, in units of sigma^2.
-
-    ``bounds`` is the standardized verifier interval relative to the true mean.
-    The expansion is accurate when n1 > n0 >= 100; outside that regime the
-    value is still returned but a RegimeWarning is emitted.
-    """
-    if n0 < 1 or n1 < 1:
-        raise InvalidBoundsError(f"sample counts must be >= 1, got n0={n0}, n1={n1}")
-    if not (n1 > n0 >= 100):
-        warnings.warn(f"prediction derived for n1 > n0 >= 100; called with n0={n0}, n1={n1}",
-                      RegimeWarning, stacklevel=2)
-    return one_value(_risk(np.array([[bounds.lower], [bounds.upper]]), n0, n1), f"bounds {bounds}")
 
 
 def _shifted_moment(bounds: Bounds, x, which: int):

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidBoundsError, NonUnitDirectionError
+from .errors import DimensionMismatchError, InvalidBoundsError
 from .truncnorm import Bounds
 
-#: |  ||v|| - 1 | below this is treated as exactly unit
+#: most | ||v|| - 1 | of a direction taken as unit; a farther one is refused
 UNIT_NORM_TOL = 1e-10
-#: up to this deviation the direction is silently renormalized; beyond it, error
-UNIT_NORM_RENORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -126,19 +124,11 @@ class Interval1D:
         return self.accepts
 
 
-def _as_unit(direction: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(direction))
-    if abs(nrm - 1.0) <= UNIT_NORM_TOL:
-        return direction
-    if abs(nrm - 1.0) <= UNIT_NORM_RENORM_TOL:
-        return direction / nrm
-    raise NonUnitDirectionError(f"direction norm {nrm!r} deviates from 1 beyond tolerance")
-
-
 def direction_bounds(
     ball: KnowledgeBall, direction: np.ndarray, generator_mean: np.ndarray, sigma: float
 ) -> Bounds:
-    """Standardized acceptance interval for noise along a unit direction.
+    """Standardized acceptance interval for noise along a unit direction;
+    a direction more than UNIT_NORM_TOL off unit norm raises InvalidBoundsError.
 
     For covariate x = v (unit norm) and response y = v . generator_mean + sigma * xi,
     acceptance by the ball is equivalent to xi falling in the returned bounds:
@@ -155,7 +145,10 @@ def direction_bounds(
         raise DimensionMismatchError(
             f"direction {direction.shape} / mean {generator_mean.shape} vs dimension {ball.dimension}"
         )
-    lower, upper = ball.bounds(_as_unit(direction)[None], generator_mean[None], sigma)
+    norm = float(np.linalg.norm(direction))
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise InvalidBoundsError(f"direction norm {norm!r} is more than {UNIT_NORM_TOL} off 1")
+    lower, upper = ball.bounds(direction[None], generator_mean[None], sigma)
     return Bounds(lower[0, 0], upper[0, 0])
 
 

@@ -1,7 +1,6 @@
 """Scalar retraining dynamics: deterministic map, one-step MSE, bounds, hitting times."""
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from verisynth import (
     InvalidBoundsError,
     KnowledgeBall,
     MaxAttemptsError,
-    RegimeWarning,
+    RankDeficientError,
     SpectralDesign,
     acceptance_probability,
     config_from_mapping,
@@ -24,7 +23,6 @@ from verisynth import (
     initial_mean,
     interval_bounds_1d,
     long_term_bounds,
-    one_step_mse_prediction_1d,
     one_step_prediction,
     retrain_step,
     retraining_map,
@@ -137,49 +135,53 @@ class TestRetrainStep:
             retrain_step(mean, UNIT, 1.0, 5, Untouchable(), mode)
 
 
+def one_step_1d(lower: float, upper: float, n0: int, n1: int) -> float:
+    """One-step MSE of the 1-D mean at true mean 0 and sigma 1: the p = 1
+    prediction on the design of precision n0."""
+    design = SpectralDesign(np.array([math.sqrt(n0)]), np.array([[1.0]]))
+    return one_step_prediction(design, np.zeros(1), Interval1D(lower, upper), 1.0, n1)
+
+
+def oned_config(mean, sigma, n0, lower, upper, n1, reps=1):
+    return config_from_mapping({
+        "experiment": "iterate_1d", "replications": reps, "master_seed": 0,
+        "problem": {"true_mean": mean, "sigma": sigma, "n0": n0},
+        "interval": {"lower": lower, "upper": upper},
+        "schedule": {"kind": "fixed", "start": n1, "rounds": 1}})
+
+
 class TestOneStepPrediction:
     def test_frozen_symmetric_value(self):
-        pred = one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0=100, n1=1000)
+        pred = one_step_1d(-1.0, 1.0, n0=100, n1=1000)
         assert pred == pytest.approx(M2_SYM1 / 1000 + M2_SYM1 ** 2 / 100, rel=1e-14)
         assert pred == pytest.approx(1.1386632828e-3, abs=1e-9)
 
     def test_untruncated_reduces_to_classical(self):
-        pred = one_step_mse_prediction_1d(Bounds(-math.inf, math.inf), 200, 500)
+        pred = one_step_1d(-math.inf, math.inf, 200, 500)
         assert pred == pytest.approx(1.0 / 500 + 1.0 / 200, rel=1e-14)
 
     def test_symmetric_general_form(self):
         m = std_moments(Bounds(-0.7, 0.7))
-        pred = one_step_mse_prediction_1d(Bounds(-0.7, 0.7), 150, 600)
+        pred = one_step_1d(-0.7, 0.7, 150, 600)
         assert pred == pytest.approx(m.m2 / 600 + m.m2 ** 2 / 150, rel=1e-14)
-
-    def test_regime_warning(self):
-        with pytest.warns(RegimeWarning):
-            one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0=10, n1=100)
-        with pytest.warns(RegimeWarning):
-            one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0=200, n1=200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0=100, n1=101)
 
     def test_invalid_counts(self):
         with pytest.raises(InvalidBoundsError):
-            one_step_mse_prediction_1d(Bounds(-1.0, 1.0), 0, 10)
+            one_step_1d(-1.0, 1.0, 10, 0)
+        with pytest.raises(RankDeficientError):  # n0 = 0: no real data, no precision
+            one_step_1d(-1.0, 1.0, 0, 10)
 
     @pytest.mark.parametrize("n1", [200, 1000])
     def test_monte_carlo_agreement(self, n1):
         mu, sigma, n0, reps = 0.0, 1.0, 100, 5000
-        problem = config_from_mapping({
-            "experiment": "iterate_1d", "replications": reps, "master_seed": 0,
-            "problem": {"true_mean": mu, "sigma": sigma, "n0": n0},
-            "interval": {"lower": -1.0, "upper": 1.0},
-            "schedule": {"kind": "fixed", "start": n1, "rounds": 1}})
+        problem = oned_config(mu, sigma, n0, -1.0, 1.0, n1, reps)
         rng = np.random.default_rng(50 + n1)
         sq = np.empty(reps)
         for i in range(reps):
             m0 = initial_mean(problem, rng)
             m1 = retrain_step(m0, UNIT, sigma, n1, rng)
             sq[i] = ((m1 - mu) / sigma) ** 2
-        pred = one_step_mse_prediction_1d(Bounds(-1.0, 1.0), n0, n1)
+        pred = theory_summary(problem)["one_step_mse"]
         se = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - pred) < 3 * se
 
@@ -193,8 +195,8 @@ class TestOneStepPrediction:
         (4.0, 1.5, 1.0, 1.0, 100, 150),
     ])
     def test_equals_the_p1_regression_prediction(self, center, radius, mean, sigma, n0, n1):
-        bounds = interval_bounds_1d(Interval1D(center - radius, center + radius), mean, sigma)
-        scalar = sigma ** 2 * one_step_mse_prediction_1d(bounds, n0, n1)
+        config = oned_config(mean, sigma, n0, center - radius, center + radius, n1)
+        scalar = theory_summary(config)["one_step_mse"]
         design = SpectralDesign(np.array([math.sqrt(n0)]), np.array([[1.0]]))
         ball = KnowledgeBall(np.array([center]), radius, 0.0)
         regression = one_step_prediction(design, np.array([mean]), ball, sigma, n1)

@@ -22,7 +22,6 @@ from verisynth import (
     KIND_ITERATE_LINREG,
     KIND_LANDSCAPE,
     LANDSCAPE_COLUMNS,
-    RegimeWarning,
     Schedule,
     SeedSpaceError,
     TRAJECTORY_COLUMNS,
@@ -901,6 +900,33 @@ class TestRunners:
         assert all(row[key] == "nan" for row in rows
                    for key in ("log_ratio_mean", "log_ratio_se", "theory_log_ratio"))
 
+    # sigma = 1e-15 lies below the spacing of doubles at theta* = 1, so some
+    # retrained estimates round to theta* exactly: an error norm of 0
+    @pytest.mark.parametrize("of_means", [False, True], ids=["mean-of-logs", "log-of-means"])
+    def test_landscape_zero_error_norm_is_degenerate(self, of_means):
+        raw = landscape_mapping(replications=200, master_seed=3, problem={
+            "dimension": 2, "true_theta": 1.0, "sigma": 1e-15, "n0": 20})
+        raw["landscape"] = {"delta_values": [0.0, 0.5], "r_values": [0.5], "n1": 10,
+                            "log_ratio_of_means": of_means}
+        rows = run_landscape(config_from_mapping(raw))
+        assert [row["status"] for row in rows] == ["degenerate"] * 2
+        assert all(math.isnan(row[key]) for row in rows
+                   for key in ("log_ratio_mean", "log_ratio_se"))
+        assert all(math.isfinite(row["theory_log_ratio"]) for row in rows)
+
+    # a ball placed by its center runs as the delta config that puts it there
+    def test_ball_center_runs_as_its_delta_twin(self):
+        schedule = {"kind": "linear", "start": 40, "end_or_ratio": 80, "rounds": 5}
+        arms = ["direct", "reject", "none"]
+        by_delta = config_from_mapping(linreg_mapping(schedule=schedule, arms=arms))
+        center = np.asarray(by_delta.true_theta) + 0.5 * experiments.bias_direction(by_delta)
+        by_center = config_from_mapping(linreg_mapping(
+            schedule=schedule, arms=arms, ball={"radius": 1.0, "center": center.tolist()}))
+        assert by_center.ball_delta is None
+        rows = [[repr(v) for v in row.values()] for row in run_iterative(by_center)]
+        assert len(rows) == 18
+        assert rows == [[repr(v) for v in row.values()] for row in run_iterative(by_delta)]
+
     def test_trajectory_rows(self):
         config = config_from_mapping(linreg_mapping())
         rows = run_iterative(config)
@@ -1067,7 +1093,6 @@ class TestTheorySummary:
         assert all(math.isfinite(c["theory_log_ratio"]) for c in summary["cells"])
 
     # sigma ** 2 raises OverflowError on a Python float; sigma * sigma is inf
-    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
     def test_oned_sigma_square_past_the_largest_double(self):
         config = config_from_mapping(oned_mapping(
             problem={"true_mean": 0.0, "sigma": 1e200, "n0": 20},
@@ -1102,8 +1127,7 @@ class TestTheorySummary:
         assert summary["final_round_bound"] > 0
 
     def test_one_dimensional_summary(self):
-        with pytest.warns(RegimeWarning):  # n0=50 is below the accuracy regime
-            summary = theory_summary(config_from_mapping(oned_mapping()))
+        summary = theory_summary(config_from_mapping(oned_mapping()))
         assert summary["experiment"] == KIND_ITERATE_1D
         assert summary["fixed_point"] == 0.0
         assert 0.0 < summary["rho"] < 1.0
@@ -1121,15 +1145,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config OK: iterate_1d" in out
 
-    # the divergence config's n1 = 50 lies outside the one-step expansion's regime
-    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
     def test_shipped_config_validates(self, path, capsys):
-        assert main(["validate", "--config", str(path)]) == 0
-        assert main(["theory", "--config", str(path)]) == 0
-        assert "experiment:" in capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(path)]) == 0
+            assert main(["theory", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "experiment:" in out
+        assert err == ""
 
-    @pytest.mark.filterwarnings("ignore::verisynth.RegimeWarning")
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
     def test_shipped_outputs_are_pinned(self, path, tmp_path, capsys):
         theory, table = SHIPPED_DIGESTS[path.stem]
@@ -1240,15 +1265,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Permission denied" in err
         assert "Traceback" not in err
-
-    def test_warnings_print_as_one_line(self, tmp_path, capsys):
-        # n1 = 30 < n0 = 50 lies outside the one-step expansion's regime
-        path = self.write(tmp_path, oned_mapping())
-        assert main(["theory", "--config", path]) == 0
-        out, err = capsys.readouterr()
-        assert err == ("warning: prediction derived for n1 > n0 >= 100; "
-                       "called with n0=50, n1=30\n")
-        assert out.startswith("experiment: 'iterate_1d'\n")
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, landscape_mapping())

@@ -12,7 +12,6 @@ from verisynth import (
     Interval1D,
     InvalidBoundsError,
     KnowledgeBall,
-    NonUnitDirectionError,
     acceptance_probability,
     contraction_rate,
     default_slack,
@@ -110,14 +109,17 @@ class TestDirectionBounds:
             b = direction_bounds(ball, v, rng.normal(size=p), sigma)
             assert b.upper - b.lower == pytest.approx(2 * (ball.radius + ball.slack) / sigma)
 
+    # the rule SpectralDesign applies to its rows: a direction is used as it
+    # is within UNIT_NORM_TOL of unit norm, and refused beyond it
     def test_unit_tolerance(self):
         ball = KnowledgeBall(np.zeros(2), 1.0, 0.0)
         v = np.array([1.0, 0.0])
         exact = direction_bounds(ball, v, np.zeros(2), 1.0)
-        nearly = direction_bounds(ball, v * (1.0 + 5e-7), np.zeros(2), 1.0)
-        assert nearly.lower == pytest.approx(exact.lower, abs=1e-6)
-        with pytest.raises(NonUnitDirectionError):
-            direction_bounds(ball, v * 1.01, np.zeros(2), 1.0)
+        nearly = direction_bounds(ball, v * (1.0 + 5e-11), np.zeros(2), 1.0)
+        assert (nearly.lower, nearly.upper) == (exact.lower, exact.upper)
+        for scale in (1.0 + 5e-7, 1.01, math.nan):
+            with pytest.raises(InvalidBoundsError, match="off 1"):
+                direction_bounds(ball, v * scale, np.zeros(2), 1.0)
 
     def test_acceptance_event_equivalence(self):
         # the ball accepts y = v.theta_hat + sigma*xi  iff  xi is inside
