@@ -13,10 +13,11 @@ One config file describes one experiment. Top-level keys::
     landscape: {...}     # landscape only
 
 Each ``ExperimentConfig`` field declares its own row of this layout, in file
-order: the field's dotted path, the kinds it applies to, its reader and its
-default. ``LAYOUT`` collects the rows from the fields; the parser, the
-presence checks of ``ExperimentConfig`` and ``to_mapping`` each loop over it;
-value ranges are checked in ``ExperimentConfig`` alone.
+order: the field's dotted path, the kinds it applies to, its reader, its
+default and the bounds of its numbers. ``LAYOUT`` collects the rows from the
+fields; the parser, the per-key checks of ``ExperimentConfig`` and
+``to_mapping`` each loop over it. Rules that relate keys are checked in
+``ExperimentConfig`` after every key's own.
 
 Unknown keys anywhere are hard errors naming the full dotted path, and so
 are keys given twice in one mapping of a file. The only
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -180,13 +182,21 @@ _ONE_D = (KIND_ITERATE_1D,)
 _GRID = (KIND_LANDSCAPE,)
 
 
-def _key(path: str, kinds: tuple[str, ...], reader: Callable, default: Any = _REQUIRED):
+#: the conditions a bound may set: a closed or open lower end, an open upper end
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+def _key(path: str, kinds: tuple[str, ...], reader: Callable,
+         bounds: tuple[str, ...] | None = None, default: Any = _REQUIRED):
     """A field holding its row of LAYOUT: (dotted path, kinds it applies to,
-    reader, default). A default of None leaves the field unset; a callable
-    default is computed from the fields read before it. A key every kind must
-    give is a required argument, any other field defaults to None."""
+    reader, default, bounds). Unless ``bounds`` is None, a tuple value must be
+    nonempty and each number finite and meet each of ``bounds``, such as ">= 0".
+    A default of None leaves the field unset; a callable default is computed
+    from the fields read before it. A key every kind must give is a required
+    argument, any other field defaults to None."""
     unset = {} if kinds == _ALL and default is _REQUIRED else {"default": None}
-    return dataclasses.field(**unset, metadata={"layout": (path, kinds, reader, default)})
+    layout = (path, kinds, reader, default, bounds)
+    return dataclasses.field(**unset, metadata={"layout": layout})
 
 
 @dataclass(frozen=True)
@@ -198,45 +208,48 @@ class ExperimentConfig:
     """
 
     kind: str = _key("experiment", _ALL, _kind)
-    replications: int = _key("replications", _ALL, _integer)
+    replications: int = _key("replications", _ALL, _integer, (">= 1",))
     master_seed: int = _key("master_seed", _ALL, _integer)
-    sigma: float = _key("problem.sigma", _ALL, _number)
-    n0: int = _key("problem.n0", _ALL, _integer)
-    true_mean: float | None = _key("problem.true_mean", _ONE_D, _number)
-    dimension: int | None = _key("problem.dimension", _LINEAR, _integer)
-    true_theta: tuple[float, ...] | None = _key("problem.true_theta", _LINEAR, _per_direction)
+    sigma: float = _key("problem.sigma", _ALL, _number, ("> 0",))
+    n0: int = _key("problem.n0", _ALL, _integer, (">= 1",))
+    true_mean: float | None = _key("problem.true_mean", _ONE_D, _number, ())
+    dimension: int | None = _key("problem.dimension", _LINEAR, _integer, (">= 1",))
+    true_theta: tuple[float, ...] | None = _key("problem.true_theta", _LINEAR, _per_direction, ())
     interval_lower: float | None = _key("interval.lower", _ONE_D, _number)
     interval_upper: float | None = _key("interval.upper", _ONE_D, _number)
-    ball_radius: float | None = _key("ball.radius", _LINREG, _number)
-    ball_delta: float | None = _key("ball.delta", _LINREG, _number, None)
-    ball_center: tuple[float, ...] | None = _key("ball.center", _LINREG, _per_direction, None)
-    slack: float | None = _key("ball.slack", _LINREG, _number, _default_slack)
+    ball_radius: float | None = _key("ball.radius", _LINREG, _number, (">= 0",))
+    ball_delta: float | None = _key("ball.delta", _LINREG, _number, (">= 0",), None)
+    ball_center: tuple[float, ...] | None = _key("ball.center", _LINREG, _per_direction, (), None)
+    slack: float | None = _key("ball.slack", _LINREG, _number, (">= 0",), _default_slack)
     schedule: Schedule | None = _key("schedule", _ITERATE, _schedule)
-    arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, (FILTER_DIRECT,))
-    delta_values: tuple[float, ...] | None = _key("landscape.delta_values", _GRID, _vector)
-    r_values: tuple[float, ...] | None = _key("landscape.r_values", _GRID, _vector)
-    sigma_c: float | None = _key("landscape.sigma_c", _GRID, _number, _default_slack)
-    n1: int | None = _key("landscape.n1", _GRID, _integer)
-    log_ratio_of_means: bool | None = _key("landscape.log_ratio_of_means", _GRID, _flag, False)
+    arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, (), (FILTER_DIRECT,))
+    delta_values: tuple[float, ...] | None = _key("landscape.delta_values", _GRID, _vector,
+                                                  (">= 0",))
+    r_values: tuple[float, ...] | None = _key("landscape.r_values", _GRID, _vector, ("> 0",))
+    sigma_c: float | None = _key("landscape.sigma_c", _GRID, _number, (">= 0",), _default_slack)
+    n1: int | None = _key("landscape.n1", _GRID, _integer, (">= 1",))
+    log_ratio_of_means: bool | None = _key("landscape.log_ratio_of_means", _GRID, _flag,
+                                           default=False)
 
     def __post_init__(self):
         _kind(self.kind, "experiment", {})
-        for field, path, kinds, _, default in LAYOUT:
+        for field, path, kinds, _, default, bounds in LAYOUT:
             value = getattr(self, field)
             if self.kind not in kinds:
                 _check(value is None, f"{path} does not apply to {self.kind} experiments")
             elif default is not None:
                 _check(value is not None, f"missing required config key {path!r}")
-            for number in value if isinstance(value, tuple) else (value,):
-                _check(not (_is_number(number) and MAX_SCALE < abs(number) < math.inf),
+            numbers = value if isinstance(value, tuple) else (value,)
+            _check(bool(numbers) or bounds is None, f"{path} must be nonempty")
+            # each distinct number once: a number broadcast along 2^24 directions is one
+            for number in filter(_is_number, dict.fromkeys(numbers)):
+                _check(not MAX_SCALE < abs(number) < math.inf,
                        f"{path} must be at most {MAX_SCALE:g} in magnitude, got {number!r}")
-        _check(self.replications >= 1, "replications must be >= 1")
+                if bounds is not None:
+                    _check_bounds(number, path, bounds)
         _check(0 <= self.master_seed <= MAX_INDEX,
                f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")
-        _check(math.isfinite(self.sigma) and self.sigma > 0.0, "problem.sigma must be > 0")
-        _check(self.n0 >= 1, "problem.n0 must be >= 1")
         if self.kind == KIND_ITERATE_1D:
-            _check(math.isfinite(self.true_mean), "problem.true_mean must be finite")
             _check(self.interval_lower < self.interval_upper,
                    "interval.lower must be < interval.upper")
             # the band's finite ends are parameters: the reach needs no half-width
@@ -249,22 +262,14 @@ class ExperimentConfig:
                          "(interval.upper - problem.true_mean) / problem.sigma"
                          " - (interval.lower - problem.true_mean) / problem.sigma")
         else:
-            _check(self.dimension >= 1, "problem.dimension must be >= 1")
             _check(len(self.true_theta) == self.dimension,
                    "problem.true_theta must have length problem.dimension")
-            _check(_finite(self.true_theta), "problem.true_theta must be finite")
             _check(self.n0 >= self.dimension, "problem.n0 must be >= problem.dimension")
         if self.kind == KIND_ITERATE_LINREG:
-            _check(0.0 <= self.ball_radius < math.inf, "ball.radius must be finite and >= 0")
             _check((self.ball_delta is None) != (self.ball_center is None),
                    "ball needs exactly one of 'delta' / 'center'")
-            if self.ball_delta is not None:
-                _check(0.0 <= self.ball_delta < math.inf, "ball.delta must be finite and >= 0")
-            else:
-                _check(len(self.ball_center) == self.dimension,
-                       "ball.center must have length problem.dimension")
-                _check(_finite(self.ball_center), "ball.center must be finite")
-            _check(0.0 <= self.slack < math.inf, "ball.slack must be finite and >= 0")
+            _check(self.ball_center is None or len(self.ball_center) == self.dimension,
+                   "ball.center must have length problem.dimension")
             _check(self.ball_radius + self.slack > 0.0, "ball.radius + ball.slack must be > 0")
             _check_width(2.0 * (self.ball_radius + self.slack) / self.sigma,
                          "2 (ball.radius + ball.slack) / problem.sigma")
@@ -279,22 +284,13 @@ class ExperimentConfig:
                          "the scale of problem.true_theta and ball.delta / ball.center"
                          " + ball.radius + ball.slack")
         if self.kind == KIND_LANDSCAPE:
-            _check(len(self.delta_values) > 0, "landscape.delta_values must be nonempty")
-            _check(len(self.r_values) > 0, "landscape.r_values must be nonempty")
-            _check(all(0.0 <= d < math.inf for d in self.delta_values),
-                   "landscape.delta_values must be finite and >= 0")
-            _check(all(0.0 < r < math.inf for r in self.r_values),
-                   "landscape.r_values must be finite and > 0")
-            _check(0.0 <= self.sigma_c < math.inf, "landscape.sigma_c must be finite and >= 0")
             _check_reach(max(map(abs, self.true_theta)) + max(self.delta_values)
                          + max(self.r_values) + self.sigma_c, self.sigma,
                          "max |problem.true_theta| + max landscape.delta_values"
                          " + max landscape.r_values + landscape.sigma_c")
             _check_width(2.0 * (min(self.r_values) + self.sigma_c) / self.sigma,
                          "2 (min landscape.r_values + landscape.sigma_c) / problem.sigma")
-            _check(self.n1 >= 1, "landscape.n1 must be >= 1")
         else:
-            _check(len(self.arms) >= 1, "arms must be nonempty")
             _check(len(set(self.arms)) == len(self.arms), "arms must not repeat a filter mode")
             for arm in self.arms:
                 _check(arm in FILTER_MODES, f"unknown arm {arm!r}")
@@ -363,8 +359,11 @@ def _check_reach(reach: float, sigma: float, formula: str) -> None:
            f"double: problem.sigma is too small for the standardized bounds")
 
 
-def _finite(values: tuple[float, ...]) -> bool:
-    return all(math.isfinite(v) for v in values)
+def _check_bounds(number: float, path: str, bounds: tuple[str, ...]) -> None:
+    rule = ["finite"] * isinstance(number, float) + list(bounds)  # an int is finite
+    _check(-math.inf < number < math.inf and all(
+        _COMPARE[op](number, float(limit)) for op, limit in map(str.split, bounds)),
+        f"{path} must be {' and '.join(rule)}, got {number!r}")
 
 
 def _is_number(value: Any) -> bool:
@@ -401,7 +400,7 @@ def _section(raw: Any, path: str, allowed: set[str], required: Iterable[str] = (
         _check(key in raw, f"missing required config key {prefix + key!r}")
 
 
-#: the file layout in file order: (field, dotted path, kinds, reader, default)
+#: the file layout in file order: (field, dotted path, kinds, reader, default, bounds)
 LAYOUT = tuple((field.name, *field.metadata["layout"])
                for field in dataclasses.fields(ExperimentConfig))
 
@@ -416,7 +415,7 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
         _check(any(path.partition(".")[0] == key for _, path, *_ in rows),
                f"config section {key!r} does not apply to {kind} experiments")
     values: dict[str, Any] = {}
-    for field, path, _, reader, default in rows:
+    for field, path, _, reader, default, _ in rows:
         section, _, key = path.rpartition(".")
         node = raw
         if section:
@@ -473,7 +472,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.load(handle, Loader=_Loader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc

@@ -129,7 +129,8 @@ class BlockRound:
                 f"ball dimension {verifier.dimension} vs design dimension {design.dimension}"
             )
         self.directions = design.directions
-        self.accept = [verifier.acceptance(v) for v in design.directions]
+        if mode == FILTER_REJECT:
+            self.accept = [verifier.acceptance(v) for v in design.directions]
         self.verifier, self.sigma, self.mode = verifier, sigma, mode
 
     def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:

@@ -31,7 +31,7 @@ def _risk(limits: np.ndarray, precisions, n1: int) -> np.ndarray:
 
 def baseline_mse(design, sigma: float) -> float:
     """Exact OLS risk conditional on the design: sigma^2 * sum_j mu_j^-2."""
-    return float(sigma * sigma * np.sum(design.singular_values ** -2.0))
+    return float(sigma * sigma * np.sum(libm(math.pow, design.singular_values, -2.0)))
 
 
 def one_step_predictions(design, true_theta: np.ndarray, balls, sigma: float,

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 import warnings
 from concurrent.futures import Future
 from pathlib import Path
@@ -41,6 +42,7 @@ from verisynth import (
 )
 from verisynth import experiments
 from verisynth.cli import main
+from verisynth.config import _check_bounds
 from verisynth.output import format_cell
 
 # --- minimal valid config mappings, one per experiment kind -----------------
@@ -666,6 +668,38 @@ class TestConfigParsing:
             "landscape.delta_values[1] must be a number, got '1e5' (YAML 1.1 reads an "
             "exponent only after a dot and with a sign: write 100000.0)")
 
+    @pytest.mark.parametrize("mapping,message", [
+        (linreg_mapping(ball={"radius": math.inf, "delta": 0.5}),
+         "ball.radius must be finite and >= 0, got inf"),
+        (oned_mapping(problem={"true_mean": 0.0, "sigma": 0.0, "n0": 50}),
+         "problem.sigma must be finite and > 0, got 0.0"),
+        (oned_mapping(replications=0), "replications must be >= 1, got 0"),
+        (linreg_mapping(ball={"radius": 1.0, "center": [0.0, math.nan]}),
+         "ball.center must be finite, got nan"),
+        (landscape_mapping(landscape={"delta_values": [0.0], "r_values": [0.6, 0.0], "n1": 60}),
+         "landscape.r_values must be finite and > 0, got 0.0"),
+        (linreg_mapping(arms=[]), "arms must be nonempty"),
+    ], ids=["radius", "sigma", "replications", "center", "r_values", "arms"])
+    def test_key_bounds_name_the_key(self, mapping, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(mapping)
+        assert str(exc.value) == message
+
+    def test_broadcast_vector_is_checked_once(self):
+        # a number broadcast along 2^22 directions is one number to check; with
+        # each copy checked, this refusal took 5 s on 2 shared CPUs
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="problem.n0 must be >= problem.dimension"):
+            config_from_mapping(landscape_mapping(problem={"dimension": 2 ** 22, "true_theta": 1.0,
+                                                           "sigma": 1.0, "n0": 40}))
+        assert time.perf_counter() - start < 2.0
+
+    def test_key_bounds_may_close_above(self):
+        # no key has an upper end yet; the message form is the same
+        with pytest.raises(ConfigError, match=r"^leak must be finite and >= 0 and < 1, got 1.0$"):
+            _check_bounds(1.0, "leak", (">= 0", "< 1"))
+        _check_bounds(0.5, "leak", (">= 0", "< 1"))
+
     def test_non_mapping_names_the_config(self):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping([1])
@@ -1180,6 +1214,30 @@ class TestCli:
         path.write_text("experiment: landscape\nbogus: 1\n")
         assert main(["validate", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: None, "cannot read config"),
+        (lambda path: path.mkdir(), "cannot read config"),
+        (lambda path: path.write_bytes(b"replications: \xff\xfe\n"),
+         "codec can't decode byte 0xff"),
+        (lambda path: path.write_text("a: [1, 2\n"), "cannot parse config"),
+        (lambda path: path.write_text("- 1\n- 2\n"), "must be a mapping of keys to values"),
+        (lambda path: path.write_text(""), "must be a mapping of keys to values"),
+    ], ids=["missing", "directory", "not-utf-8", "unclosed-list", "top-level-list", "empty"])
+    def test_unloadable_config_fails_validate(self, tmp_path, capsys, make, message):
+        path = tmp_path / "config.yaml"
+        make(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config {str(path)!r}" in err and message in err
+
+    def test_aliased_value_is_not_a_repeated_key(self, tmp_path, capsys):
+        mapping = {key: value for key, value in landscape_mapping().items() if key != "landscape"}
+        path = tmp_path / "alias.yaml"
+        path.write_text(yaml.safe_dump(mapping) + "landscape:\n  delta_values: &d [0.5, 1.0]\n"
+                        "  r_values: *d\n  n1: 60\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_seed_outside_key_space_fails_validate(self, tmp_path, capsys):
         path = tmp_path / "seed.yaml"

@@ -389,6 +389,18 @@ def test_reject_row_of_nan_mass_fails_before_any_draw():
                     lambda row: f"row {row}")
 
 
+@pytest.mark.parametrize("mode", ["direct", "none"])
+def test_only_reject_rounds_build_acceptance_tests(monkeypatch, mode):
+    # only the generate-and-verify loop tests raw draws
+    def refuse(self, direction):
+        raise AssertionError(f"a {mode} round built an acceptance test")
+    monkeypatch.setattr(KnowledgeBall, "acceptance", refuse)
+    design = SpectralDesign(np.array([2.0, 1.0]), np.eye(2))
+    block_round = BlockRound(design, KnowledgeBall(np.zeros(2), 1.0, 0.5), 1.0, mode)
+    got = block_round(np.zeros((3, 2)), 5, lambda row: np.random.default_rng([7, row]))
+    assert got.shape == (3, 2) and np.all(np.isfinite(got))
+
+
 @pytest.mark.parametrize("interval,fails", [(Interval1D(2.5, 2.7), False),
                                             (Interval1D(3.0, 3.1), True)])
 def test_reject_budget_line_is_the_acceptance_probability(monkeypatch, interval, fails):

@@ -240,6 +240,9 @@ class TestBaselineMse:
                                                      rel=1e-14)
         assert baseline_mse(d, 2.0) == pytest.approx(4 * (1.0 / 9 + 1.0 / 4 + 1.0),
                                                      rel=1e-14)
+        # libm's power: numpy's on AVX-512 gives 0.018867924528301886, one ulp off
+        d = SpectralDesign(np.array([math.sqrt(53)]), np.array([[1.0]]))
+        assert baseline_mse(d, 1.0) == math.pow(math.sqrt(53), -2.0)
 
     def test_monte_carlo_fixed_design(self):
         rng = np.random.default_rng(20)
