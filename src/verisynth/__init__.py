@@ -41,7 +41,6 @@ _HOMES = {
         "SpectralDesign", "ols_fit", "spectral_design", "retrain_round"),
         "linreg"),
     # harness
-    "Schedule": "schedules",
     "derive_stream": "seeding",
     **dict.fromkeys((
         "ExperimentConfig", "load_config", "config_from_mapping",

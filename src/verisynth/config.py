@@ -14,16 +14,17 @@ One config file describes one experiment. Top-level keys::
 
 Each ``ExperimentConfig`` field declares its own row of this layout, in file
 order: the field's dotted path, the kinds it applies to, its reader, its
-default and the bounds of its numbers. ``LAYOUT`` collects the rows from the
-fields; the parser, the per-key checks of ``ExperimentConfig`` and
-``to_mapping`` each loop over it. Rules that relate keys are checked in
+default and the bounds of its numbers or the options of its names. ``LAYOUT``
+collects the rows from the fields; the parser, the per-key checks of
+``ExperimentConfig`` and ``to_mapping`` each loop over it. Rules that relate keys are checked in
 ``ExperimentConfig`` after every key's own.
 
 Unknown keys anywhere are hard errors naming the full dotted path, and so
 are keys given twice in one mapping of a file. The only
 defaulted fields are ``arms`` ([direct]), the verifier slack (``ball.slack`` /
 ``landscape.sigma_c``, defaulting to sqrt(2/pi)*sigma), ``schedule.unit``
-(total), and ``landscape.log_ratio_of_means`` (false); loading resolves them,
+(total), a fixed schedule's ``schedule.end_or_ratio`` (its start), and
+``landscape.log_ratio_of_means`` (false); loading resolves them,
 so a written config always spells every value out.
 """
 from __future__ import annotations
@@ -31,13 +32,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 import yaml
 
 from .errors import ConfigError
-from .schedules import KIND_FIXED, SCHEDULE_KINDS, SCHEDULE_UNITS, UNIT_TOTAL, Schedule
+from .schedules import (KIND_FIXED, KIND_GEOMETRIC, KIND_LINEAR, MAX_COUNT, SCHEDULE_KINDS,
+                        SCHEDULE_UNITS, UNIT_TOTAL, Schedule)
 
 KIND_LANDSCAPE = "landscape"
 KIND_ITERATE_LINREG = "iterate_linreg"
@@ -48,6 +50,8 @@ EXPERIMENT_KINDS = (KIND_LANDSCAPE, KIND_ITERATE_LINREG, KIND_ITERATE_1D)
 MAX_ROUND_NOISE = 2 ** 24
 #: most floats the per-replication results of one run may hold
 MAX_RESULT_FLOATS = 2 ** 28
+#: most (delta, r) cells a landscape may hold: its theory keeps about 1 KB per cell
+MAX_GRID_CELLS = 2 ** 20
 
 # The names below are the numerical modules' own, kept here so that the CLI's
 # help and reading and checking a config import neither numpy nor scipy.
@@ -115,6 +119,11 @@ def _integer(value: Any, path: str, values: Mapping[str, Any]) -> int:
     raise ConfigError(message)
 
 
+def _name(value: Any, path: str, values: Mapping[str, Any]) -> str:
+    _check(isinstance(value, str), f"{path} must be a name, got {value!r}")
+    return value
+
+
 def _flag(value: Any, path: str, values: Mapping[str, Any]) -> bool:
     _check(isinstance(value, bool), f"{path} must be true/false, got {value!r}")
     return value
@@ -124,8 +133,11 @@ def _vector(value: Any, path: str, values: Mapping[str, Any],
             dimension: int | None = None) -> tuple[float, ...]:
     if _is_number(value):
         _check(dimension is not None, f"{path} must be a list of numbers")
-        _check(dimension <= MAX_ROUND_NOISE,
-               f"problem.dimension must be at most 2^24, got {dimension}")
+        # n0 >= dimension and n0 * dimension <= 2^24 cap the dimension at 4096:
+        # a broadcast past it is refused before it is built
+        _check(dimension <= math.isqrt(MAX_ROUND_NOISE), f"problem.dimension must be at most "
+               f"4096, got {dimension} (problem.n0 must be >= problem.dimension, and "
+               f"problem.n0 x problem.dimension at most 2^24)")
         return (float(value),) * dimension
     _check(isinstance(value, (list, tuple)) and len(value) > 0,
            f"{path} must be a nonempty list of numbers")
@@ -139,37 +151,18 @@ def _per_direction(value: Any, path: str, values: Mapping[str, Any]) -> tuple[fl
     return _vector(value, path, values, values["dimension"])
 
 
-def _schedule(value: Any, path: str, values: Mapping[str, Any]) -> Schedule:
-    _section(value, path, {"kind", "start", "end_or_ratio", "rounds", "unit"},
-             {"kind", "start", "rounds"})
-    kind = value["kind"]
-    _check(kind in SCHEDULE_KINDS, f"{path}.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    start = _integer(value["start"], f"{path}.start", values)
-    rounds = _integer(value["rounds"], f"{path}.rounds", values)
-    if "end_or_ratio" in value:
-        end_or_ratio = _number(value["end_or_ratio"], f"{path}.end_or_ratio", values)
-        _check(kind != KIND_FIXED or end_or_ratio == start,
-               f"{path}.end_or_ratio of a fixed schedule must equal start")
-    else:
-        _check(kind == KIND_FIXED, f"{path}.end_or_ratio is required for {kind} schedules")
-        end_or_ratio = float(start)
-    unit = value.get("unit", UNIT_TOTAL)
-    _check(unit in SCHEDULE_UNITS, f"{path}.unit must be one of {SCHEDULE_UNITS}, got {unit!r}")
-    try:
-        return Schedule(kind, start, end_or_ratio, rounds, unit)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _arms(value: Any, path: str, values: Mapping[str, Any]) -> tuple[str, ...]:
     _check(isinstance(value, (list, tuple)), f"{path} must be a list of filter modes")
-    for i, arm in enumerate(value):
-        _check(isinstance(arm, str), f"{path}[{i}] must be one of {FILTER_MODES}, got {arm!r}")
-    return tuple(value)
+    return tuple(_name(arm, f"{path}[{i}]", values) for i, arm in enumerate(value))
 
 
 def _default_slack(values: Mapping[str, Any]) -> float:
     return default_slack(values["sigma"])
+
+
+def _default_end(values: Mapping[str, Any]) -> float | None:
+    """A fixed schedule ends at its start; any other kind must give its end or ratio."""
+    return float(values["schedule_start"]) if values["schedule_kind"] == KIND_FIXED else None
 
 
 #: the default of a key that every config of the row's kinds must give
@@ -190,10 +183,11 @@ def _key(path: str, kinds: tuple[str, ...], reader: Callable,
          bounds: tuple[str, ...] | None = None, default: Any = _REQUIRED):
     """A field holding its row of LAYOUT: (dotted path, kinds it applies to,
     reader, default, bounds). Unless ``bounds`` is None, a tuple value must be
-    nonempty and each number finite and meet each of ``bounds``, such as ">= 0".
-    A default of None leaves the field unset; a callable default is computed
-    from the fields read before it. A key every kind must give is a required
-    argument, any other field defaults to None."""
+    nonempty, each number finite and meet each of ``bounds``, such as ">= 0",
+    and each name be one of ``bounds``, its options. A default of None leaves
+    the field unset; a callable default is computed from the fields read before
+    it. A key every kind must give is a required argument, any other field
+    defaults to None."""
     unset = {} if kinds == _ALL and default is _REQUIRED else {"default": None}
     layout = (path, kinds, reader, default, bounds)
     return dataclasses.field(**unset, metadata={"layout": layout})
@@ -221,8 +215,14 @@ class ExperimentConfig:
     ball_delta: float | None = _key("ball.delta", _LINREG, _number, (">= 0",), None)
     ball_center: tuple[float, ...] | None = _key("ball.center", _LINREG, _per_direction, (), None)
     slack: float | None = _key("ball.slack", _LINREG, _number, (">= 0",), _default_slack)
-    schedule: Schedule | None = _key("schedule", _ITERATE, _schedule)
-    arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, (), (FILTER_DIRECT,))
+    schedule_kind: str | None = _key("schedule.kind", _ITERATE, _name, SCHEDULE_KINDS)
+    schedule_start: int | None = _key("schedule.start", _ITERATE, _integer, (">= 1",))
+    schedule_end_or_ratio: float | None = _key("schedule.end_or_ratio", _ITERATE, _number, (),
+                                               _default_end)
+    schedule_rounds: int | None = _key("schedule.rounds", _ITERATE, _integer, (">= 1",))
+    schedule_unit: str | None = _key("schedule.unit", _ITERATE, _name, SCHEDULE_UNITS,
+                                     UNIT_TOTAL)
+    arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, FILTER_MODES, (FILTER_DIRECT,))
     delta_values: tuple[float, ...] | None = _key("landscape.delta_values", _GRID, _vector,
                                                   (">= 0",))
     r_values: tuple[float, ...] | None = _key("landscape.r_values", _GRID, _vector, ("> 0",))
@@ -239,14 +239,18 @@ class ExperimentConfig:
                 _check(value is None, f"{path} does not apply to {self.kind} experiments")
             elif default is not None:
                 _check(value is not None, f"missing required config key {path!r}")
-            numbers = value if isinstance(value, tuple) else (value,)
-            _check(bool(numbers) or bounds is None, f"{path} must be nonempty")
-            # each distinct number once: a number broadcast along 2^24 directions is one
-            for number in filter(_is_number, dict.fromkeys(numbers)):
-                _check(not MAX_SCALE < abs(number) < math.inf,
-                       f"{path} must be at most {MAX_SCALE:g} in magnitude, got {number!r}")
-                if bounds is not None:
-                    _check_bounds(number, path, bounds)
+            items = value if isinstance(value, tuple) else (value,)
+            _check(bool(items) or bounds is None, f"{path} must be nonempty")
+            # each distinct item once: a number broadcast along 4096 directions is one
+            for item in dict.fromkeys(items):
+                if isinstance(item, str):
+                    _check(bounds is None or item in bounds,
+                           f"{path} must be one of {bounds}, got {item!r}")
+                elif _is_number(item):
+                    _check(not MAX_SCALE < abs(item) < math.inf,
+                           f"{path} must be at most {MAX_SCALE:g} in magnitude, got {item!r}")
+                    if bounds is not None:
+                        _check_bounds(item, path, bounds)
         _check(0 <= self.master_seed <= MAX_INDEX,
                f"master_seed must lie in [0, {MAX_INDEX}], got {self.master_seed}")
         if self.kind == KIND_ITERATE_1D:
@@ -291,24 +295,43 @@ class ExperimentConfig:
             _check_width(2.0 * (min(self.r_values) + self.sigma_c) / self.sigma,
                          "2 (min landscape.r_values + landscape.sigma_c) / problem.sigma")
         else:
+            kind, start, end = self.schedule_kind, self.schedule_start, self.schedule_end_or_ratio
+            _check(kind != KIND_FIXED or end == start,
+                   "schedule.end_or_ratio of a fixed schedule must equal schedule.start")
+            _check(kind != KIND_LINEAR or end >= start, "schedule.end_or_ratio of a linear "
+                   f"schedule must be >= schedule.start, got {end!r}")
+            _check(kind != KIND_GEOMETRIC or end >= 1.0,
+                   f"schedule.end_or_ratio of a geometric schedule must be >= 1, got {end!r}")
+            last = self.schedule.last_count
+            _check(last < MAX_COUNT, f"schedule.start, schedule.end_or_ratio and schedule.rounds "
+                   f"give a last count of {last:g}, not below 2^63")
             _check(len(set(self.arms)) == len(self.arms), "arms must not repeat a filter mode")
-            for arm in self.arms:
-                _check(arm in FILTER_MODES, f"unknown arm {arm!r}")
             _check(self.kind == KIND_ITERATE_LINREG
                    or (len(self.arms) == 1 and self.arms[0] != FILTER_NONE),
                    "arms: 1-D experiments run a single verified arm (direct or reject)")
         self._check_work()
 
+    @property
+    def schedule(self) -> Schedule | None:
+        """The schedule of an iterate config; None for a landscape."""
+        return None if self.schedule_kind is None else Schedule(
+            self.schedule_kind, self.schedule_start, self.schedule_end_or_ratio,
+            self.schedule_rounds, self.schedule_unit)
+
     def _check_work(self) -> None:
         """Bound the values one replication draws or holds in one round and a run's results."""
         p = 1 if self.kind == KIND_ITERATE_1D else self.dimension
         if self.kind == KIND_LANDSCAPE:
+            cells = len(self.delta_values) * len(self.r_values)
+            _check(cells <= MAX_GRID_CELLS, f"landscape.delta_values ({len(self.delta_values)}) x "
+                   f"landscape.r_values ({len(self.r_values)}) give {cells} cells, above the "
+                   f"limit of 2^20")
             noise = p * self.n1
-            floats = self.replications * (len(self.delta_values) * len(self.r_values) + 1)
+            floats = self.replications * (cells + 1)
         else:
             last = math.ceil(self.schedule.last_count)
-            noise = p * (max(1, last // p) if self.schedule.unit == UNIT_TOTAL else last)
-            floats = self.replications * (self.schedule.rounds + 1)
+            noise = p * (max(1, last // p) if self.schedule_unit == UNIT_TOTAL else last)
+            floats = self.replications * (self.schedule_rounds + 1)
             if self.kind == KIND_ITERATE_LINREG:
                 floats *= 2 * len(self.arms)
         _check(self.n0 * p <= MAX_ROUND_NOISE,
@@ -329,8 +352,7 @@ class ExperimentConfig:
             if value is not None:
                 section, _, key = path.rpartition(".")
                 node = out.setdefault(section, {}) if section else out
-                node[key] = (asdict(value) if isinstance(value, Schedule)
-                             else list(value) if isinstance(value, tuple) else value)
+                node[key] = list(value) if isinstance(value, tuple) else value
         return out
 
     def with_overrides(

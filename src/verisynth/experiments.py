@@ -200,13 +200,13 @@ def _usable(norms: np.ndarray) -> bool:
 
 def _mean_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error; a mean past the largest double is inf and the
-    spread of infinities NaN, without a warning."""
+    spread of infinities NaN, without a warning. A NaN mean has a NaN error."""
     n = samples.shape[axis]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = samples.mean(axis=axis)
         if n > 1:
             return mean, samples.std(axis=axis, ddof=1) / math.sqrt(n)
-    return mean, np.zeros_like(mean)
+    return mean, np.where(np.isnan(mean), math.nan, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +386,10 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
         first = kept[arm][0]
         if not one_d:
             stats = (*_mean_se(first), *_mean_se(kept[arm][1]))
-        elif math.isfinite(center[0]):
-            with np.errstate(over="ignore"):  # a midpoint beyond ~1e154 squares to inf
-                stats = (*_mean_se(first), *_mean_se((first - center[0]) ** 2))
         else:
-            stats = (*_mean_se(first), *[np.full(k_rounds + 1, math.nan)] * 2)
+            # a midpoint beyond ~1e154 squares to inf; a half-line's NaN gives NaN
+            with np.errstate(over="ignore"):
+                stats = (*_mean_se(first), *_mean_se((first - center[0]) ** 2))
         unfiltered = arm == FILTER_NONE
         for k in range(k_rounds + 1):
             values = (k, 0 if k == 0 else int(per_dir[k - 1]),

@@ -32,7 +32,8 @@ class Schedule:
     ``kind`` is one of ``fixed`` (constant ``start``), ``linear`` (``start`` to
     ``end_or_ratio`` inclusive, rounded to nearest), or ``geometric`` (``start``
     times ``end_or_ratio``**k, rounded up). ``unit`` says whether counts are
-    totals per round or already per direction.
+    totals per round or already per direction. ``config.ExperimentConfig``
+    checks the fields and builds the schedule of an iterate config.
     """
 
     kind: str
@@ -40,30 +41,6 @@ class Schedule:
     end_or_ratio: float
     rounds: int
     unit: str = UNIT_TOTAL
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise InvalidBoundsError(f"unknown schedule kind {self.kind!r}")
-        if self.unit not in SCHEDULE_UNITS:
-            raise InvalidBoundsError(f"unknown schedule unit {self.unit!r}")
-        if self.rounds < 1:
-            raise InvalidBoundsError(f"rounds must be >= 1, got {self.rounds}")
-        if self.start < 1:
-            raise InvalidBoundsError(f"start must be >= 1, got {self.start}")
-        if self.kind == KIND_LINEAR and self.end_or_ratio < self.start:
-            raise InvalidBoundsError(
-                f"linear schedule must be non-decreasing: end {self.end_or_ratio} < start {self.start}"
-            )
-        if self.kind == KIND_GEOMETRIC and self.end_or_ratio < 1.0:
-            raise InvalidBoundsError(
-                f"geometric ratio must be >= 1, got {self.end_or_ratio}"
-            )
-        last = self.last_count
-        if not last < MAX_COUNT:
-            raise InvalidBoundsError(
-                f"the last count of a {self.kind} schedule must be finite and below 2^63, "
-                f"got {last}"
-            )
 
     @property
     def last_count(self) -> float:

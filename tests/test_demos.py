@@ -1,5 +1,5 @@
 """Every demo script runs to completion against the package in src/ and prints
-exactly its pinned output."""
+exactly its pinned output, and the README's library quick start runs."""
 import hashlib
 import os
 import subprocess
@@ -32,3 +32,14 @@ def test_demo_runs(demo):
     assert result.stdout.strip()
     digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert digest == STDOUT_SHA256[demo.stem], f"{demo.stem} printed:\n{result.stdout}"
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, str(ROOT / "README.md"), "exec"), names)
+    assert names["rho"] == pytest.approx(0.9554457874958769, rel=1e-12)
+    # 61 rounds (0..60) for each of the two arms
+    assert len(names["rows"]) == 122

@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import Future
@@ -18,12 +21,10 @@ from verisynth import (
     ConfigError,
     GAUSSIAN1D_COLUMNS,
     InsufficientRoundsError,
-    InvalidBoundsError,
     KIND_ITERATE_1D,
     KIND_ITERATE_LINREG,
     KIND_LANDSCAPE,
     LANDSCAPE_COLUMNS,
-    Schedule,
     SeedSpaceError,
     TRAJECTORY_COLUMNS,
     config_from_mapping,
@@ -44,6 +45,7 @@ from verisynth import experiments
 from verisynth.cli import main
 from verisynth.config import _check_bounds
 from verisynth.output import format_cell
+from verisynth.schedules import Schedule
 
 # --- minimal valid config mappings, one per experiment kind -----------------
 
@@ -166,7 +168,11 @@ BAD_VALUES = [
                  "landscape.sigma_c", id="landscape-sigma_c-inf"),
     pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 1,
                                         "end_or_ratio": 1e300, "rounds": 5}),
-                 "last count", id="geometric-overflow"),
+                 "schedule.end_or_ratio must be at most 1e+299 in magnitude",
+                 id="geometric-overflow"),
+    pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 1,
+                                        "end_or_ratio": 1e100, "rounds": 5}),
+                 "last count", id="geometric-last-count-overflow"),
     pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
                                           "end_or_ratio": 10.0, "rounds": 20}),
                  "last count", id="geometric-beyond-int64"),
@@ -174,6 +180,35 @@ BAD_VALUES = [
     pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
                                           "end_or_ratio": 10.0, "rounds": 19}),
                  "1000000000000000000 noise values", id="geometric-noise-per-round"),
+    # the schedule's rules; a ratio that is not finite is refused by its own row even
+    # at one round, whose last count is the start
+    pytest.param(oned_mapping(schedule={"kind": "cubic", "start": 10, "rounds": 5}),
+                 "schedule.kind must be one of ('fixed', 'linear', 'geometric'), got 'cubic'",
+                 id="schedule-kind-unknown"),
+    pytest.param(oned_mapping(schedule={"kind": "fixed", "start": 0, "rounds": 5}),
+                 "schedule.start must be >= 1, got 0", id="schedule-start-zero"),
+    pytest.param(oned_mapping(schedule={"kind": "fixed", "start": 10, "rounds": 0}),
+                 "schedule.rounds must be >= 1, got 0", id="schedule-rounds-zero"),
+    pytest.param(oned_mapping(schedule={"kind": "linear", "start": 100, "end_or_ratio": 50,
+                                        "rounds": 5}),
+                 "schedule.end_or_ratio of a linear schedule", id="linear-decreasing"),
+    pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 10,
+                                        "end_or_ratio": 0.5, "rounds": 5}),
+                 "schedule.end_or_ratio of a geometric schedule", id="geometric-ratio-below-1"),
+    pytest.param(oned_mapping(schedule={"kind": "fixed", "start": 10, "rounds": 5,
+                                        "unit": "per_batch"}),
+                 "schedule.unit must be one of ('total', 'per_direction'), got 'per_batch'",
+                 id="schedule-unit-unknown"),
+    pytest.param(oned_mapping(schedule={"kind": "linear", "start": 1, "end_or_ratio": math.nan,
+                                        "rounds": 5}),
+                 "schedule.end_or_ratio must be finite, got nan", id="linear-end-nan"),
+    *[pytest.param(oned_mapping(schedule={"kind": "geometric", "start": 1,
+                                          "end_or_ratio": ratio, "rounds": 1}),
+                   "schedule.end_or_ratio", id=f"geometric-one-round-{ratio}")
+      for ratio in (math.nan, math.inf, 1e300)],
+    pytest.param(linreg_mapping(arms=["direct", "bogus"]),
+                 "arms must be one of ('direct', 'reject', 'none'), got 'bogus'",
+                 id="arms-unknown"),
     pytest.param(linreg_mapping(arms=[["direct"]]), "arms[0]", id="arms-nested-list"),
     pytest.param(linreg_mapping(arms=["direct", {"a": 1}]), "arms[1]", id="arms-nested-mapping"),
     pytest.param(landscape_mapping(replications=10 ** 12),
@@ -182,6 +217,16 @@ BAD_VALUES = [
     pytest.param(landscape_mapping(problem={"dimension": 10 ** 30, "true_theta": 1.0,
                                             "sigma": 1.0, "n0": 40}),
                  "problem.dimension", id="dimension-huge"),
+    # n0 >= dimension and n0 x dimension <= 2^24 cap the dimension at 4096 first
+    pytest.param(landscape_mapping(problem={"dimension": 2 ** 24, "true_theta": 1.0,
+                                            "sigma": 1.0, "n0": 40}),
+                 "problem.dimension must be at most 4096", id="dimension-broadcast-2^24"),
+    # 1025 x 1024 cells: the grid's theory alone would hold about 1 GB
+    pytest.param(landscape_mapping(replications=1, landscape={
+        "delta_values": [i / 1024 for i in range(1025)],
+        "r_values": [(i + 1) / 1024 for i in range(1024)], "n1": 10}),
+                 "landscape.delta_values (1025) x landscape.r_values (1024) give 1049600 cells",
+                 id="landscape-grid-huge"),
     # the real data alone: n0 normals per replication, an n0 x p design
     pytest.param(oned_mapping(problem={"true_mean": 0.0, "sigma": 1.0, "n0": 10 ** 10}),
                  "problem.n0", id="oned-real-data-huge"),
@@ -477,27 +522,8 @@ class TestSchedule:
     def test_geometric(self):
         assert Schedule("geometric", 10, 2.0, 4).counts().tolist() == [10, 20, 40, 80]
 
-    def test_validation(self):
-        with pytest.raises(Exception):
-            Schedule("cubic", 10, 10, 5)
-        with pytest.raises(Exception):
-            Schedule("fixed", 0, 0, 5)
-        with pytest.raises(Exception):
-            Schedule("fixed", 10, 10, 0)
-        with pytest.raises(Exception):
-            Schedule("linear", 100, 50, 5)
-        with pytest.raises(Exception):
-            Schedule("geometric", 10, 0.5, 5)
-        with pytest.raises(Exception):
-            Schedule("fixed", 10, 10, 5, unit="per_batch")
-
     def test_last_count_must_fit_the_count_type(self):
-        with pytest.raises(InvalidBoundsError, match="last count"):
-            Schedule("geometric", 1, 1e300, 5)
-        with pytest.raises(InvalidBoundsError, match="last count"):
-            Schedule("geometric", 1, 10.0, 20)  # 1e19 >= 2^63
-        with pytest.raises(InvalidBoundsError, match="last count"):
-            Schedule("linear", 1, math.nan, 5)
+        # the config refuses a last count of 2^63 or more (BAD_VALUES geometric-*)
         assert Schedule("geometric", 1, 10.0, 19).counts()[-1] == 10 ** 18
 
     def test_per_direction_split(self):
@@ -1011,6 +1037,14 @@ class TestRunners:
         assert all(math.isnan(r["dist_midpoint_mean"]) for r in rows)
         assert all(math.isfinite(r["mean_estimate_mean"]) for r in rows)
 
+    def test_one_replication_half_line_has_nan_midpoint_statistics(self):
+        # one replication has no spread: its SE is 0, but a NaN mean's stays NaN
+        raw = oned_mapping(replications=1, interval={"lower": -math.inf, "upper": 1.0})
+        rows = run_iterative(config_from_mapping(raw))
+        assert all(math.isnan(r["dist_midpoint_mean"]) and math.isnan(r["dist_midpoint_se"])
+                   for r in rows)
+        assert all(r["mean_estimate_se"] == 0.0 for r in rows)
+
     def test_kind_dispatch_guards(self):
         with pytest.raises(ConfigError):
             run_landscape(config_from_mapping(linreg_mapping()))
@@ -1248,6 +1282,26 @@ class TestCli:
         assert main(["validate", "--config", path, "--seed", str(2 ** 63)]) == 2
         assert "master_seed must lie in" in capsys.readouterr().err
         assert main(["validate", "--config", path, "--seed", str(2 ** 63 - 1)]) == 0
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+    def test_huge_broadcast_is_refused_in_little_memory(self, tmp_path):
+        # a true_theta broadcast along 2^24 directions took 145 MB and, under
+        # this limit, ended in a MemoryError (exit 1)
+        import resource
+
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(landscape_mapping(problem={
+            "dimension": 2 ** 24, "true_theta": 1.0, "sigma": 1.0, "n0": 40})))
+        limit = 100 * 2 ** 20
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run(
+            [sys.executable, "-m", "verisynth.cli", "validate", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert result.returncode == 2, result.stderr
+        assert "problem.dimension must be at most 4096" in result.stderr
 
     def test_runtime_failure_names_stream_key(self, tmp_path, capsys):
         # the verifier's interval carries no mass around the first estimate
