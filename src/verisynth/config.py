@@ -219,7 +219,8 @@ class ExperimentConfig:
     schedule_start: int | None = _key("schedule.start", _ITERATE, _integer, (">= 1",))
     schedule_end_or_ratio: float | None = _key("schedule.end_or_ratio", _ITERATE, _number, (),
                                                _default_end)
-    schedule_rounds: int | None = _key("schedule.rounds", _ITERATE, _integer, (">= 1",))
+    # the k-round bounds cost O(rounds^2): 65,536 rounds take 3-4 s before a run or theory
+    schedule_rounds: int | None = _key("schedule.rounds", _ITERATE, _integer, (">= 1", "< 65537"))
     schedule_unit: str | None = _key("schedule.unit", _ITERATE, _name, SCHEDULE_UNITS,
                                      UNIT_TOTAL)
     arms: tuple[str, ...] | None = _key("arms", _ITERATE, _arms, FILTER_MODES, (FILTER_DIRECT,))
@@ -302,7 +303,7 @@ class ExperimentConfig:
                    f"schedule must be >= schedule.start, got {end!r}")
             _check(kind != KIND_GEOMETRIC or end >= 1.0,
                    f"schedule.end_or_ratio of a geometric schedule must be >= 1, got {end!r}")
-            last = self.schedule.last_count
+            last = self.schedule.count(self.schedule_rounds - 1)
             _check(last < MAX_COUNT, f"schedule.start, schedule.end_or_ratio and schedule.rounds "
                    f"give a last count of {last:g}, not below 2^63")
             _check(len(set(self.arms)) == len(self.arms), "arms must not repeat a filter mode")
@@ -329,8 +330,7 @@ class ExperimentConfig:
             noise = p * self.n1
             floats = self.replications * (cells + 1)
         else:
-            last = math.ceil(self.schedule.last_count)
-            noise = p * (max(1, last // p) if self.schedule_unit == UNIT_TOTAL else last)
+            noise = p * self.schedule.per_direction(self.schedule_rounds - 1, p)
             floats = self.replications * (self.schedule_rounds + 1)
             if self.kind == KIND_ITERATE_LINREG:
                 floats *= 2 * len(self.arms)
@@ -382,10 +382,12 @@ def _check_reach(reach: float, sigma: float, formula: str) -> None:
 
 
 def _check_bounds(number: float, path: str, bounds: tuple[str, ...]) -> None:
-    rule = ["finite"] * isinstance(number, float) + list(bounds)  # an int is finite
-    _check(-math.inf < number < math.inf and all(
-        _COMPARE[op](number, float(limit)) for op, limit in map(str.split, bounds)),
-        f"{path} must be {' and '.join(rule)}, got {number!r}")
+    held = [_COMPARE[op](number, float(limit)) for op, limit in map(str.split, bounds)]
+    # an int is finite; an upper end is named only where it is crossed
+    rule = ["finite"] * isinstance(number, float) + [
+        bound for bound, ok in zip(bounds, held) if not (ok and bound.startswith("<"))]
+    _check(-math.inf < number < math.inf and all(held),
+           f"{path} must be {' and '.join(rule)}, got {number!r}")
 
 
 def _is_number(value: Any) -> bool:

@@ -154,7 +154,7 @@ def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
 
 
 def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, rounds: dict,
-              per_dir: np.ndarray, widths: np.ndarray, fit: Callable,
+              per_dir: tuple[int, ...], widths: tuple[int, ...], fit: Callable,
               record: Callable) -> None:
     """Retrain each replication's real-data fit through every arm's round
     ``rounds[arm]``, passing each block's estimates to
@@ -164,7 +164,7 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, ro
     first ``widths[k - 1]`` uniforms. No arm's estimates outlive the last round.
     """
     p = design.dimension
-    last = per_dir.size
+    last = len(per_dir)
 
     def simulate(block: range) -> None:
         slots = slice(block.start - 1, block.stop - 1)
@@ -174,7 +174,7 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, ro
         for arm in rounds:
             record(arm, slots, 0, theta_hat)
         for k, round_k in _round_rows(streams, block, last, p):
-            n_k, width = int(per_dir[k - 1]), int(widths[k - 1])
+            n_k, width = per_dir[k - 1], widths[k - 1]
             uniforms = None
             if width:
                 uniforms = first_uniforms(round_k.stream, round_k.keys.shape[0], width)
@@ -184,7 +184,7 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, ro
                 record(arm, slots, k, theta_k)
                 estimates[arm] = theta_k if k < last else None
 
-    blocks = _blocks(config.replications, threads, p * int(per_dir.max(initial=1)))
+    blocks = _blocks(config.replications, threads, p * max(per_dir))
     _run_blocks(simulate, blocks, threads)
 
 
@@ -276,7 +276,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     # the cells are the arms of one round: every cell's round draws from the
     # same (rep, 1, j) streams, so every cell reads the same uniforms
     rounds = {i: cell_round(i, ball) for i, (ball, _) in enumerate(cells) if ball is not None}
-    per_dir = np.array([config.n1])
+    per_dir = (config.n1,)
     _run_arms(config, threads, design, rounds, per_dir, per_dir, fit, record)
 
     # a cell with an error norm of 0 or inf has no log ratio: a sigma below
@@ -330,7 +330,7 @@ def _iterate_problem(config: ExperimentConfig) -> tuple:
 
 
 def _iterate_theory(config: ExperimentConfig,
-                    problem: tuple) -> tuple[np.ndarray, float, float, list[float]]:
+                    problem: tuple) -> tuple[tuple[int, ...], float, float, list[float]]:
     """An iterate problem's per-direction counts, contraction rate,
     E||theta_0 - center||^2 and k-round bound on the squared distance to the
     center for k = 0..K. A half-line has no center and does not contract, so
@@ -340,7 +340,7 @@ def _iterate_theory(config: ExperimentConfig,
     with np.errstate(over="ignore"):  # a center beyond ~1e154 from the truth: no bound
         init = baseline + float(np.sum((center - theta) ** 2))
     if not np.all(np.isfinite(center)):
-        return per_dir, math.nan, init, [math.nan] * (per_dir.size + 1)
+        return per_dir, math.nan, init, [math.nan] * (len(per_dir) + 1)
     rho = contraction_rate(verifier, config.sigma)
     scale = theta.size * config.sigma * config.sigma
     return per_dir, rho, init, long_term_bounds(rho, init, per_dir, scale).tolist()
@@ -360,7 +360,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     problem = _iterate_problem(config)
     design, fit, verifier, theta, center, _ = problem
     per_dir, rho, _, bounds = _iterate_theory(config, problem)
-    reps, k_rounds = config.replications, per_dir.size
+    reps, k_rounds = config.replications, len(per_dir)
 
     # per (replication, round, arm): the squared distances to the truth and
     # the center, or at 1-D the estimate, whose distance is squared after the run
@@ -377,8 +377,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
 
     rounds = {arm: BlockRound(design, verifier, config.sigma, arm) for arm in config.arms}
     # the uniforms per row the arms share: n_k with a direct arm, else 1 with an unfiltered arm
-    widths = per_dir if FILTER_DIRECT in rounds else np.full_like(
-        per_dir, int(FILTER_NONE in rounds))
+    widths = per_dir if FILTER_DIRECT in rounds else (int(FILTER_NONE in rounds),) * k_rounds
     _run_arms(config, threads, design, rounds, per_dir, widths, fit, record)
 
     rows, columns = [], columns_for(config.kind)
@@ -392,7 +391,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
                 stats = (*_mean_se(first), *_mean_se((first - center[0]) ** 2))
         unfiltered = arm == FILTER_NONE
         for k in range(k_rounds + 1):
-            values = (k, 0 if k == 0 else int(per_dir[k - 1]),
+            values = (k, 0 if k == 0 else per_dir[k - 1],
                       *(float(stat[k]) for stat in stats), math.nan if unfiltered else bounds[k])
             if not one_d:  # trajectory.csv: the arm first, rho after the bound
                 values = (arm, *values, math.nan if unfiltered else rho)
@@ -437,7 +436,7 @@ def theory_summary(config: ExperimentConfig) -> dict:
     problem = _iterate_problem(config)
     design, _, verifier, theta, _, baseline = problem
     per_dir, rho, init, bounds = _iterate_theory(config, problem)
-    one_step = one_step_prediction(design, theta, verifier, config.sigma, int(per_dir[0]))
+    one_step = one_step_prediction(design, theta, verifier, config.sigma, per_dir[0])
     if config.kind == KIND_ITERATE_LINREG:
         return {"experiment": config.kind, "rho": rho, "baseline_mse": baseline,
                 "initial_expected_sq_center": init, "one_step_mse": one_step,

@@ -3,14 +3,14 @@
 A schedule is a rule producing a non-decreasing integer sequence n_1..n_K with
 every entry >= 1: constant, linearly interpolated between two endpoints, or
 geometric. Counts may be expressed as totals per round (split evenly across the
-p covariate directions, minimum 1 each) or directly per direction.
+p covariate directions, minimum 1 each) or directly per direction. The counts
+are plain Python: one rule, the same on every CPU, for the runs and the config's
+work limits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import InvalidBoundsError
 
 KIND_FIXED = "fixed"
 KIND_LINEAR = "linear"
@@ -21,7 +21,7 @@ UNIT_TOTAL = "total"
 UNIT_PER_DIRECTION = "per_direction"
 SCHEDULE_UNITS = (UNIT_TOTAL, UNIT_PER_DIRECTION)
 
-#: every count must lie below this bound, the int64 limit of the count arrays
+#: every count must lie below this bound, the int64 limit of the array sizes it sets
 MAX_COUNT = 2 ** 63
 
 
@@ -42,44 +42,31 @@ class Schedule:
     rounds: int
     unit: str = UNIT_TOTAL
 
-    @property
-    def last_count(self) -> float:
-        """The last round's count before rounding, in this schedule's own unit.
+    def count(self, k: int) -> int | float:
+        """Round k's count (k = 0..rounds - 1), in this schedule's own unit;
+        inf where a geometric count overflows a double."""
+        if self.kind == KIND_FIXED or self.rounds == 1:
+            return self.start
+        if self.kind == KIND_LINEAR:
+            # numpy.linspace's arithmetic, its last point exactly the end
+            if k == self.rounds - 1:
+                return round(self.end_or_ratio)
+            return round(self.start + k * ((self.end_or_ratio - self.start) / (self.rounds - 1)))
+        try:  # libm's pow: numpy's differs in the last bit on some CPUs
+            return math.ceil(self.start * math.pow(self.end_or_ratio, k))
+        except OverflowError:
+            return math.inf
 
-        Counts never fall, so no round asks for more, up to that rounding.
-        """
-        if self.kind == KIND_GEOMETRIC:
-            try:
-                return self.start * math.pow(self.end_or_ratio, self.rounds - 1)
-            except OverflowError:
-                return math.inf
-        return self.start if self.kind == KIND_FIXED else self.end_or_ratio
+    def per_direction(self, k: int, dimension: int) -> int | float:
+        """Round k's count per direction of a ``dimension``-ball problem: a
+        total is split evenly, max(1, total // dimension) per direction."""
+        count = self.count(k)
+        return count if self.unit == UNIT_PER_DIRECTION else max(1, count // dimension)
 
-    def counts(self) -> np.ndarray:
-        """The raw length-``rounds`` sequence, in this schedule's own unit."""
-        import numpy as np  # not at module level: reading a config needs no numpy
+    def counts(self) -> tuple[int, ...]:
+        """The length-``rounds`` sequence, in this schedule's own unit."""
+        return tuple(self.count(k) for k in range(self.rounds))
 
-        k = self.rounds
-        if self.kind == KIND_FIXED:
-            seq = np.full(k, self.start, dtype=int)
-        elif self.kind == KIND_LINEAR:
-            if k == 1:
-                seq = np.array([self.start], dtype=int)
-            else:
-                seq = np.rint(np.linspace(self.start, self.end_or_ratio, k)).astype(int)
-        else:
-            seq = np.ceil(self.start * self.end_or_ratio ** np.arange(k)).astype(int)
-        seq = np.maximum.accumulate(np.maximum(seq, 1))
-        return seq
-
-    def per_direction_counts(self, dimension: int) -> np.ndarray:
-        """The sequence as per-direction counts for a ``dimension``-ball problem.
-
-        Totals are split evenly: max(1, total // dimension) per direction.
-        """
-        if dimension < 1:
-            raise InvalidBoundsError(f"dimension must be >= 1, got {dimension}")
-        seq = self.counts()
-        if self.unit == UNIT_PER_DIRECTION:
-            return seq
-        return (seq // dimension).clip(min=1)
+    def per_direction_counts(self, dimension: int) -> tuple[int, ...]:
+        """The sequence as per-direction counts for a ``dimension``-ball problem."""
+        return tuple(self.per_direction(k, dimension) for k in range(self.rounds))

@@ -180,6 +180,14 @@ BAD_VALUES = [
     pytest.param(linreg_mapping(schedule={"kind": "geometric", "start": 1,
                                           "end_or_ratio": 10.0, "rounds": 19}),
                  "1000000000000000000 noise values", id="geometric-noise-per-round"),
+    # the last round draws round(16777216.6) = 2^24 + 1 at p = 1
+    pytest.param(oned_mapping(schedule={"kind": "linear", "start": 10,
+                                        "end_or_ratio": 16777216.6, "rounds": 2}),
+                 "16777217 noise values", id="linear-last-count-2^24+1"),
+    # the k-round bounds cost O(rounds^2): 3-4 s of theory at 65,536 rounds
+    pytest.param(oned_mapping(replications=1, schedule={"kind": "fixed", "start": 10,
+                                                        "rounds": 65537}),
+                 "schedule.rounds must be >= 1 and < 65537, got 65537", id="rounds-65537"),
     # the schedule's rules; a ratio that is not finite is refused by its own row even
     # at one round, whose last count is the start
     pytest.param(oned_mapping(schedule={"kind": "cubic", "start": 10, "rounds": 5}),
@@ -509,18 +517,22 @@ WORKLOAD_DIGESTS = {
 
 class TestSchedule:
     def test_fixed(self):
-        assert Schedule("fixed", 50, 50, 5).counts().tolist() == [50] * 5
+        assert Schedule("fixed", 50, 50, 5).counts() == (50,) * 5
 
     def test_linear_endpoints(self):
         seq = Schedule("linear", 100, 5500, 60).counts()
-        assert seq[0] == 100 and seq[-1] == 5500 and seq.size == 60
-        assert np.all(np.diff(seq) >= 0)
+        assert seq[0] == 100 and seq[-1] == 5500 and len(seq) == 60
+        assert list(seq) == sorted(seq)
 
     def test_linear_single_round(self):
-        assert Schedule("linear", 7, 9, 1).counts().tolist() == [7]
+        assert Schedule("linear", 7, 9, 1).counts() == (7,)
 
     def test_geometric(self):
-        assert Schedule("geometric", 10, 2.0, 4).counts().tolist() == [10, 20, 40, 80]
+        assert Schedule("geometric", 10, 2.0, 4).counts() == (10, 20, 40, 80)
+
+    def test_geometric_counts_are_pinned(self):
+        # libm's pow(1.6, 2) is 2.5600000000000005; numpy's AVX-512 power gives 2.56
+        assert Schedule("geometric", 100, 1.6, 4).counts() == (100, 160, 257, 410)
 
     def test_last_count_must_fit_the_count_type(self):
         # the config refuses a last count of 2^63 or more (BAD_VALUES geometric-*)
@@ -530,15 +542,15 @@ class TestSchedule:
         sched = Schedule("linear", 100, 5500, 60, unit="total")
         per = sched.per_direction_counts(8)
         assert per[0] == 12 and per[-1] == 687  # floor division of totals
-        assert np.all(per >= 1)
+        assert min(per) >= 1
         direct = Schedule("fixed", 7, 7, 3, unit="per_direction")
-        assert direct.per_direction_counts(8).tolist() == [7, 7, 7]
+        assert direct.per_direction_counts(8) == (7, 7, 7)
         with pytest.raises(Exception):
             sched.per_direction_counts(0)
 
     def test_small_totals_floor_at_one(self):
         sched = Schedule("fixed", 3, 3, 2, unit="total")
-        assert sched.per_direction_counts(8).tolist() == [1, 1]
+        assert sched.per_direction_counts(8) == (1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -555,12 +567,12 @@ class TestSchedule:
                         "geometric": ratio}[kind]
         sched = Schedule(kind, start, end_or_ratio, rounds)
         seq = sched.counts()
-        assert seq.size == rounds
-        assert np.all(seq >= 1)
-        assert np.all(np.diff(seq) >= 0)
+        assert len(seq) == rounds
+        assert min(seq) >= 1
+        assert list(seq) == sorted(seq)
         per = sched.per_direction_counts(dimension)
-        assert np.all(per >= 1)
-        assert np.all(per <= seq)
+        assert min(per) >= 1
+        assert all(n <= count for n, count in zip(per, seq))
 
 
 class TestDeriveStream:
@@ -613,6 +625,32 @@ class TestConfigParsing:
         path = tmp_path / "fuzzed.yaml"
         write_yaml(config, str(path))
         assert load_config(str(path)) == config
+
+    # validate's noise bound is the largest count the run draws
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["fixed", "linear", "geometric"]),
+           start=st.integers(1, 2 ** 25), extra=st.floats(0.0, 2.0 ** 25),
+           ratio=st.floats(1.0, 1.5), rounds=st.integers(1, 60),
+           unit=st.sampled_from(["total", "per_direction"]), p=st.integers(1, 12))
+    @example(kind="linear", start=10, extra=16777206.4, ratio=1.0, rounds=2, unit="total", p=1)
+    @example(kind="fixed", start=2 ** 23, extra=0.0, ratio=1.0, rounds=1, unit="per_direction",
+             p=2)
+    @example(kind="fixed", start=2 ** 24 + 2, extra=0.0, ratio=1.0, rounds=1, unit="total", p=2)
+    def test_noise_bound_is_the_drawn_count(self, kind, start, extra, ratio, rounds, unit, p):
+        end_or_ratio = {"fixed": start, "linear": start + extra, "geometric": ratio}[kind]
+        schedule = {"kind": kind, "start": start, "end_or_ratio": end_or_ratio,
+                    "rounds": rounds, "unit": unit}
+        mapping = oned_mapping(schedule=schedule) if p == 1 else linreg_mapping(
+            problem={"dimension": p, "true_theta": 1.0, "sigma": 1.0, "n0": 30},
+            schedule=schedule)
+        drawn = p * max(Schedule(kind, start, end_or_ratio, rounds, unit)
+                        .per_direction_counts(p))
+        try:
+            config_from_mapping(mapping)
+        except ConfigError as exc:
+            assert "noise values" in str(exc) and drawn > 2 ** 24, str(exc)
+        else:
+            assert drawn <= 2 ** 24
 
     # every config that parses runs: theory, then one replication
     @settings(max_examples=300, deadline=None,
@@ -721,9 +759,11 @@ class TestConfigParsing:
         assert time.perf_counter() - start < 2.0
 
     def test_key_bounds_may_close_above(self):
-        # no key has an upper end yet; the message form is the same
+        # schedule.rounds has an upper end; it is named only where it is crossed
         with pytest.raises(ConfigError, match=r"^leak must be finite and >= 0 and < 1, got 1.0$"):
             _check_bounds(1.0, "leak", (">= 0", "< 1"))
+        with pytest.raises(ConfigError, match=r"^leak must be finite and >= 0, got -1.0$"):
+            _check_bounds(-1.0, "leak", (">= 0", "< 1"))
         _check_bounds(0.5, "leak", (">= 0", "< 1"))
 
     def test_non_mapping_names_the_config(self):
@@ -1242,6 +1282,24 @@ class TestCli:
                      "--out", str(tmp_path)]) == 0
         csv_bytes = (tmp_path / f"{output_basename(kind)}.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == WORKLOAD_DIGESTS[path.stem]
+
+    def test_validate_bounds_the_counts_drawn(self, tmp_path, capsys):
+        # one round draws the start, however far the end; the last round
+        # draws round(16777216.4) = 2^24 values; the rounds cap is inclusive
+        one_round = oned_mapping(schedule={"kind": "linear", "start": 10,
+                                           "end_or_ratio": 1.0e9, "rounds": 1})
+        for mapping in (one_round,
+                        oned_mapping(schedule={"kind": "linear", "start": 10,
+                                               "end_or_ratio": 16777216.4, "rounds": 2}),
+                        oned_mapping(replications=1, schedule={"kind": "fixed", "start": 10,
+                                                               "rounds": 65536})):
+            path = tmp_path / "config.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            assert main(["validate", "--config", str(path)]) == 0, capsys.readouterr().err
+        path.write_text(yaml.safe_dump(one_round))
+        assert main(["gaussian1d", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "gaussian1d.csv", newline="") as handle:
+            assert [row["n_k"] for row in csv.DictReader(handle)] == ["0", "10"]
 
     def test_validate_rejects_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -487,7 +487,7 @@ def reference_trajectory(config):
     ball = resolve_ball(config)
     p = config.dimension
     per_dir = config.schedule.per_direction_counts(p)
-    reps, k_rounds = config.replications, per_dir.size
+    reps, k_rounds = config.replications, len(per_dir)
     out = {}
     for arm in config.arms:
         star = np.empty((reps, k_rounds + 1))
@@ -509,11 +509,11 @@ def reference_1d(config):
     """(estimate mean, estimate se, midpoint sq mean, midpoint sq se) per round."""
     interval = Interval1D(config.interval_lower, config.interval_upper)
     per_dir = config.schedule.per_direction_counts(1)
-    est = np.empty((config.replications, per_dir.size + 1))
+    est = np.empty((config.replications, len(per_dir) + 1))
     for rep in range(1, config.replications + 1):
         mean = initial_mean(config, derive_stream(config.master_seed, rep, 0, 0))
         est[rep - 1, 0] = mean
-        for k in range(1, per_dir.size + 1):
+        for k in range(1, len(per_dir) + 1):
             mean = retrain_step(mean, interval, config.sigma, int(per_dir[k - 1]),
                                 derive_stream(config.master_seed, rep, k, 1), config.arms[0])
             est[rep - 1, k] = mean
