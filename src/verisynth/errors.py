@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose by verisynth derives from :class:`VerisynthError`,
-so callers can catch one type at the boundary. Numerical routines never return
-NaN to signal failure; they raise.
+so callers can catch one type at the boundary, except the ``ValueError`` that
+``sample_truncated`` and ``hitting_time`` raise for a malformed ``count`` or
+``direction``. A routine of one value never returns NaN to signal failure; it
+raises. The routines of an array mark a band without mass with NaN, row by
+row, where one value would raise: ``Truncations.moments``,
+``one_step_predictions`` and ``retraining_map`` and ``retraining_map_slope``
+of an array.
 """
 from __future__ import annotations
 

@@ -94,20 +94,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(replications: int, threads: int, noise_per_rep: int) -> list[range]:
-    """Contiguous 1-based replication ranges, cut to BLOCK_ELEMENTS: one per
-    worker that can run (``threads``, at most one per usable CPU) and that
-    gets at least MIN_BLOCK_NOISE noise values per round."""
+def _run_blocks(simulate: Callable[[range], None], replications: int, threads: int,
+                noise_per_rep: int) -> None:
+    """Simulate replications 1..``replications`` in contiguous blocks cut to
+    BLOCK_ELEMENTS, one per worker that can run (``threads``, at most one per
+    usable CPU) and that gets at least MIN_BLOCK_NOISE noise values per round."""
     workers = min(threads, _usable_cpus(),
                   max(1, replications * noise_per_rep // MIN_BLOCK_NOISE))
     size = min(math.ceil(replications / workers), max(1, BLOCK_ELEMENTS // noise_per_rep))
-    return [range(start, min(start + size, replications + 1))
-            for start in range(1, replications + 1, size)]
-
-
-def _run_blocks(simulate: Callable[[range], None], blocks: list[range], threads: int) -> None:
-    """Simulate every block on at most ``threads`` workers, one per block and CPU at most."""
-    workers = min(threads, len(blocks), _usable_cpus())
+    blocks = [range(start, min(start + size, replications + 1))
+              for start in range(1, replications + 1, size)]
+    workers = min(workers, len(blocks))
     if workers <= 1:
         for block in blocks:
             simulate(block)
@@ -184,8 +181,7 @@ def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, ro
                 record(arm, slots, k, theta_k)
                 estimates[arm] = theta_k if k < last else None
 
-    blocks = _blocks(config.replications, threads, p * max(per_dir))
-    _run_blocks(simulate, blocks, threads)
+    _run_blocks(simulate, config.replications, threads, p * max(per_dir))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

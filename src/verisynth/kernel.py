@@ -104,8 +104,8 @@ class BlockRound:
     """One retraining round for blocks of estimates, one per row: the
     directions of a ``linreg.SpectralDesign``, a ``verifier`` (a
     ``KnowledgeBall``, or an ``Interval1D`` at p = 1), the noise scale
-    ``sigma`` and the filter ``mode``. ``sigma`` may be zero only in the
-    unfiltered mode, where the update is exact.
+    ``sigma`` and the filter ``mode``. ``sigma`` is finite, and may be zero
+    only in the unfiltered mode, where the update is exact.
 
     Calling it with a (rows x p) block of estimates, a per-direction count
     ``n_k`` and the row streams returns the next block, reassembled from its
@@ -122,8 +122,8 @@ class BlockRound:
     def __init__(self, design, verifier, sigma: float, mode: str = FILTER_DIRECT):
         if mode not in FILTER_MODES:
             raise InvalidBoundsError(f"unknown filter mode {mode!r}")
-        if sigma < 0.0 or (sigma == 0.0 and mode != FILTER_NONE):
-            raise InvalidBoundsError("sigma must be > 0 (>= 0 allowed only in NONE mode)")
+        if not (0.0 < sigma < math.inf or (sigma == 0.0 and mode == FILTER_NONE)):
+            raise InvalidBoundsError(f"sigma must be > 0 and finite (0 only in NONE mode): {sigma}")
         if verifier.dimension != design.dimension:
             raise DimensionMismatchError(
                 f"ball dimension {verifier.dimension} vs design dimension {design.dimension}"

@@ -114,8 +114,8 @@ def long_term_bounds(rho: float, initial_sq_error: float, schedule: np.ndarray,
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidBoundsError(f"rho must lie in (0, 1], got {rho}")
-    if initial_sq_error < 0.0:
-        raise InvalidBoundsError("initial squared error must be >= 0")
+    if not initial_sq_error >= 0.0:
+        raise InvalidBoundsError(f"initial squared error must be >= 0, got {initial_sq_error}")
     schedule = np.asarray(schedule, dtype=float)
     rounds = schedule.size
     odd = libm(math.pow, rho, 2.0 * np.arange(rounds, 0, -1) - 1.0)  # rho^(2K-1), ..., rho

@@ -269,13 +269,10 @@ def _quad_checked(fn, lo: float, hi: float) -> float:
     from scipy.integrate import quad
 
     val, abserr, info, *tail = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=300, full_output=1)
-    if tail:  # quadpack flagged a problem; accept only if the error is truly small
-        if abserr > max(1e-13, 1e-9 * abs(val)):
-            raise QuadratureError(f"quadrature failed on [{lo}, {hi}]: {tail[0]}")
-    if abserr > max(1e-13, 1e-9 * abs(val)):
-        raise QuadratureError(
-            f"quadrature error {abserr:g} exceeds target for integral {val:g} on [{lo}, {hi}]"
-        )
+    # a quadpack warning (in tail) is forgiven when the error is truly small
+    if not (math.isfinite(val) and abserr <= max(1e-13, 1e-9 * abs(val))):
+        raise QuadratureError(f"quadrature error {abserr:g} exceeds target for integral "
+                              f"{val:g} on [{lo}, {hi}]" + (f": {tail[0]}" if tail else ""))
     return val
 
 

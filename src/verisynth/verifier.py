@@ -81,22 +81,12 @@ class KnowledgeBall:
 
 
 @dataclass(frozen=True)
-class Interval1D:
+class Interval1D(Bounds):
     """Plausibility interval (lower, upper) for the scalar-mean verifier: the
-    verifier of the p = 1 problem, whose one direction is v = 1."""
+    verifier of the p = 1 problem, whose one direction is v = 1. Its ends are
+    an ordered :class:`Bounds` in the units of the mean, not of the noise."""
 
-    lower: float
-    upper: float
     dimension = 1
-
-    def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
-        if math.isnan(lo) or math.isnan(hi):
-            raise InvalidBoundsError("interval endpoints may not be NaN")
-        if not lo < hi:
-            raise InvalidBoundsError(f"interval must satisfy lower < upper: ({lo}, {hi})")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def half_width(self) -> float:

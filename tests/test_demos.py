@@ -25,7 +25,9 @@ STDOUT_SHA256 = {
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    # a numpy warning in the subprocess fails the demo, as it fails a config run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::UserWarning"}
     result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr

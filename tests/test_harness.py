@@ -515,6 +515,40 @@ WORKLOAD_DIGESTS = {
 }
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the block driver's thread pool by a stand-in that runs each
+    block inline, so that no thread starts; returns the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    return sizes
+
+
+def block_plan(replications: int, threads: int, noise_per_rep: int, sizes: list):
+    """The blocks the block driver simulates, in order, and the number of
+    workers it runs them on (1: no pool), recorded through ``inline_pool``."""
+    blocks = []
+    sizes.clear()
+    experiments._run_blocks(blocks.append, replications, threads, noise_per_rep)
+    return blocks, (sizes[0] if sizes else 1)
+
+
 class TestSchedule:
     def test_fixed(self):
         assert Schedule("fixed", 50, 50, 5).counts() == (50,) * 5
@@ -1102,59 +1136,65 @@ class TestRunners:
         threaded = runner(config, threads=4)
         assert serial == threaded  # bit-identical floats, not just approx
 
-    def test_threads_bound_the_workers(self, monkeypatch):
-        # a stand-in pool records its size and runs each block inline: no thread starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    def test_threads_bound_the_workers(self, monkeypatch, inline_pool):
         monkeypatch.setattr(experiments, "MIN_BLOCK_NOISE", 1)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         config = config_from_mapping(oned_mapping())  # 3 replications: 3 blocks
         assert run_iterative(config, threads=10 ** 6) == run_iterative(config)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         run_iterative(config, threads=10 ** 6)
-        assert sizes == [3, 2]
+        assert inline_pool == [3, 2]
 
-    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch, inline_pool):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
         assert experiments._usable_cpus() == 1
-        assert experiments._blocks(200, 8, 800) == [range(1, 201)]
+        assert block_plan(200, 8, 800, inline_pool) == ([range(1, 201)], 1)
         monkeypatch.delattr(experiments.os, "sched_getaffinity")
         assert experiments._usable_cpus() == 8
 
-    def test_blocks_follow_workers_and_work(self, monkeypatch):
+    def test_blocks_follow_workers_and_work(self, monkeypatch, inline_pool):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        blocks = experiments._blocks
+
+        def plan(*args):
+            return block_plan(*args, inline_pool)
         # the bench workloads at 2 threads, one block each:
         # (replications, noise values per round)
-        assert blocks(40, 2, 800) == [range(1, 41)]  # landscape
-        assert blocks(10, 2, 5496) == [range(1, 11)]  # iterate_linreg
-        assert blocks(5, 2, 50) == [range(1, 6)]  # gaussian1d_long
-        assert blocks(30, 2, 16) == [range(1, 31)]  # selective_reject
+        assert plan(40, 2, 800) == ([range(1, 41)], 1)  # landscape
+        assert plan(10, 2, 5496) == ([range(1, 11)], 1)  # iterate_linreg
+        assert plan(5, 2, 50) == ([range(1, 6)], 1)  # gaussian1d_long
+        assert plan(30, 2, 16) == ([range(1, 31)], 1)  # selective_reject
         # the shipped configs
-        assert blocks(200, 2, 800) == [range(1, 101), range(101, 201)]  # landscape
-        assert blocks(200, 2, 200) == [range(1, 201)]  # gaussian1d_convergence
+        assert plan(200, 2, 800) == ([range(1, 101), range(101, 201)], 2)  # landscape
+        assert plan(200, 2, 200) == ([range(1, 201)], 1)  # gaussian1d_convergence
         # iterate_linear_growth: two workers, blocks cut to BLOCK_ELEMENTS
-        assert [len(b) for b in blocks(200, 2, 5496)] == [47, 47, 47, 47, 12]
+        blocks, workers = plan(200, 2, 5496)
+        assert ([len(b) for b in blocks], workers) == ([47, 47, 47, 47, 12], 2)
         # never more blocks than CPUs, unless a block would exceed BLOCK_ELEMENTS
-        assert blocks(200, 64, 1000) == [range(1, 101), range(101, 201)]
-        assert len(blocks(8, 1, experiments.BLOCK_ELEMENTS)) == 8
+        assert plan(200, 64, 1000) == ([range(1, 101), range(101, 201)], 2)
+        blocks, workers = plan(8, 1, experiments.BLOCK_ELEMENTS)
+        assert (len(blocks), workers) == (8, 1)
+
+    @given(replications=st.integers(1, 3000), threads=st.integers(1, 80),
+           cpus=st.integers(1, 80),
+           noise_per_rep=st.one_of(st.integers(1, 2 ** 12), st.integers(1, 2 ** 20)))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(replications=200, threads=2, cpus=2, noise_per_rep=5496)
+    @example(replications=3000, threads=80, cpus=80, noise_per_rep=2 ** 18 + 1)
+    def test_one_plan_is_the_two_step_rule(self, monkeypatch, inline_pool, replications,
+                                           threads, cpus, noise_per_rep):
+        # the reference rule cuts the blocks first, then sizes the pool from
+        # threads, blocks and CPUs alone, counting the workers a second time
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        workers = min(threads, cpus, max(1, replications * noise_per_rep
+                                         // experiments.MIN_BLOCK_NOISE))
+        size = min(math.ceil(replications / workers),
+                   max(1, experiments.BLOCK_ELEMENTS // noise_per_rep))
+        blocks = [range(start, min(start + size, replications + 1))
+                  for start in range(1, replications + 1, size)]
+        two_step = (blocks, min(threads, len(blocks), cpus))
+        assert block_plan(replications, threads, noise_per_rep, inline_pool) == two_step
 
     # both statistics follow _mean_se's rule: one replication has no spread
     @pytest.mark.parametrize("of_means", [False, True], ids=["mean-of-logs", "log-of-means"])

@@ -139,7 +139,11 @@ class TestConfigValidation:
                     build()
 
     def test_sigma_zero_only_unfiltered(self):
-        for sigma, mode in ((0.0, "direct"), (0.0, "reject"), (-1.0, "direct"), (-1.0, "none")):
+        # a NaN or infinite sigma is refused in every mode, not carried into the estimates
+        refused = [(0.0, "direct"), (0.0, "reject"), (-1.0, "direct"), (-1.0, "none")]
+        refused += [(sigma, mode) for sigma in (math.nan, math.inf, -math.inf)
+                    for mode in ("direct", "reject", "none")]
+        for sigma, mode in refused:
             for build in self.rounds(sigma, mode):
                 with pytest.raises(InvalidBoundsError, match="sigma must be > 0"):
                     build()
@@ -352,3 +356,8 @@ class TestLongTermBound:
     def test_validation(self):
         with pytest.raises(InvalidBoundsError):
             long_term_bounds(self.rho(), -1.0, np.array([10]), 8.0)
+        # a NaN initial error is refused as a negative one is, not returned as NaN bounds
+        with pytest.raises(InvalidBoundsError, match="initial squared error"):
+            long_term_bounds(self.rho(), math.nan, np.array([10]), 8.0)
+        # an infinite one (a center beyond ~1e154 from the truth) gives no bound
+        assert np.all(np.isinf(long_term_bounds(self.rho(), math.inf, np.array([10]), 8.0)))

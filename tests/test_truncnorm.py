@@ -11,12 +11,13 @@ from verisynth import (
     Bounds,
     DegenerateIntervalError,
     InvalidBoundsError,
+    QuadratureError,
     acceptance_probability,
     quadrature_moments,
     sample_truncated,
     std_moments,
 )
-from verisynth.truncnorm import MIN_ACCEPTANCE, NARROW_WIDTH, Truncations, libm
+from verisynth.truncnorm import MIN_ACCEPTANCE, NARROW_WIDTH, Truncations, _quad_checked, libm
 
 # Frozen independent values: half-normal closed forms and quadrature-derived
 # constants for reference intervals.
@@ -370,3 +371,9 @@ class TestQuadratureOracle:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateIntervalError):
             quadrature_moments(Bounds(45.0, 46.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integral_raises(self, value):
+        # quadpack reports an error of NaN or inf for these; neither is a result
+        with pytest.raises(QuadratureError):
+            _quad_checked(lambda z: value, 0.0, 1.0)

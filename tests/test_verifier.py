@@ -44,6 +44,17 @@ class TestInterval1D:
             Interval1D(1.0, 1.0)
         with pytest.raises(InvalidBoundsError):
             Interval1D(3.0, -1.0)
+        for ends in ((math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(InvalidBoundsError, match="may not be NaN"):
+                Interval1D(*ends)
+
+    def test_is_an_ordered_bounds(self):
+        # the verifier interval passes the truncation interval's one check:
+        # its ends are cast to float, and a half-line is allowed
+        interval = Interval1D(-1, math.inf)
+        assert isinstance(interval, Bounds)
+        assert (type(interval.lower), interval.upper) == (float, math.inf)
+        assert interval.dimension == 1 and interval.half_width == math.inf
 
     def test_midpoint(self):
         assert Interval1D(-1.0, 3.0).midpoint == 1.0
