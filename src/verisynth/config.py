@@ -455,12 +455,7 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
             _check(default is not _REQUIRED,
                    f"missing required config {'key' if section else 'section'} {path!r}")
             values[field] = default(values) if callable(default) else default
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def _refuse_repeated_keys(node: yaml.Node, path: str, seen: set[int]) -> None:

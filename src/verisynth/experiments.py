@@ -5,19 +5,20 @@ schemas in :mod:`verisynth.output`. All randomness flows through the streams
 of :func:`verisynth.seeding.derive_stream`, keyed by (master_seed,
 replication, round, direction). The replications are split into contiguous
 blocks; each block keeps its estimates as one array, advances them with the
-retraining kernel one round at a time, derives its streams' keys in bulk
-(:class:`verisynth.seeding.KeyedStreams`) and writes its own slots of
-preallocated arrays. Every reduction happens after all blocks finish, in
-index order, so results are byte-identical for any block split and worker
-count.
+retraining kernel one round at a time, reads its rows' streams round by
+round as :meth:`verisynth.seeding.KeyedStreams.rounds` lays them out (this
+module builds no key) and writes its own slots of preallocated arrays. Every
+reduction happens after all blocks finish, in index order, so results are
+byte-identical for any block split and worker count.
 
 Arms of an experiment (the filter modes of an iterative run, the (delta, r)
 cells of a landscape) reuse the same stream keys — common random numbers —
 which makes between-arm comparisons conservative when paired with per-arm
 standard errors. Each round's row streams are read once, into one block of
-uniforms that every arm shares: a direct arm reads each row's first n_k
-uniforms and an unfiltered arm the first of them; a REJECT arm draws its
-candidates from the streams itself. The closed forms are in :mod:`verisynth.theory`.
+uniforms that every arm shares, as wide as the widest arm reads
+(:meth:`verisynth.kernel.BlockRound.reads` says how many a mode reads); a
+REJECT arm draws its candidates from the streams itself. The closed forms are
+in :mod:`verisynth.theory`.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (FILTER_DIRECT, FILTER_NONE, KIND_ITERATE_1D, KIND_ITERATE_LINREG,
+from .config import (FILTER_NONE, KIND_ITERATE_1D, KIND_ITERATE_LINREG,
                      KIND_LANDSCAPE, MIN_BLOCK_NOISE, ExperimentConfig)
 from .errors import (ConfigError, DegenerateIntervalError, InsufficientRoundsError,
                      InvalidBoundsError)
@@ -51,9 +52,6 @@ CONTRACTION_BURN_IN = 10
 #: most noise values a block of replications draws in one round; blocks are
 #: cut so that (replications x directions x per-direction count) stays below
 BLOCK_ELEMENTS = 2 ** 18
-
-#: most stream keys derived in one call
-KEY_CHUNK = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -114,33 +112,6 @@ def _run_blocks(simulate: Callable[[range], None], replications: int, threads: i
             future.result()
 
 
-def _keys(block: range, rounds: range, directions: range) -> np.ndarray:
-    """(replication, round, direction) keys: one row of keys per round,
-    replication-major within it."""
-    k, rep, j = np.meshgrid(rounds, block, directions, indexing="ij")
-    return np.stack([rep, k, j], axis=-1).reshape(len(rounds), -1, 3)
-
-
-def _round_rows(streams: KeyedStreams, block: range, rounds: int, p: int):
-    """Yield (k, streams of round k's rows) for k = 1..rounds.
-
-    Keys are derived for up to KEY_CHUNK rows at once, spanning many rounds
-    when the block is small.
-    """
-    per_call = max(1, KEY_CHUNK // (len(block) * p))
-    for first in range(1, rounds + 1, per_call):
-        chunk = range(first, min(first + per_call, rounds + 1))
-        chunk_streams = streams.derive(_keys(block, chunk, range(1, p + 1)))
-        for i, k in enumerate(chunk):
-            yield k, chunk_streams[i]
-
-
-def _real_estimates(streams: KeyedStreams, block: range, fit: Callable) -> np.ndarray:
-    """Each replication's real-data fit, drawn from its (rep, 0, 0) stream, one row each."""
-    real = streams.derive(_keys(block, range(1), range(1)))[0]
-    return np.array([fit(real.stream(row)) for row in range(len(block))]).reshape(len(block), -1)
-
-
 def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
     """The spectral design of the experiment's covariates, and the OLS fit of
     real responses at them whose noise a replication's stream draws."""
@@ -151,30 +122,32 @@ def _real_data(config: ExperimentConfig) -> tuple[SpectralDesign, Callable]:
 
 
 def _run_arms(config: ExperimentConfig, threads: int, design: SpectralDesign, rounds: dict,
-              per_dir: tuple[int, ...], widths: tuple[int, ...], fit: Callable,
-              record: Callable) -> None:
+              per_dir: tuple[int, ...], fit: Callable, record: Callable) -> None:
     """Retrain each replication's real-data fit through every arm's round
     ``rounds[arm]``, passing each block's estimates to
     ``record(arm, slots, k, estimates)`` at round 0 and every round k.
 
-    Round k draws ``per_dir[k - 1]`` per direction; every arm shares its rows'
-    first ``widths[k - 1]`` uniforms. No arm's estimates outlive the last round.
+    Round k draws ``per_dir[k - 1]`` per direction; the arms share their rows'
+    first uniforms, as many as the widest arm ``reads``. No arm's estimates
+    outlive the last round.
     """
     p = design.dimension
     last = len(per_dir)
 
     def simulate(block: range) -> None:
         slots = slice(block.start - 1, block.stop - 1)
-        streams = KeyedStreams(config.master_seed)
-        theta_hat = _real_estimates(streams, block, fit)
+        rows = KeyedStreams(config.master_seed).rounds(block, last, p)
+        real, reps = next(rows), len(block)  # round 0: each replication's real-data fit
+        theta_hat = np.array([fit(real.stream(r)) for r in range(reps)]).reshape(reps, -1)
         estimates = dict.fromkeys(rounds, theta_hat)
         for arm in rounds:
             record(arm, slots, 0, theta_hat)
-        for k, round_k in _round_rows(streams, block, last, p):
-            n_k, width = per_dir[k - 1], widths[k - 1]
-            uniforms = None
+        for k, round_k in enumerate(rows, 1):
+            n_k = per_dir[k - 1]
+            width = max((arm_round.reads(n_k) for arm_round in rounds.values()), default=0)
+            uniforms = None  # the last round's block is freed before this one is drawn
             if width:
-                uniforms = first_uniforms(round_k.stream, round_k.keys.shape[0], width)
+                uniforms = first_uniforms(round_k.stream, len(round_k.keys), width)
             for arm, arm_round in rounds.items():
                 theta_k = arm_round(estimates[arm], n_k, round_k.stream, round_k.label,
                                     uniforms)
@@ -261,6 +234,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             except (DegenerateIntervalError, InvalidBoundsError):
                 degenerate[i] = True
                 return np.full_like(theta_hat, math.nan)
+        advance.reads = block_round.reads
         return advance
 
     def record(i: int, slots: slice, k: int, estimates: np.ndarray) -> None:
@@ -272,8 +246,7 @@ def run_landscape(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     # the cells are the arms of one round: every cell's round draws from the
     # same (rep, 1, j) streams, so every cell reads the same uniforms
     rounds = {i: cell_round(i, ball) for i, (ball, _) in enumerate(cells) if ball is not None}
-    per_dir = (config.n1,)
-    _run_arms(config, threads, design, rounds, per_dir, per_dir, fit, record)
+    _run_arms(config, threads, design, rounds, (config.n1,), fit, record)
 
     # a cell with an error norm of 0 or inf has no log ratio: a sigma below
     # the spacing of doubles at theta* rounds estimates to it exactly
@@ -372,9 +345,7 @@ def run_iterative(config: ExperimentConfig, threads: int = 1) -> list[dict]:
                 kept[arm][1, slots, k] = np.sum((estimates - center) ** 2, axis=1)
 
     rounds = {arm: BlockRound(design, verifier, config.sigma, arm) for arm in config.arms}
-    # the uniforms per row the arms share: n_k with a direct arm, else 1 with an unfiltered arm
-    widths = per_dir if FILTER_DIRECT in rounds else (int(FILTER_NONE in rounds),) * k_rounds
-    _run_arms(config, threads, design, rounds, per_dir, widths, fit, record)
+    _run_arms(config, threads, design, rounds, per_dir, fit, record)
 
     rows, columns = [], columns_for(config.kind)
     for arm in config.arms:
@@ -427,8 +398,6 @@ def theory_summary(config: ExperimentConfig) -> dict:
         base, cells = _landscape_theory(config, spectral_design(design_matrix(config)))
         return {"experiment": config.kind, "baseline_mse": base,
                 "cells": [cell for _, cell in cells]}
-    if config.kind not in (KIND_ITERATE_LINREG, KIND_ITERATE_1D):
-        raise ConfigError(f"unknown experiment kind {config.kind}")
     problem = _iterate_problem(config)
     design, _, verifier, theta, _, baseline = problem
     per_dir, rho, init, bounds = _iterate_theory(config, problem)

@@ -24,7 +24,8 @@ Rows are numbered estimate-major (row = r * p + j) and ``streams(row)`` gives
 each row's generator. Rows draw in that order (a direct row takes exactly
 n_k uniforms, an unfiltered row one, a REJECT row the chunks its mass sets),
 so one generator shared by all rows is consumed exactly as a loop over the
-rows would consume it.
+rows would consume it. :meth:`BlockRound.reads` alone says how many uniforms a
+row of each mode reads; which key its stream has, :mod:`verisynth.seeding` says.
 """
 from __future__ import annotations
 
@@ -114,9 +115,9 @@ class BlockRound:
     its stream and an unfiltered row the first one, whose inverse CDF on the
     whole line, ndtri(max(u, 2^-53)), over sqrt(n_k) is the row's mean;
     REJECT rows draw from their streams. ``uniforms``, when given, holds
-    those first uniforms, one row each and at least as many columns as the
-    mode reads, for rows whose streams are their own. A VerisynthError is
-    re-raised with ``label(row)`` of the failing row.
+    those first uniforms, one row each and at least ``reads(n_k)`` columns,
+    for rows whose streams are their own. A VerisynthError is re-raised with
+    ``label(row)`` of the failing row, or as it is without a ``label``.
     """
 
     def __init__(self, design, verifier, sigma: float, mode: str = FILTER_DIRECT):
@@ -133,18 +134,22 @@ class BlockRound:
             self.accept = [verifier.acceptance(v) for v in design.directions]
         self.verifier, self.sigma, self.mode = verifier, sigma, mode
 
+    def reads(self, n_k: int) -> int:
+        """How many first uniforms of its stream a row of this mode reads at count ``n_k``."""
+        return {FILTER_DIRECT: n_k, FILTER_NONE: 1, FILTER_REJECT: 0}[self.mode]
+
     def __call__(self, theta, n_k, streams, label=None, uniforms=None) -> np.ndarray:
         verifier, sigma, mode = self.verifier, self.sigma, self.mode
         proj = np.vecdot(theta[:, None, :], self.directions)
         rows, p = proj.size, proj.shape[1]
-        row = 0
+        width, row = self.reads(n_k), 0
         try:
             if mode == FILTER_NONE:
                 # the whole line: a row's mean of n_k draws is one draw over sqrt(n_k)
-                limits, width, pooled = np.repeat([[-np.inf], [np.inf]], rows, axis=1), 1, n_k
+                limits, pooled = np.repeat([[-np.inf], [np.inf]], rows, axis=1), n_k
             else:
                 limits = verifier.bounds(self.directions, theta, sigma).reshape(2, -1)
-                width, pooled = n_k, 1
+                pooled = 1
             block = Truncations(limits)
             if mode == FILTER_REJECT:
                 short = ~(block.mass * MAX_REJECT_ATTEMPTS_PER_SAMPLE >= 1.0)

@@ -4,8 +4,8 @@ Every random draw in an experiment comes from a stream keyed by
 (master_seed, replication, round, direction), so results are byte-identical
 no matter how replications are scheduled across workers.
 
-Keying convention
------------------
+Keying convention (this module is its one home: a runner builds no key)
+-----------------------------------------------------------------------
 - replication 0 is reserved for experiment-level draws shared by all
   replications: (0, 0, 0) seeds the real design matrix, (0, 0, 1) the bias
   direction used to place a verifier center at distance delta from truth.
@@ -15,7 +15,9 @@ Keying convention
 
 :func:`derive_stream` is the definition of a stream. :class:`KeyedStreams`
 serves the same streams for many keys at once: it derives their Philox keys
-in bulk and repositions one reused generator at the start of each.
+in bulk and repositions one reused generator at the start of each, and
+:meth:`KeyedStreams.rounds` lays out a block of replications' rows, round by
+round.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ from .errors import SeedSpaceError
 #: reserved experiment-level keys (replication 0)
 DESIGN_KEY = (0, 0, 0)
 BIAS_DIRECTION_KEY = (0, 0, 1)
+
+#: most stream keys derived in one call
+KEY_CHUNK = 2 ** 14
 
 # SeedSequence's hashing constants (numpy.random.bit_generator)
 _INIT_A = 0x43B0D7E5
@@ -73,6 +78,13 @@ def _hash_constants(start: int, multiplier: int, count: int) -> np.ndarray:
     for _ in range(count - 1):
         values.append((values[-1] * multiplier) & _MASK32)
     return np.array(values, dtype=np.uint32)
+
+
+def _keys(block: range, rounds: range, directions: range) -> np.ndarray:
+    """(replication, round, direction) keys, one row per round, replication-major
+    within it; a function, so that its grids are freed before the keys are derived."""
+    k, rep, j = np.meshgrid(rounds, block, directions, indexing="ij")
+    return np.stack([rep, k, j], axis=-1).reshape(len(rounds), -1, 3)
 
 
 class KeyedStreams:
@@ -139,6 +151,20 @@ class KeyedStreams:
                                          spawn_key=tuple(int(w) for w in flat[i]))
             keys[i] = seq.generate_state(2, np.uint64)
         return StreamRows(self, spawn, keys.reshape(spawn.shape[:-1] + (2,)))
+
+    def rounds(self, block: range, rounds: int, p: int):
+        """Yield the :class:`StreamRows` of replications ``block``, one set per
+        round: round 0's rows are the real-data keys (rep, 0, 0), and round
+        k's, for k = 1..``rounds``, the keys (rep, k, 1..p), replication-major.
+        Keys are derived for up to KEY_CHUNK rows at once, spanning many rounds
+        when the block is small."""
+        yield self.derive(_keys(block, range(1), range(1)))[0]
+        per_call = max(1, KEY_CHUNK // (len(block) * p))
+        for first in range(1, rounds + 1, per_call):
+            chunk = range(first, min(first + per_call, rounds + 1))
+            rows = self.derive(_keys(block, chunk, range(1, p + 1)))
+            for i in range(len(chunk)):
+                yield rows[i]
 
     def _at(self, key: list[int]) -> np.random.Generator:
         self._start["state"]["key"] = key

@@ -106,10 +106,11 @@ def long_term_bounds(rho: float, initial_sq_error: float, schedule: np.ndarray,
     center, for k = 0..len(schedule).
 
     Entry k is rho^(2k) * initial_sq_error + scale * sum_{j<k} rho^(2(k-j)-1) / n_j
-    for a contraction rate rho in (0, 1] and per-direction counts n_j. The 1-D
-    problem uses scale 1 in standardized units (multiply by sigma^2); the
-    regression problem passes scale = p * sigma^2. At rho = 1 (a vacuous
-    verifier) it is the unfiltered random walk, initial + scale * sum 1/n_j.
+    for a contraction rate rho in (0, 1] and per-direction counts n_j. Both
+    problems pass scale = p * sigma^2, which is sigma^2 for the 1-D problem
+    (p = 1); the default scale 1 gives the bound in units of sigma^2. At
+    rho = 1 (a vacuous verifier) it is the unfiltered random walk, initial +
+    scale * sum 1/n_j.
     The odd powers of rho are taken once for all K rounds, not once per round.
     """
     if not 0.0 < rho <= 1.0:

@@ -7,6 +7,7 @@ replications and rounds for the experiment runners.
 """
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from verisynth import (
     sample_truncated,
     spectral_design,
 )
-from verisynth import kernel
+from verisynth import experiments, kernel, seeding
 from verisynth.experiments import design_matrix, resolve_ball
 from verisynth.gaussian1d import ONE_DIRECTION, initial_mean, retrain_step
 from verisynth.kernel import BlockRound, generate_and_verify
@@ -87,6 +88,40 @@ def test_stream_resets_draw_like_derive_stream():
             assert np.array_equal(draw(got), draw(expected))
             buffered |= bool(got.bit_generator.state["has_uint32"])
     assert buffered
+
+
+def test_rounds_lay_out_every_key_across_key_chunks(monkeypatch):
+    # a chunk of 13 keys holds two rounds of 3 replications x 2 directions:
+    # rounds 1..5 take three calls after round 0's
+    monkeypatch.setattr(seeding, "KEY_CHUNK", 13)
+    streams = KeyedStreams(77)
+    calls, derive = [], streams.derive
+    monkeypatch.setattr(streams, "derive",
+                        lambda spawn: calls.append(np.shape(spawn)) or derive(spawn))
+    block = range(4, 7)
+    rounds = list(streams.rounds(block, 5, 2))
+    assert calls == [(1, 3, 3), (2, 6, 3), (2, 6, 3), (1, 6, 3)]
+    assert len(rounds) == 6
+    for k, rows in enumerate(rounds):
+        keys = ([(rep, 0, 0) for rep in block] if k == 0
+                else [(rep, k, j) for rep in block for j in (1, 2)])
+        assert len(rows.keys) == len(keys)
+        for row, key in enumerate(keys):
+            assert np.array_equal(rows.stream(row).random(4), derive_stream(77, *key).random(4))
+            assert rows.label(row) == "replication {}, round {}, direction {}".format(*key)
+
+
+def test_rounds_cross_the_shipped_key_chunk():
+    # 2^13 one-direction replications: two rounds per call of KEY_CHUNK = 2^14
+    # keys, so round 3 starts a second call; rows at each round's ends and
+    # across the boundary draw as derive_stream's
+    block = range(1, 2 ** 13 + 1)
+    rounds = list(KeyedStreams(78).rounds(block, 3, 1))
+    assert [len(rows.keys) for rows in rounds] == [2 ** 13] * 4
+    for k, rows in enumerate(rounds):
+        for row in (0, 1, 2 ** 13 - 1):
+            key = (block[row], k, int(k > 0))
+            assert np.array_equal(rows.stream(row).random(3), derive_stream(78, *key).random(3))
 
 
 def test_bulk_keys_reject_out_of_range_indices():
@@ -162,6 +197,31 @@ def test_unfiltered_mean_is_a_normal_over_sqrt_n(n_k):
     rows = KeyedStreams(20250).derive(keys)
     moves = unfiltered_round(np.zeros((reps, 1)), n_k, rows.stream)[:, 0]
     assert kstest(math.sqrt(n_k) * moves, "norm").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("mode,width", [("direct", 9), ("none", 1), ("reject", 0)])
+def test_reads_is_what_a_row_reads(mode, width):
+    # a row reads its stream's first reads(n_k) uniforms and no more
+    block_round = BlockRound(ONE_DIRECTION, Interval1D(-1.0, 1.0), 1.0, mode)
+    assert block_round.reads(9) == width
+    rows = KeyedStreams(79).derive(np.array([[1, 1, 1], [2, 1, 1]]))
+    got = block_round(np.zeros((2, 1)), 9, rows.stream)
+    if width:
+        uniforms = np.vstack([rows.stream(r).random(width) for r in range(2)])
+        again = block_round(np.zeros((2, 1)), 9, lambda row: Untouchable(), uniforms=uniforms)
+        assert np.array_equal(again, got)
+
+
+def test_round_without_label_raises_the_bare_error():
+    # an interval 100 sigma from every estimate carries no mass
+    block_round = BlockRound(ONE_DIRECTION, Interval1D(100.0, 101.0), 1.0)
+    rows = list(KeyedStreams(80).rounds(range(1, 3), 1, 1))[1]
+    with pytest.raises(DegenerateIntervalError) as bare:
+        block_round(np.zeros((2, 1)), 5, rows.stream)
+    assert not str(bare.value).startswith("replication")
+    with pytest.raises(DegenerateIntervalError) as labelled:
+        block_round(np.zeros((2, 1)), 5, rows.stream, rows.label)
+    assert str(labelled.value) == f"replication 1, round 1, direction 1: {bare.value}"
 
 
 class ZeroGenerator:
@@ -610,3 +670,72 @@ def test_one_dimensional_equals_replication_loop(threads, arm, fast_switching, s
         assert row["mean_estimate_se"] == est_se[k]
         assert row["dist_midpoint_mean"] == sq_mean[k]
         assert row["dist_midpoint_se"] == sq_se[k]
+
+
+@pytest.fixture
+def shared_reads(monkeypatch):
+    """(rows, width) of every shared block of uniforms a run reads."""
+    reads = []
+
+    def recording(streams, rows, width):
+        reads.append((rows, width))
+        return kernel.first_uniforms(streams, rows, width)
+    monkeypatch.setattr(experiments, "first_uniforms", recording)
+    return reads
+
+
+@pytest.mark.parametrize("arms,width", [
+    (["reject"], None), (["none"], 1), (["reject", "none"], 1),
+    (["none", "direct"], "n_k"), (["direct", "reject"], "n_k"),
+])
+def test_shared_block_is_as_wide_as_the_widest_arm_reads(shared_reads, arms, width):
+    config = config_from_mapping({
+        "experiment": "iterate_linreg", "replications": 4, "master_seed": 34,
+        "problem": PROBLEM, "ball": {"radius": 1.0, "delta": 0.5},
+        "schedule": {"kind": "linear", "start": 30, "end_or_ratio": 90, "rounds": 4},
+        "arms": arms,
+    })
+    run_iterative(config)
+    per_dir = config.schedule.per_direction_counts(3)
+    assert per_dir == (10, 16, 23, 30)
+    expected = {None: [], 1: [(12, 1)] * 4, "n_k": [(12, n_k) for n_k in per_dir]}
+    assert shared_reads == expected[width]
+
+
+def test_each_round_frees_the_last_block_before_drawing(monkeypatch):
+    # two rounds' blocks alive at once would raise the run's peak memory
+    drawn = []
+
+    def recording(streams, rows, width):
+        assert all(block() is None for block in drawn)
+        uniforms = kernel.first_uniforms(streams, rows, width)
+        drawn.append(weakref.ref(uniforms))
+        return uniforms
+    monkeypatch.setattr(experiments, "first_uniforms", recording)
+    config = config_from_mapping({
+        "experiment": "iterate_linreg", "replications": 4, "master_seed": 36,
+        "problem": PROBLEM, "ball": {"radius": 1.0, "delta": 0.5},
+        "schedule": {"kind": "linear", "start": 30, "end_or_ratio": 90, "rounds": 4},
+        "arms": ["direct", "none"],
+    })
+    run_iterative(config)
+    assert len(drawn) == 4
+
+
+def test_landscape_of_degenerate_cells_runs_no_arm(shared_reads):
+    # delta = 100 puts the one ball's band 100 sigma from the truth: no cell
+    # has a round, so no round reads a shared block
+    config = config_from_mapping({
+        "experiment": "landscape", "replications": 3, "master_seed": 35,
+        "problem": {**PROBLEM, "sigma": 1.0},
+        "landscape": {"delta_values": [100.0], "r_values": [0.5], "n1": 10},
+    })
+    [row] = run_landscape(config)
+    assert row["status"] == "degenerate" and shared_reads == []
+    assert all(math.isnan(row[key]) for key in ("log_ratio_mean", "log_ratio_se",
+                                                 "theory_log_ratio"))
+    # one cell at the truth: its round reads n1 uniforms per row
+    mapping = config.to_mapping()
+    mapping["landscape"]["delta_values"] = [0.0]
+    assert run_landscape(config_from_mapping(mapping))[0]["status"] == "ok"
+    assert shared_reads == [(9, 10)]
